@@ -215,10 +215,11 @@ pub(crate) fn asso_counted(
         // in ascending order under strict `>`: equals the serial
         // first-best for any chunking.
         let locals: Vec<Option<(f64, u64)>> = workers.run(tasks, |t| {
-            let lo = t * chunk;
+            // Trailing tasks may get an empty chunk (`lo` past the end).
+            let lo = (t * chunk).min(candidates.len());
             let hi = ((t + 1) * chunk).min(candidates.len());
             let mut best: Option<(f64, u64)> = None;
-            for &cand in &candidates[lo..hi.max(lo)] {
+            for &cand in &candidates[lo..hi] {
                 if cand == 0 {
                     continue;
                 }
@@ -568,6 +569,9 @@ mod tests {
             BoolMatrix::from_fn(24, 6, |i, j| (i * 7 + j * 3) % 4 == 0 || i == j),
             BoolMatrix::from_fn(40, 8, |i, j| (i ^ j) & 3 != 1),
             BoolMatrix::from_fn(64, 10, |i, j| (i * j) % 5 < 2),
+            // Enough candidates that 25 workers leave trailing chunks
+            // empty.
+            BoolMatrix::from_fn(48, 36, |i, j| (i * 5 + j * 11) % 7 < 3 || i % 9 == j % 4),
         ];
         for m in &shapes {
             for weighted in [false, true] {
@@ -577,7 +581,7 @@ mod tests {
                 };
                 for f in [1, 2, 3] {
                     let serial = asso(m, f, &p);
-                    for threads in [2, 4, 7] {
+                    for threads in [2, 4, 7, 25] {
                         let par =
                             asso_on(m, f, &p, Workers::Transient(Parallelism::Threads(threads)));
                         assert_eq!(serial, par, "f={f} threads={threads} weighted={weighted}");

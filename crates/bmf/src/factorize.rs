@@ -114,6 +114,15 @@ impl Factorization {
     }
 }
 
+/// Widest matrix the exhaustive path accepts (columns).
+const EXACT_MAX_COLS: usize = 5;
+/// Tallest matrix the exhaustive path accepts (rows).
+const EXACT_MAX_ROWS: usize = 64;
+/// Distinct row values of an exhaustive-path matrix (`2^EXACT_MAX_COLS`).
+const EXACT_WIDTH: usize = 1 << EXACT_MAX_COLS;
+/// Subsets of an exhaustive-path basis (`f < EXACT_MAX_COLS`).
+const EXACT_SUBSETS: usize = 1 << (EXACT_MAX_COLS - 1);
+
 /// Builder-style factorization front-end.
 ///
 /// # Example
@@ -237,11 +246,23 @@ impl Factorizer {
         fac
     }
 
+    /// Whether [`factorize`](Factorizer::factorize) solves `(m, f)` by
+    /// exhaustive basis enumeration (≤ 64 rows, ≤ 5 columns, `f` below
+    /// the column count, semi-ring algebra). The configured
+    /// [`Algorithm`] plays no part on that path: factorizers that
+    /// differ only in their algorithm return the same factorization.
+    pub fn solves_exhaustively(&self, m: &BoolMatrix, f: usize) -> bool {
+        let cols = m.num_cols();
+        f < cols
+            && cols <= EXACT_MAX_COLS
+            && m.num_rows() <= EXACT_MAX_ROWS
+            && matches!(self.algebra, Algebra::SemiRing)
+    }
+
     fn factorize_inner(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
         assert!(f >= 1, "factorization degree must be at least 1");
         let cols = m.num_cols();
-        if f < cols && cols <= 5 && m.num_rows() <= 64 && matches!(self.algebra, Algebra::SemiRing)
-        {
+        if self.solves_exhaustively(m, f) {
             return self.exact_small(m, f, workers);
         }
         if f >= cols {
@@ -368,12 +389,182 @@ impl Factorizer {
     /// exhaustive enumeration of the basis rows (all non-zero column
     /// patterns) with the exact per-row usage solve.
     ///
+    /// Table-driven: `etab[t][v]` holds the weighted error of
+    /// reconstructing row value `t` as `v`, built once per call. Each
+    /// basis combination fills its ≤ 16 subset ORs into a stack array,
+    /// takes one minimum per *distinct* row value (on first use), and
+    /// sums those minima in row order — the same f64 additions in the
+    /// same order as a per-row scan, so errors (and hence the winner)
+    /// are bit-identical. With non-negative weights the sum stops as
+    /// soon as it reaches the best error so far, which can no longer be
+    /// beaten. No combination allocates; the usage matrix is solved
+    /// once, for the winner only.
+    ///
     /// Enumeration fans out over the first basis pattern's index, one
     /// task per index; each task scans its lexicographic sub-range in
     /// serial order and the reduction keeps the first strictly-lowest
     /// error in ascending first-index order — exactly the serial scan's
     /// winner, at any worker count.
     fn exact_small(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
+        let cols = m.num_cols();
+        let n = m.num_rows();
+        let width = 1usize << cols;
+        let subsets = 1usize << f;
+        let uniform;
+        let weights: &[f64] = match &self.weights {
+            Some(w) => w,
+            None => {
+                uniform = vec![1.0; cols];
+                &uniform
+            }
+        };
+        let wsum = |mut bits: usize| -> f64 {
+            let mut s = 0.0;
+            while bits != 0 {
+                let j = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                s += weights[j];
+            }
+            s
+        };
+        let mut etab = [0.0f64; EXACT_WIDTH * EXACT_WIDTH];
+        for t in 0..width {
+            for v in 0..width {
+                etab[t * width + v] = wsum(v ^ t);
+            }
+        }
+        let monotone = weights.iter().all(|&w| w >= 0.0);
+        // Distinct row values in first-seen order, and each row's slot.
+        let mut slot_of = [usize::MAX; EXACT_WIDTH];
+        let mut distinct = [0usize; EXACT_WIDTH];
+        let mut num_distinct = 0;
+        let mut row_slot = [0usize; EXACT_MAX_ROWS];
+        for (i, slot) in row_slot.iter_mut().enumerate().take(n) {
+            let t = m.row(i) as usize;
+            if slot_of[t] == usize::MAX {
+                slot_of[t] = num_distinct;
+                distinct[num_distinct] = t;
+                num_distinct += 1;
+            }
+            *slot = slot_of[t];
+        }
+        let (distinct, row_slot) = (&distinct[..num_distinct], &row_slot[..n]);
+        // Basis pattern `p` is the non-zero column pattern `p + 1`.
+        let patterns = width - 1;
+        let subset_ors = |chosen: &[usize]| -> [usize; EXACT_SUBSETS] {
+            let mut or_of = [0usize; EXACT_SUBSETS];
+            for s in 1..subsets {
+                let low = s.trailing_zeros() as usize;
+                or_of[s] = or_of[s & (s - 1)] | (chosen[low] + 1);
+            }
+            or_of
+        };
+        let workers = if in_worker() {
+            Workers::Transient(Parallelism::Serial)
+        } else {
+            workers
+        };
+        type Best = Option<(f64, [usize; EXACT_MAX_COLS])>;
+        let firsts = patterns - (f - 1);
+        let locals: Vec<(u64, Best)> = workers.run(firsts, |i0| {
+            let mut best: Best = None;
+            let mut scored = 0u64;
+            let mut chosen = [0usize; EXACT_MAX_COLS];
+            chosen[0] = i0;
+            // Lexicographic combinations with first index `i0`, in the
+            // same order as a depth-first recursion.
+            let mut depth = 1;
+            let mut next = i0 + 1;
+            loop {
+                if depth == f {
+                    scored += 1;
+                    let or_of = subset_ors(&chosen[..f]);
+                    // With non-negative weights the row-order partial
+                    // sum never decreases, so once it reaches the best
+                    // error this combination cannot win (strict `<`).
+                    let bound = best.as_ref().filter(|_| monotone).map(|b| b.0);
+                    let mut mins = [0.0f64; EXACT_WIDTH];
+                    let mut known = 0u64;
+                    let mut err = 0.0;
+                    let mut beaten = false;
+                    for &k in row_slot {
+                        if known >> k & 1 == 0 {
+                            known |= 1 << k;
+                            let row = &etab[distinct[k] * width..][..width];
+                            let mut best_e = f64::INFINITY;
+                            for &v in &or_of[..subsets] {
+                                if row[v] < best_e {
+                                    best_e = row[v];
+                                }
+                            }
+                            mins[k] = best_e;
+                        }
+                        err += mins[k];
+                        if bound.is_some_and(|b| err >= b) {
+                            beaten = true;
+                            break;
+                        }
+                    }
+                    if !beaten && best.as_ref().is_none_or(|(e, _)| err < *e) {
+                        best = Some((err, chosen));
+                    }
+                } else if next < patterns {
+                    chosen[depth] = next;
+                    depth += 1;
+                    next += 1;
+                    continue;
+                }
+                // Backtrack to the deepest level that can still advance.
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+                next = chosen[depth] + 1;
+            }
+            (scored, best)
+        });
+        let mut best: Best = None;
+        let mut scored = 0u64;
+        for (s, local) in locals {
+            scored += s;
+            if let Some(local) = local {
+                if best.as_ref().is_none_or(|(e, _)| local.0 < *e) {
+                    best = Some(local);
+                }
+            }
+        }
+        if let Some(c) = &self.counters {
+            c.candidates_scored.add(scored);
+        }
+        let (_, chosen) = best.expect("at least one basis combination");
+        let or_of = subset_ors(&chosen[..f]);
+        let mut b = BoolMatrix::zeroed(n, f);
+        for i in 0..n {
+            let row = &etab[m.row(i) as usize * width..][..width];
+            let (mut best_s, mut best_e) = (0usize, f64::INFINITY);
+            for (s, &v) in or_of[..subsets].iter().enumerate() {
+                if row[v] < best_e {
+                    best_e = row[v];
+                    best_s = s;
+                }
+            }
+            b.set_row(i, best_s as u64);
+        }
+        let mut c = BoolMatrix::zeroed(f, cols);
+        for (l, &p) in chosen[..f].iter().enumerate() {
+            c.set_row(l, p as u64 + 1);
+        }
+        Factorization::new(b, c, Algebra::SemiRing)
+    }
+}
+
+#[cfg(test)]
+impl Factorizer {
+    /// Test oracle for [`exact_small`](Factorizer::exact_small): the
+    /// straightforward per-combination scan (subset-OR DP plus a
+    /// per-row first-minimum usage solve, allocating per combination)
+    /// that the table-driven path must reproduce bit for bit.
+    fn exact_small_oracle(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
         let cols = m.num_cols();
         let n = m.num_rows();
         let uniform;
@@ -595,6 +786,76 @@ mod tests {
                     assert_eq!(serial, par, "cols={} f={f} threads={threads}", m.num_cols());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn exact_small_matches_the_per_combination_oracle() {
+        use crate::metrics::value_weights;
+        use blasys_par::{Parallelism, Workers};
+        // splitmix64: deterministic random matrices without a rand dep.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for trial in 0..24 {
+            let cols = 2 + trial % 4;
+            let rows = [1, 7, 16, 33, 64][trial % 5];
+            let density = next() % 3;
+            let m = BoolMatrix::from_fn(rows, cols, |_, _| next() % 4 <= density);
+            // Non-dyadic weights make the f64 summation order visible;
+            // a negative weight disables the early-exit bound.
+            let ragged: Vec<f64> = (0..cols).map(|j| 0.1 + 0.37 * j as f64).collect();
+            let signed: Vec<f64> = (0..cols).map(|j| 0.7 * j as f64 - 0.45).collect();
+            for weights in [None, Some(value_weights(cols)), Some(ragged), Some(signed)] {
+                let fz = match &weights {
+                    Some(w) => Factorizer::new().weights(w.clone()),
+                    None => Factorizer::new(),
+                };
+                for f in 1..cols {
+                    assert!(fz.solves_exhaustively(&m, f));
+                    let serial = Workers::Transient(Parallelism::Serial);
+                    let oracle = fz.exact_small_oracle(&m, f, serial);
+                    for par in [
+                        Parallelism::Serial,
+                        Parallelism::Threads(2),
+                        Parallelism::Threads(4),
+                    ] {
+                        let got = fz.exact_small(&m, f, Workers::Transient(par));
+                        assert_eq!(
+                            got, oracle,
+                            "trial {trial} rows={rows} cols={cols} f={f} {weights:?} {par:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_small_scores_as_many_combinations_as_the_oracle() {
+        use crate::obs::FactorizeCounters;
+        use blasys_par::{Parallelism, Workers};
+        let m = BoolMatrix::from_fn(32, 5, |i, j| (i * 7 + j * 3) % 5 < 2);
+        for f in 1..5 {
+            let new = blasys_obs::Registry::default();
+            let old = blasys_obs::Registry::default();
+            let serial = Workers::Transient(Parallelism::Serial);
+            Factorizer::new()
+                .with_counters(Arc::new(FactorizeCounters::register(&new)))
+                .exact_small(&m, f, serial);
+            Factorizer::new()
+                .with_counters(Arc::new(FactorizeCounters::register(&old)))
+                .exact_small_oracle(&m, f, serial);
+            assert_eq!(
+                new.snapshot().counter("bmf.candidates_scored"),
+                old.snapshot().counter("bmf.candidates_scored"),
+                "f={f}"
+            );
         }
     }
 

@@ -71,7 +71,12 @@ pub fn refine(nl: &Netlist, part: &mut Partition) -> bool {
                     }
                 }
             }
-            let Some((&target, _)) = tally.iter().max_by_key(|(_, &v)| v) else {
+            // Most connections wins, lowest cluster index on ties: the
+            // map's iteration order must not pick the target.
+            let Some((&target, _)) = tally
+                .iter()
+                .max_by_key(|(&c, &v)| (v, std::cmp::Reverse(c)))
+            else {
                 continue;
             };
             if !move_is_legal(nl, part, &users, n, ci, target) {

@@ -130,6 +130,12 @@ fn engine_counters_identical_serial_vs_threaded() {
         "qor.lanes_reevaluated",
         "qor.commits",
         "flow.explore.probes",
+        "bmf.candidates_scored",
+        "profile.winner.nulling",
+        "profile.winner.asso",
+        "profile.winner.grecond",
+        "profile.winner.truncated",
+        "profile.variants_synthesized",
     ] {
         let s = serial
             .counter(name)

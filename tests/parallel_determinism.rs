@@ -144,3 +144,36 @@ fn full_flow_threads_matches_serial_on_multiplier() {
     let threaded = Blasys::new().samples(1024).seed(9).threads(4).run(&nl);
     assert_trajectories_identical(serial.trajectory(), threaded.trajectory());
 }
+
+/// A BLIF-parsed circuit opened and profiled twice in one process gets
+/// the same partition and the same ladders both times. Every hash map
+/// draws a fresh seed, so a decomposer that let map iteration order
+/// break ties would show up here as a differing partition.
+#[test]
+fn blif_round_trips_partition_and_profile_deterministically() {
+    use blasys_repro::blasys::{FlowConfig, FlowSession};
+    use blasys_repro::logic::blif::{from_blif, to_blif};
+    for name in ["BUT", "Mult8"] {
+        let nl = blasys_repro::circuits::benchmark(name)
+            .expect("suite circuit")
+            .build();
+        let parsed = from_blif(&to_blif(&nl)).expect("round trip parses");
+        let open = || FlowSession::open(&parsed, FlowConfig::new().samples(640)).expect("opens");
+        let first = open().profile().expect("profiles");
+        let second = open().profile().expect("profiles");
+        assert_eq!(first.partition(), second.partition(), "{name}");
+        for _ in 0..6 {
+            assert_eq!(first.partition(), open().partition(), "{name}");
+        }
+        assert_eq!(first.profiles().len(), second.profiles().len(), "{name}");
+        for (a, b) in first.profiles().iter().zip(second.profiles()) {
+            for (va, vb) in a.variants.iter().zip(&b.variants) {
+                let at = format!("{name} cluster {} f={}", a.cluster, va.degree);
+                assert_eq!(va.table_rows, vb.table_rows, "{at}");
+                assert_eq!(va.area_um2.to_bits(), vb.area_um2.to_bits(), "{at}");
+                assert_eq!(va.delay_ns.to_bits(), vb.delay_ns.to_bits(), "{at}");
+                assert_eq!(va.local_hamming, vb.local_hamming, "{at}");
+            }
+        }
+    }
+}
