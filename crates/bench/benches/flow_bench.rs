@@ -7,15 +7,25 @@ use std::sync::Arc;
 
 use blasys_bmf::Algebra;
 use blasys_circuits::multiplier;
-use blasys_core::{Blasys, Parallelism};
+use blasys_core::{run, BlasysResult, ExploreSpec, FlowConfig, Parallelism, Pool};
+use blasys_logic::Netlist;
 use blasys_obs::Registry;
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn small_flow() -> Blasys {
-    Blasys::new()
+fn small_flow() -> FlowConfig {
+    FlowConfig::new()
         .samples(1_024)
         .seed(7)
         .parallelism(Parallelism::Serial)
+}
+
+/// One full flow with `cfg` and the default exploration.
+fn flow(nl: &Netlist, cfg: FlowConfig) -> BlasysResult {
+    flow_with(nl, cfg, &ExploreSpec::new())
+}
+
+fn flow_with(nl: &Netlist, cfg: FlowConfig, spec: &ExploreSpec) -> BlasysResult {
+    run(nl, cfg, spec).expect("multipliers run")
 }
 
 fn bench_flow(c: &mut Criterion) {
@@ -23,19 +33,19 @@ fn bench_flow(c: &mut Criterion) {
     let mut g = c.benchmark_group("flow");
     g.sample_size(10);
 
-    g.bench_function("mult4_exhaustive", |b| b.iter(|| small_flow().run(&nl)));
+    g.bench_function("mult4_exhaustive", |b| b.iter(|| flow(&nl, small_flow())));
 
     // Parallel scaling: same flow, same (bit-identical) result, more
     // workers for window profiling + the exploration candidate sweep.
     for threads in [2usize, 4] {
         g.bench_function(format!("mult4_threads{threads}"), |b| {
-            b.iter(|| small_flow().threads(threads).run(&nl))
+            b.iter(|| flow(&nl, small_flow().threads(threads)))
         });
     }
     // Ablation: bound-pruned candidate probes off (the committed
     // trajectory is bit-identical; only wall-clock differs).
     g.bench_function("mult4_no_prune", |b| {
-        b.iter(|| small_flow().prune(false).run(&nl))
+        b.iter(|| flow_with(&nl, small_flow(), &ExploreSpec::new().prune(false)))
     });
 
     // Observability overhead: same flow with a live metrics registry
@@ -43,30 +53,30 @@ fn bench_flow(c: &mut Criterion) {
     // against `mult4_exhaustive` — the delta is the instrumentation
     // cost quoted in docs/USAGE.md.
     g.bench_function("mult4_instrumented", |b| {
-        b.iter(|| small_flow().metrics(Arc::new(Registry::new())).run(&nl))
+        b.iter(|| flow(&nl, small_flow().metrics(Arc::new(Registry::new()))))
     });
 
     let nl6 = multiplier(6);
-    g.bench_function("mult6_serial", |b| b.iter(|| small_flow().run(&nl6)));
+    g.bench_function("mult6_serial", |b| b.iter(|| flow(&nl6, small_flow())));
     g.bench_function("mult6_threads4", |b| {
-        b.iter(|| small_flow().threads(4).run(&nl6))
+        b.iter(|| flow(&nl6, small_flow().threads(4)))
     });
 
     // Ablation: decomposition size.
     for km in [4usize, 6, 8, 10] {
         g.bench_function(format!("mult4_k{km}m{km}"), |b| {
-            b.iter(|| small_flow().limits(km, km).run(&nl))
+            b.iter(|| flow(&nl, small_flow().limits(km, km)))
         });
     }
 
     // Ablation: OR semi-ring vs XOR field decompressors.
     g.bench_function("mult4_field_xor", |b| {
-        b.iter(|| small_flow().algebra(Algebra::Field).run(&nl))
+        b.iter(|| flow(&nl, small_flow().algebra(Algebra::Field)))
     });
 
     // Ablation: hybrid variant selection off (pure ASSO).
     g.bench_function("mult4_pure_asso", |b| {
-        b.iter(|| small_flow().hybrid(false).run(&nl))
+        b.iter(|| flow(&nl, small_flow().hybrid(false)))
     });
 
     g.finish();
@@ -78,23 +88,23 @@ fn bench_flow(c: &mut Criterion) {
 /// than windows, pushing the parallelism inside each window's ASSO
 /// candidate scans. Profiles are bit-identical across all rows.
 fn bench_profile_stage(c: &mut Criterion) {
-    use blasys_core::profile::{profile_partition, ProfileConfig};
+    use blasys_core::profile::{profile_partition_on, ProfileConfig};
     use blasys_decomp::{decompose, DecompConfig};
 
     let nl = multiplier(4);
     let part = decompose(&nl, &DecompConfig::default());
+    let cfg = ProfileConfig::default();
     let mut g = c.benchmark_group("profile");
     g.sample_size(10);
-    g.bench_function("mult4_serial", |b| {
-        b.iter(|| profile_partition(&nl, &part, &ProfileConfig::default()))
-    });
-    for threads in [2usize, 4, 8] {
-        g.bench_function(format!("mult4_threads{threads}"), |b| {
-            let cfg = ProfileConfig {
-                parallelism: Parallelism::Threads(threads),
-                ..ProfileConfig::default()
-            };
-            b.iter(|| profile_partition(&nl, &part, &cfg))
+    for (name, threads) in [
+        ("mult4_serial", 1usize),
+        ("mult4_threads2", 2),
+        ("mult4_threads4", 4),
+        ("mult4_threads8", 8),
+    ] {
+        let pool = Pool::new(threads);
+        g.bench_function(name, |b| {
+            b.iter(|| profile_partition_on(&nl, &part, &cfg, &pool))
         });
     }
     g.finish();
@@ -110,19 +120,14 @@ fn bench_explorers(c: &mut Criterion) {
     let nl = multiplier(4);
     let mut g = c.benchmark_group("explore");
     g.sample_size(10);
-    g.bench_function("mult4_greedy", |b| {
-        b.iter(|| small_flow().explorer(Explorer::Greedy).run(&nl))
-    });
-    g.bench_function("mult4_beam4", |b| {
-        b.iter(|| small_flow().explorer(Explorer::Beam { width: 4 }).run(&nl))
-    });
-    g.bench_function("mult4_anneal", |b| {
-        b.iter(|| {
-            small_flow()
-                .explorer(Explorer::Anneal(Default::default()))
-                .run(&nl)
-        })
-    });
+    for (name, explorer) in [
+        ("mult4_greedy", Explorer::Greedy),
+        ("mult4_beam4", Explorer::Beam { width: 4 }),
+        ("mult4_anneal", Explorer::Anneal(Default::default())),
+    ] {
+        let spec = ExploreSpec::new().explorer(explorer);
+        g.bench_function(name, |b| b.iter(|| flow_with(&nl, small_flow(), &spec)));
+    }
     g.finish();
 }
 

@@ -9,7 +9,7 @@ use blasys_bench::{print_table, standard_flow};
 use blasys_circuits::multiplier;
 use blasys_core::flow::OutputWeighting;
 use blasys_core::pareto::tradeoff_curve;
-use blasys_core::QorMetric;
+use blasys_core::{run, ExploreSpec, QorMetric};
 
 fn main() {
     let nl = multiplier(8);
@@ -20,7 +20,8 @@ fn main() {
         ("WQoR", OutputWeighting::ValueInfluence),
     ] {
         eprintln!("[fig4] running {label}...");
-        let result = standard_flow().weighting(weighting).exhaust().run(&nl);
+        let cfg = standard_flow().weighting(weighting);
+        let result = run(&nl, cfg, &ExploreSpec::new().exhaust()).expect("Mult8 runs");
         let traj = result.trajectory();
         // Sample the trajectory at every ~5% of normalized area.
         for p in traj.iter() {

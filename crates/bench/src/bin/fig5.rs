@@ -6,12 +6,18 @@
 //! Subsets: `BLASYS_BENCHES=Adder32,Mult8 cargo run ...`
 
 use blasys_bench::{print_table, selected_benchmarks, standard_flow_for};
+use blasys_core::{run, ExploreSpec};
 
 fn main() {
     for b in selected_benchmarks() {
         let nl = b.build();
         eprintln!("[fig5] running {} ({} gates)...", b.name, nl.gate_count());
-        let result = standard_flow_for(&b, &nl).exhaust().run(&nl);
+        let result = run(
+            &nl,
+            standard_flow_for(&b, &nl),
+            &ExploreSpec::new().exhaust(),
+        )
+        .expect("suite circuits run");
         let traj = result.trajectory();
         let base_area = traj[0].model_area_um2;
         let max_rel = traj

@@ -36,7 +36,7 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for b in selected_benchmarks() {
         let nl = b.build();
-        let resynth = exact_resynthesis(&nl, &DecompConfig::default());
+        let resynth = exact_resynthesis(&nl, &DecompConfig::default()).expect("suite circuits run");
         let k = nl.num_inputs();
 
         // SAT: exact at any width.

@@ -5,7 +5,7 @@
 //! Optional: `BLASYS_SAMPLES=100000 BLASYS_BENCHES=Adder32,Mult8 ...`
 
 use blasys_bench::{f1, paper, print_table, selected_benchmarks, standard_flow_for};
-use blasys_core::QorMetric;
+use blasys_core::{run, ExploreSpec, QorMetric};
 
 fn main() {
     let threshold = 0.05;
@@ -13,7 +13,8 @@ fn main() {
     for b in selected_benchmarks() {
         let nl = b.build();
         eprintln!("[table2] running {} ({} gates)...", b.name, nl.gate_count());
-        let result = standard_flow_for(&b, &nl).threshold(threshold).run(&nl);
+        let spec = ExploreSpec::new().threshold(threshold);
+        let result = run(&nl, standard_flow_for(&b, &nl), &spec).expect("suite circuits run");
         let base = result.baseline_metrics();
         let step = result
             .best_step_under(QorMetric::AvgRelative, threshold)

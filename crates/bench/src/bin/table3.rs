@@ -7,7 +7,7 @@ use blasys_bench::{
     f1, paper, print_table, sample_count, selected_benchmarks, standard_flow_for, standard_mc,
     stimulus_for,
 };
-use blasys_core::QorMetric;
+use blasys_core::{run, ExploreSpec, QorMetric};
 use blasys_salsa::{run_salsa, SalsaConfig};
 
 fn main() {
@@ -20,7 +20,8 @@ fn main() {
         for &t in &thresholds {
             // Threshold-mode exploration stops as soon as the budget
             // binds (walking the full trajectory is wasteful here).
-            let result = standard_flow_for(&b, &nl).threshold(t).run(&nl);
+            let spec = ExploreSpec::new().threshold(t);
+            let result = run(&nl, standard_flow_for(&b, &nl), &spec).expect("suite circuits run");
             let base = result.baseline_metrics();
             let blasys_pct = result
                 .best_step_under(QorMetric::AvgRelative, t)

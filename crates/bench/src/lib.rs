@@ -22,7 +22,7 @@
 
 use blasys_circuits::{all_benchmarks, Benchmark};
 use blasys_core::montecarlo::McConfig;
-use blasys_core::{Blasys, Parallelism};
+use blasys_core::{FlowConfig, Parallelism};
 use blasys_logic::Netlist;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -142,8 +142,8 @@ pub fn selected_benchmarks() -> Vec<Benchmark> {
 /// The standard BLASYS flow configuration used by every experiment
 /// binary (paper parameters: k = m = 10, ASSO + sweep, OR semi-ring),
 /// honoring the `--threads` flag.
-pub fn standard_flow() -> Blasys {
-    Blasys::new()
+pub fn standard_flow() -> FlowConfig {
+    FlowConfig::new()
         .samples(sample_count())
         .seed(0xB1A5_1234)
         .parallelism(parallelism_from_args())
@@ -211,7 +211,7 @@ pub fn stimulus_for(name: &str, nl: &Netlist, samples: usize, seed: u64) -> Opti
 }
 
 /// [`standard_flow`] with benchmark-appropriate stimulus installed.
-pub fn standard_flow_for(b: &Benchmark, nl: &Netlist) -> Blasys {
+pub fn standard_flow_for(b: &Benchmark, nl: &Netlist) -> FlowConfig {
     let flow = standard_flow();
     match stimulus_for(b.name, nl, sample_count(), 0xB1A5_1234) {
         Some(stim) => flow.stimulus(stim),

@@ -48,16 +48,17 @@
 //!
 //! The per-step candidate probes are independent `&self` reads of the
 //! shared evaluator model (see [`crate::montecarlo`]), so they run on
-//! the [`blasys_par`] pool — one reusable
+//! the session's [`Pool`] — one reusable
 //! [`ProbeState`](crate::montecarlo::ProbeState) per worker. The
 //! winner is reduced deterministically (lowest error, then lowest
 //! branch, then lowest cluster index), which makes every trajectory
-//! **bit-identical** for every [`Parallelism`] setting: the serial
-//! path is the same computation with one worker.
+//! **bit-identical** for every
+//! [`Parallelism`](blasys_par::Parallelism) setting: the serial path
+//! is the same computation with one worker.
 //!
 //! # Bound-pruned probes
 //!
-//! With [`ExploreConfig::prune`] on (the default), the sweep threads a
+//! With [`ExploreSpec::prune`] on (the default), the sweep threads a
 //! best-so-far bound through the candidate probes: each completed
 //! probe lowers a shared monotone bound (seeded with the stop
 //! threshold), and every in-flight probe abandons block-wise the
@@ -87,8 +88,9 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
-use blasys_par::{Parallelism, Workers};
+use blasys_par::Pool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,7 +98,7 @@ use crate::montecarlo::{Evaluator, TableNetwork};
 use crate::pareto::{pareto_front3, TradeoffPoint};
 use crate::profile::SubcircuitProfile;
 use crate::qor::{QorMetric, QorReport};
-use crate::session::{Budget, Exploration, FlowContext, StopReason};
+use crate::session::{Exploration, ExploreSpec, FlowContext, StopReason};
 
 /// When exploration stops.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,9 +121,7 @@ pub struct AnnealSchedule {
     /// Geometric cooling factor per proposed move (`T_i = t0·c^i`).
     pub cooling: f64,
     /// RNG seed. `None` derives the seed from the session's
-    /// Monte-Carlo stimulus seed ([`McConfig::seed`]) when run through
-    /// a [`FlowSession`](crate::session::FlowSession), and falls back
-    /// to 0 for the standalone [`explore`] entry point.
+    /// Monte-Carlo stimulus seed ([`McConfig::seed`]).
     ///
     /// [`McConfig::seed`]: crate::montecarlo::McConfig::seed
     pub seed: Option<u64>,
@@ -156,37 +156,6 @@ pub enum Explorer {
     /// Greedy walk + 3-D (error, area, depth) Pareto archive of every
     /// feasible candidate probe.
     Pareto3,
-}
-
-/// Exploration settings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExploreConfig {
-    /// Metric that drives greedy selection and the stop threshold.
-    pub metric: QorMetric,
-    /// Stop criterion.
-    pub stop: StopCriterion,
-    /// Worker threads for the per-step candidate sweep. The committed
-    /// trajectory is bit-identical for every setting.
-    pub parallelism: Parallelism,
-    /// Abandon candidate probes block-wise once their partial error
-    /// provably exceeds the best candidate seen this step (see the
-    /// module docs). Pure wall-clock optimization: the trajectory is
-    /// bit-identical with pruning on or off.
-    pub prune: bool,
-    /// The search engine to run.
-    pub explorer: Explorer,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> ExploreConfig {
-        ExploreConfig {
-            metric: QorMetric::AvgRelative,
-            stop: StopCriterion::Exhaust,
-            parallelism: Parallelism::default(),
-            prune: true,
-            explorer: Explorer::Greedy,
-        }
-    }
 }
 
 /// One committed step of the exploration.
@@ -233,69 +202,50 @@ fn model_depth(profiles: &[SubcircuitProfile], network: &TableNetwork, degrees: 
     network.model_depth_ns(&delays)
 }
 
-/// Run the exploration phase (Algorithm 1's greedy walk by default;
-/// see [`ExploreConfig::explorer`] for the other engines).
-///
-/// `evaluator` must be freshly built (exact tables installed);
-/// `profiles` must come from the same partition. Returns the recorded
-/// trajectory; the first point is the exact design.
-pub fn explore(
+/// Run one exploration on `pool` with no observer or metrics registry:
+/// the [`FlowSession::explore`](crate::session::FlowSession::explore)
+/// core for tests and benchmarks that drive an [`Evaluator`] directly.
+/// `evaluator` must be freshly built (exact tables installed) and
+/// `profiles` must come from the same partition. The spec's budget and
+/// cancel token apply; an [`Explorer::Anneal`] schedule without a seed
+/// uses seed 0.
+#[doc(hidden)]
+pub fn explore_on(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
-    cfg: &ExploreConfig,
-) -> Vec<TrajectoryPoint> {
-    explore_full(evaluator, profiles, cfg).into_trajectory()
-}
-
-/// Like [`explore`], but returns the full [`Exploration`]: the stop
-/// reason, the probe count, and — for [`Explorer::Pareto3`] — the 3-D
-/// Pareto surface via
-/// [`pareto_surface`](Exploration::pareto_surface).
-pub fn explore_full(
-    evaluator: &mut Evaluator,
-    profiles: &[SubcircuitProfile],
-    cfg: &ExploreConfig,
+    spec: &ExploreSpec,
+    pool: &Pool,
 ) -> Exploration {
-    explore_ctx(
-        evaluator,
-        profiles,
-        cfg,
-        Workers::Transient(cfg.parallelism),
-        &FlowContext::NONE,
-        &Budget::default(),
-    )
+    let ctx = FlowContext {
+        cancel: spec.cancel.as_ref(),
+        deadline: spec.budget.max_wall.map(|d| Instant::now() + d),
+        ..FlowContext::NONE
+    };
+    explore_ctx(evaluator, profiles, spec, pool, &ctx)
 }
 
-/// The session-aware exploration core behind [`explore`] and
+/// The exploration core behind [`explore_on`] and
 /// [`FlowSession::explore`](crate::session::FlowSession::explore):
 /// dispatches to the configured [`Explorer`] engine, runs candidate
-/// sweeps on `workers` (`cfg.parallelism` only sizes the probe-state
-/// set), streams committed points through the context's observer, and
-/// stops at step boundaries on cancellation or an exceeded budget — so
-/// a truncated trajectory is always a prefix of the uninterrupted one.
+/// sweeps on `pool` (one probe state per worker), streams committed
+/// points through the context's observer, and stops at step boundaries
+/// on cancellation or an exceeded budget — so a truncated trajectory
+/// is always a prefix of the uninterrupted one.
 pub(crate) fn explore_ctx(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
-    cfg: &ExploreConfig,
-    workers: Workers<'_>,
+    spec: &ExploreSpec,
+    pool: &Pool,
     ctx: &FlowContext<'_>,
-    budget: &Budget,
 ) -> Exploration {
-    match cfg.explorer {
-        Explorer::Greedy => greedy_ctx(evaluator, profiles, cfg, workers, ctx, budget, None),
-        Explorer::Beam { width } => beam_ctx(evaluator, profiles, cfg, width, workers, ctx, budget),
-        Explorer::Anneal(schedule) => anneal_ctx(evaluator, profiles, cfg, schedule, ctx, budget),
+    match spec.explorer {
+        Explorer::Greedy => greedy_ctx(evaluator, profiles, spec, pool, ctx, None),
+        Explorer::Beam { width } => beam_ctx(evaluator, profiles, spec, width, pool, ctx),
+        Explorer::Anneal(schedule) => anneal_ctx(evaluator, profiles, spec, schedule, ctx),
         Explorer::Pareto3 => {
             let mut archive = Vec::new();
-            let mut exploration = greedy_ctx(
-                evaluator,
-                profiles,
-                cfg,
-                workers,
-                ctx,
-                budget,
-                Some(&mut archive),
-            );
+            let mut exploration =
+                greedy_ctx(evaluator, profiles, spec, pool, ctx, Some(&mut archive));
             exploration.pareto = Some(pareto_front3(&archive));
             exploration
         }
@@ -311,14 +261,12 @@ pub(crate) fn explore_ctx(
 /// area, depth) trade-off point; the bound then stays fixed at the
 /// stop threshold instead of tightening (see the module docs), so the
 /// archived set is `{error ≤ threshold}` at any worker count.
-#[allow(clippy::too_many_arguments)]
 fn greedy_ctx(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
-    cfg: &ExploreConfig,
-    workers: Workers<'_>,
+    spec: &ExploreSpec,
+    pool: &Pool,
     ctx: &FlowContext<'_>,
-    budget: &Budget,
     mut archive: Option<&mut Vec<TradeoffPoint>>,
 ) -> Exploration {
     let n = profiles.len();
@@ -339,7 +287,7 @@ fn greedy_ctx(
     if let Some(archive) = archive.as_deref_mut() {
         let p = &trajectory[0];
         archive.push(TradeoffPoint {
-            error: p.qor.value(cfg.metric),
+            error: p.qor.value(spec.metric),
             area_um2: p.model_area_um2,
             norm_area: p.model_area_um2 / base_area,
             depth_ns: p.model_depth_ns,
@@ -347,14 +295,14 @@ fn greedy_ctx(
         });
     }
 
-    let threshold = match cfg.stop {
+    let threshold = match spec.stop {
         StopCriterion::ErrorThreshold(t) => t,
         StopCriterion::Exhaust => f64::INFINITY,
     };
 
     // One probe overlay per worker, reused across every step (epoch
     // stamping makes reuse across commits sound — see `ProbeState`).
-    let mut probe_states: Vec<_> = (0..workers.worker_count().min(n).max(1))
+    let mut probe_states: Vec<_> = (0..pool.threads().min(n).max(1))
         .map(|_| evaluator.probe_state())
         .collect();
 
@@ -380,7 +328,7 @@ fn greedy_ctx(
         // The probe budget is checked against the *whole* upcoming
         // sweep, so capped runs are deterministic: a step either runs
         // all its candidates or does not start.
-        if let Some(max) = budget.max_probes {
+        if let Some(max) = spec.budget.max_probes {
             if probes_done + candidates.len() as u64 > max {
                 break StopReason::ProbeBudget;
             }
@@ -396,25 +344,25 @@ fn greedy_ctx(
         let tighten = archive.is_none();
         let bound = AtomicU64::new(threshold.to_bits());
         let probes: Vec<Option<(f64, usize, QorReport)>> =
-            workers.run_states(candidates.len(), &mut probe_states, |state, i| {
+            pool.run_states(candidates.len(), &mut probe_states, |state, i| {
                 let ci = candidates[i];
                 let rows = &profiles[ci].variant(degrees[ci] - 1).table_rows;
-                if cfg.prune {
+                if spec.prune {
                     // The bound is re-read before every block's prune
                     // check, so in-flight probes see tightening from
                     // peers that completed after they launched.
                     let report =
-                        evaluator.qor_probe_bounded_by(state, ci, rows, cfg.metric, || {
+                        evaluator.qor_probe_bounded_by(state, ci, rows, spec.metric, || {
                             f64::from_bits(bound.load(Ordering::Relaxed))
                         })?;
-                    let err = report.value(cfg.metric);
+                    let err = report.value(spec.metric);
                     if tighten {
                         bound.fetch_min(err.to_bits(), Ordering::Relaxed);
                     }
                     Some((err, ci, report))
                 } else {
                     let report = evaluator.qor_probe(state, ci, rows);
-                    Some((report.value(cfg.metric), ci, report))
+                    Some((report.value(spec.metric), ci, report))
                 }
             });
         probes_done += candidates.len() as u64;
@@ -491,11 +439,10 @@ struct Branch {
 fn beam_ctx(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
-    cfg: &ExploreConfig,
+    spec: &ExploreSpec,
     width: usize,
-    workers: Workers<'_>,
+    pool: &Pool,
     ctx: &FlowContext<'_>,
-    budget: &Budget,
 ) -> Exploration {
     assert!(width >= 1, "beam width must be at least 1");
     let n = profiles.len();
@@ -513,7 +460,7 @@ fn beam_ctx(
     });
     ctx.trajectory_point(&trajectory[0]);
 
-    let threshold = match cfg.stop {
+    let threshold = match spec.stop {
         StopCriterion::ErrorThreshold(t) => t,
         StopCriterion::Exhaust => f64::INFINITY,
     };
@@ -522,7 +469,7 @@ fn beam_ctx(
     // branch evaluator clones the same network layout), so one set
     // serves the whole frontier's pooled sweep.
     let max_expansions = width * n;
-    let mut probe_states: Vec<_> = (0..workers.worker_count().min(max_expansions).max(1))
+    let mut probe_states: Vec<_> = (0..pool.threads().min(max_expansions).max(1))
         .map(|_| evaluator.probe_state())
         .collect();
 
@@ -558,7 +505,7 @@ fn beam_ctx(
         }
         // Whole-sweep probe-budget check, like greedy: a step either
         // probes every expansion or does not start.
-        if let Some(max) = budget.max_probes {
+        if let Some(max) = spec.budget.max_probes {
             if probes_done + expansions.len() as u64 > max {
                 break StopReason::ProbeBudget;
             }
@@ -572,26 +519,26 @@ fn beam_ctx(
         let bound = AtomicU64::new(threshold.to_bits());
         let frontier_ref = &frontier;
         let probes: Vec<Option<(f64, QorReport)>> =
-            workers.run_states(expansions.len(), &mut probe_states, |state, i| {
+            pool.run_states(expansions.len(), &mut probe_states, |state, i| {
                 let (b, ci) = expansions[i];
                 let branch = &frontier_ref[b];
                 let rows = &profiles[ci].variant(branch.degrees[ci] - 1).table_rows;
-                if cfg.prune {
+                if spec.prune {
                     let report = branch.evaluator.qor_probe_bounded_by(
                         state,
                         ci,
                         rows,
-                        cfg.metric,
+                        spec.metric,
                         || f64::from_bits(bound.load(Ordering::Relaxed)),
                     )?;
-                    let err = report.value(cfg.metric);
+                    let err = report.value(spec.metric);
                     if width == 1 {
                         bound.fetch_min(err.to_bits(), Ordering::Relaxed);
                     }
                     Some((err, report))
                 } else {
                     let report = branch.evaluator.qor_probe(state, ci, rows);
-                    Some((report.value(cfg.metric), report))
+                    Some((report.value(spec.metric), report))
                 }
             });
         probes_done += expansions.len() as u64;
@@ -686,10 +633,9 @@ fn beam_ctx(
 fn anneal_ctx(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
-    cfg: &ExploreConfig,
+    spec: &ExploreSpec,
     schedule: AnnealSchedule,
     ctx: &FlowContext<'_>,
-    budget: &Budget,
 ) -> Exploration {
     let n = profiles.len();
     let mut degrees: Vec<usize> = profiles.iter().map(|p| p.num_outputs).collect();
@@ -707,7 +653,7 @@ fn anneal_ctx(
     });
     ctx.trajectory_point(&trajectory[0]);
 
-    let threshold = match cfg.stop {
+    let threshold = match spec.stop {
         StopCriterion::ErrorThreshold(t) => t,
         StopCriterion::Exhaust => f64::INFINITY,
     };
@@ -736,7 +682,7 @@ fn anneal_ctx(
             stop_reason = StopReason::Exhausted;
             break;
         }
-        if let Some(max) = budget.max_probes {
+        if let Some(max) = spec.budget.max_probes {
             if probes_done + 1 > max {
                 stop_reason = StopReason::ProbeBudget;
                 break;
@@ -763,8 +709,8 @@ fn anneal_ctx(
         // probe abandoned past the threshold would have been rejected
         // anyway, so the accept/reject sequence — and hence the
         // trajectory — is identical with pruning on or off.
-        let report = if cfg.prune {
-            evaluator.qor_probe_bounded_by(&mut state, ci, rows, cfg.metric, || threshold)
+        let report = if spec.prune {
+            evaluator.qor_probe_bounded_by(&mut state, ci, rows, spec.metric, || threshold)
         } else {
             Some(evaluator.qor_probe(&mut state, ci, rows))
         };
@@ -778,7 +724,7 @@ fn anneal_ctx(
             ctx.count("explore.rejects", 1);
             continue;
         };
-        let err = report.value(cfg.metric);
+        let err = report.value(spec.metric);
         if err > threshold {
             ctx.count("explore.rejects", 1);
             continue;
@@ -837,10 +783,30 @@ pub fn best_under_threshold(
 mod tests {
     use super::*;
     use crate::montecarlo::McConfig;
-    use crate::profile::{profile_partition, ProfileConfig};
+    use crate::profile::{profile_partition_on, ProfileConfig};
     use blasys_decomp::{decompose, DecompConfig};
     use blasys_logic::builder::{add, input_bus, mark_output_bus};
     use blasys_logic::Netlist;
+    use blasys_par::Parallelism;
+
+    /// The trajectory of one exploration on a `parallelism`-sized pool.
+    fn explore_with(
+        ev: &mut Evaluator,
+        profiles: &[SubcircuitProfile],
+        spec: &ExploreSpec,
+        parallelism: Parallelism,
+    ) -> Vec<TrajectoryPoint> {
+        explore_on(ev, profiles, spec, &Pool::with_parallelism(parallelism)).into_trajectory()
+    }
+
+    /// [`explore_with`] at the default (`BLASYS_THREADS`) parallelism.
+    fn explore(
+        ev: &mut Evaluator,
+        profiles: &[SubcircuitProfile],
+        spec: &ExploreSpec,
+    ) -> Vec<TrajectoryPoint> {
+        explore_with(ev, profiles, spec, Parallelism::default())
+    }
 
     fn setup(width: usize) -> (Netlist, Vec<SubcircuitProfile>, Evaluator) {
         let mut nl = Netlist::new("add");
@@ -849,7 +815,8 @@ mod tests {
         let s = add(&mut nl, &a, &b);
         mark_output_bus(&mut nl, "s", &s);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition_on(&nl, &part, &ProfileConfig::default(), Pool::serial())
+            .expect("no cancel token or deadline");
         let ev = Evaluator::new(
             &nl,
             &part,
@@ -864,7 +831,7 @@ mod tests {
     #[test]
     fn trajectory_starts_exact_and_walks_down() {
         let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
         assert!(traj.len() > 1);
         assert_eq!(traj[0].qor.avg_relative, 0.0);
         assert!(traj[0].changed_cluster.is_none());
@@ -879,7 +846,7 @@ mod tests {
     #[test]
     fn each_step_decrements_exactly_one_degree() {
         let (_nl, profiles, mut ev) = setup(6);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
         for w in traj.windows(2) {
             let before: usize = w[0].degrees.iter().sum();
             let after: usize = w[1].degrees.iter().sum();
@@ -893,7 +860,7 @@ mod tests {
     #[test]
     fn model_area_shrinks_overall() {
         let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
         let first = traj.first().unwrap().model_area_um2;
         let last = traj.last().unwrap().model_area_um2;
         assert!(
@@ -906,7 +873,7 @@ mod tests {
     #[test]
     fn model_depth_is_positive_and_bounded_by_serial_sum() {
         let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
         for p in &traj {
             assert!(p.model_depth_ns > 0.0, "step {}", p.step);
             let serial_sum: f64 = profiles
@@ -921,12 +888,10 @@ mod tests {
     #[test]
     fn threshold_stops_early_and_stays_under() {
         let (_nl, profiles, mut ev) = setup(8);
-        let cfg = ExploreConfig {
-            metric: QorMetric::AvgRelative,
-            stop: StopCriterion::ErrorThreshold(0.05),
-            ..ExploreConfig::default()
-        };
-        let traj = explore(&mut ev, &profiles, &cfg);
+        let spec = ExploreSpec::new()
+            .metric(QorMetric::AvgRelative)
+            .threshold(0.05);
+        let traj = explore(&mut ev, &profiles, &spec);
         for p in &traj {
             assert!(p.qor.avg_relative <= 0.05 + 1e-12);
         }
@@ -939,7 +904,7 @@ mod tests {
     #[test]
     fn best_under_threshold_picks_deepest_point() {
         let (_nl, profiles, mut ev) = setup(6);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
         let best = best_under_threshold(&traj, QorMetric::AvgRelative, 0.02).unwrap();
         assert!(best.qor.avg_relative <= 0.02);
         // No later point is also under the threshold with smaller area
@@ -954,16 +919,9 @@ mod tests {
     fn parallel_sweep_is_bit_identical_to_serial() {
         let (_nl, profiles, mut ev_serial) = setup(8);
         let (_nl2, _profiles2, mut ev_par) = setup(8);
-        let serial_cfg = ExploreConfig {
-            parallelism: Parallelism::Serial,
-            ..ExploreConfig::default()
-        };
-        let par_cfg = ExploreConfig {
-            parallelism: Parallelism::Threads(4),
-            ..ExploreConfig::default()
-        };
-        let serial = explore(&mut ev_serial, &profiles, &serial_cfg);
-        let parallel = explore(&mut ev_par, &profiles, &par_cfg);
+        let spec = ExploreSpec::new();
+        let serial = explore_with(&mut ev_serial, &profiles, &spec, Parallelism::Serial);
+        let parallel = explore_with(&mut ev_par, &profiles, &spec, Parallelism::Threads(4));
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.changed_cluster, p.changed_cluster);
@@ -990,26 +948,17 @@ mod tests {
             for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
                 let (_nl, profiles, mut ev_pruned) = setup(8);
                 let (_n2, _p2, mut ev_plain) = setup(8);
-                let pruned = explore(
+                let spec = ExploreSpec {
+                    stop,
+                    ..ExploreSpec::new()
+                };
+                let pruned = explore_with(
                     &mut ev_pruned,
                     &profiles,
-                    &ExploreConfig {
-                        stop,
-                        parallelism,
-                        prune: true,
-                        ..ExploreConfig::default()
-                    },
+                    &spec.clone().prune(true),
+                    parallelism,
                 );
-                let plain = explore(
-                    &mut ev_plain,
-                    &profiles,
-                    &ExploreConfig {
-                        stop,
-                        parallelism,
-                        prune: false,
-                        ..ExploreConfig::default()
-                    },
-                );
+                let plain = explore_with(&mut ev_plain, &profiles, &spec.prune(false), parallelism);
                 assert_same_trajectory(&pruned, &plain);
             }
         }
@@ -1020,22 +969,15 @@ mod tests {
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
             let (_nl, profiles, mut ev_greedy) = setup(8);
             let (_n2, _p2, mut ev_beam) = setup(8);
-            let greedy = explore(
-                &mut ev_greedy,
-                &profiles,
-                &ExploreConfig {
-                    stop,
-                    ..ExploreConfig::default()
-                },
-            );
+            let spec = ExploreSpec {
+                stop,
+                ..ExploreSpec::new()
+            };
+            let greedy = explore(&mut ev_greedy, &profiles, &spec);
             let beam = explore(
                 &mut ev_beam,
                 &profiles,
-                &ExploreConfig {
-                    stop,
-                    explorer: Explorer::Beam { width: 1 },
-                    ..ExploreConfig::default()
-                },
+                &spec.explorer(Explorer::Beam { width: 1 }),
             );
             assert_same_trajectory(&greedy, &beam);
         }
@@ -1048,14 +990,11 @@ mod tests {
         // always contains the greedy child among its candidates.
         let (_nl, profiles, mut ev_greedy) = setup(8);
         let (_n2, _p2, mut ev_beam) = setup(8);
-        let greedy = explore(&mut ev_greedy, &profiles, &ExploreConfig::default());
+        let greedy = explore(&mut ev_greedy, &profiles, &ExploreSpec::new());
         let beam = explore(
             &mut ev_beam,
             &profiles,
-            &ExploreConfig {
-                explorer: Explorer::Beam { width: 4 },
-                ..ExploreConfig::default()
-            },
+            &ExploreSpec::new().explorer(Explorer::Beam { width: 4 }),
         );
         for (g, b) in greedy.iter().zip(&beam) {
             assert!(
@@ -1075,15 +1014,13 @@ mod tests {
             seed: Some(9),
             ..AnnealSchedule::default()
         };
-        let cfg = ExploreConfig {
-            stop: StopCriterion::ErrorThreshold(0.08),
-            explorer: Explorer::Anneal(schedule),
-            ..ExploreConfig::default()
-        };
+        let spec = ExploreSpec::new()
+            .threshold(0.08)
+            .explorer(Explorer::Anneal(schedule));
         let (_nl, profiles, mut ev_a) = setup(8);
         let (_n2, _p2, mut ev_b) = setup(8);
-        let a = explore(&mut ev_a, &profiles, &cfg);
-        let b = explore(&mut ev_b, &profiles, &cfg);
+        let a = explore(&mut ev_a, &profiles, &spec);
+        let b = explore(&mut ev_b, &profiles, &spec);
         assert_same_trajectory(&a, &b);
         // Every accepted state respects the feasibility gate.
         for p in &a {
@@ -1095,18 +1032,12 @@ mod tests {
     fn pareto3_trajectory_matches_greedy_and_surfaces_points() {
         let (_nl, profiles, mut ev_greedy) = setup(8);
         let (_n2, _p2, mut ev_p3) = setup(8);
-        let greedy = explore(&mut ev_greedy, &profiles, &ExploreConfig::default());
-        let cfg = ExploreConfig {
-            explorer: Explorer::Pareto3,
-            ..ExploreConfig::default()
-        };
-        let p3 = explore_ctx(
+        let greedy = explore(&mut ev_greedy, &profiles, &ExploreSpec::new());
+        let p3 = explore_on(
             &mut ev_p3,
             &profiles,
-            &cfg,
-            Workers::Transient(Parallelism::Serial),
-            &FlowContext::NONE,
-            &Budget::default(),
+            &ExploreSpec::new().explorer(Explorer::Pareto3),
+            Pool::serial(),
         );
         assert_same_trajectory(&greedy, p3.trajectory());
         let surface = p3.pareto_surface().expect("pareto3 emits a surface");
@@ -1121,7 +1052,7 @@ mod tests {
         // sequence should trend upward (allow tiny non-monotonicity from
         // error interaction).
         let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreConfig::default());
+        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
         let first_third = traj[traj.len() / 3].qor.avg_relative;
         let last = traj.last().unwrap().qor.avg_relative;
         assert!(last >= first_third);

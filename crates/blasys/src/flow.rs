@@ -1,23 +1,36 @@
 //! End-to-end BLASYS flow: decompose → profile → explore → synthesize.
 
-use std::sync::Arc;
-
-use blasys_bmf::{Algebra, Factorizer};
-use blasys_decomp::{decompose, substitute, ClusterImpl, DecompConfig, Partition};
+use blasys_decomp::{substitute, ClusterImpl, DecompConfig, Partition};
 use blasys_lint::Diagnostic;
 use blasys_logic::Netlist;
-use blasys_par::Parallelism;
 use blasys_synth::estimate::{estimate, EstimateConfig};
 use blasys_synth::{CellLibrary, DesignMetrics};
 
 use crate::certify::{prove_exact, CertifiedPoint};
-use crate::explore::{StopCriterion, TrajectoryPoint};
-use crate::profile::{profile_partition, ProfileConfig, SubcircuitProfile};
+use crate::explore::TrajectoryPoint;
+use crate::profile::SubcircuitProfile;
 use crate::qor::QorMetric;
-use crate::session::{ExploreSpec, FlowConfig, FlowObserver, FlowSession};
+use crate::session::{ExploreSpec, FlowConfig, FlowSession};
 
 /// How per-cluster output weights are derived for weighted-QoR
 /// factorization (Section 3.2 of the paper).
+///
+/// # Examples
+///
+/// Weighting factorization errors by output significance (the paper's
+/// WQoR, compared against UQoR in `examples/weighted_qor.rs`):
+///
+/// ```
+/// use blasys_circuits::multiplier;
+/// use blasys_core::flow::OutputWeighting;
+/// use blasys_core::{run, ExploreSpec, FlowConfig};
+///
+/// let cfg = FlowConfig::new()
+///     .samples(512)
+///     .weighting(OutputWeighting::ValueInfluence);
+/// let result = run(&multiplier(2), cfg, &ExploreSpec::new()).unwrap();
+/// assert_eq!(result.trajectory()[0].qor.avg_relative, 0.0);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputWeighting {
     /// Uniform weights — standard L2 / Hamming BMF ("UQoR" in Fig. 4).
@@ -29,277 +42,27 @@ pub enum OutputWeighting {
     ValueInfluence,
 }
 
-/// Builder-style front-end for the complete BLASYS flow.
-///
-/// `Blasys` is a thin facade over the staged session API: every run
-/// opens a [`FlowSession`], profiles it, and performs exactly one
-/// exploration — so one-shot results are bit-identical to the
-/// equivalent [`FlowSession`] calls. Use the session directly when
-/// several explorations of the same circuit are needed (see
-/// [`crate::session`]).
+/// Run the complete flow once: [`FlowSession::open`] → `profile` →
+/// one `explore` with `spec`, packaged into a [`BlasysResult`]. The
+/// result is bit-identical to the same session calls made directly;
+/// open a session instead when one circuit is explored several times.
 ///
 /// See the [crate-level documentation](crate) for an example.
-#[derive(Debug, Clone)]
-pub struct Blasys {
-    config: FlowConfig,
-    spec: ExploreSpec,
-    certify: bool,
-}
-
-impl Default for Blasys {
-    fn default() -> Blasys {
-        Blasys::new()
-    }
-}
-
-impl Blasys {
-    /// Paper defaults: k = m = 10 decomposition, ASSO with threshold
-    /// sweep, OR semi-ring, uniform weights, average relative error,
-    /// exhaustive trajectory.
-    pub fn new() -> Blasys {
-        Blasys {
-            config: FlowConfig::new(),
-            spec: ExploreSpec::new(),
-            certify: false,
-        }
-    }
-
-    /// Worker threads for the flow's parallel phases (window profiling
-    /// and the exploration candidate sweep). The default honors the
-    /// `BLASYS_THREADS` environment variable (unset → serial). Results
-    /// are **bit-identical** at every setting; only wall-clock time
-    /// changes.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Blasys {
-        self.config = self.config.parallelism(parallelism);
-        self
-    }
-
-    /// Shorthand for [`Blasys::parallelism`]`(Parallelism::Threads(n))`.
-    /// `n = 1` selects the serial path and `n = 0` means one worker
-    /// per hardware thread, matching the `--threads` flag and the
-    /// `BLASYS_THREADS` environment variable.
-    pub fn threads(mut self, n: usize) -> Blasys {
-        self.config = self.config.threads(n);
-        self
-    }
-
-    /// Attach a [`FlowObserver`] streaming stage, per-window, and
-    /// per-trajectory-point progress out of the run. Takes any
-    /// observer by value — pass an `Arc<O>` clone to keep a readable
-    /// handle (see [`FlowConfig::observer`]).
-    pub fn observer(mut self, observer: impl FlowObserver + 'static) -> Blasys {
-        self.config = self.config.observer(observer);
-        self
-    }
-
-    /// Attach a metrics registry collecting `flow.*`, `qor.*`, and
-    /// `pool.*` counters over the run (see [`FlowConfig::metrics`]).
-    pub fn metrics(mut self, registry: Arc<blasys_obs::Registry>) -> Blasys {
-        self.config = self.config.metrics(registry);
-        self
-    }
-
-    /// Run the post-exploration certification pass as part of
-    /// [`Blasys::run`]: the final trajectory point's worst-case
-    /// absolute error is certified exactly with the SAT engine and
-    /// stamped into its [`QorReport`](crate::qor::QorReport) (see
-    /// [`BlasysResult::certify_step`] for certifying other steps).
-    ///
-    /// # Examples
-    ///
-    /// The certificate always dominates the sampled bound
-    /// (`examples/approximate_multiplier.rs` validates designs this
-    /// way before trusting them on a workload):
-    ///
-    /// ```
-    /// use blasys_circuits::multiplier;
-    /// use blasys_core::Blasys;
-    ///
-    /// let nl = multiplier(2);
-    /// let result = Blasys::new().samples(512).certify(true).run(&nl);
-    /// let last = result.trajectory().last().unwrap();
-    /// let certified = last.qor.certified_worst_absolute.unwrap();
-    /// assert!(certified >= last.qor.worst_absolute);
-    /// ```
-    pub fn certify(mut self, certify: bool) -> Blasys {
-        self.certify = certify;
-        self
-    }
-
-    /// Provide explicit Monte-Carlo stimulus (`stimulus[input][block]`,
-    /// 64 samples per block) instead of uniform random inputs. Use for
-    /// workloads whose input distribution matters (e.g. accumulators).
-    pub fn stimulus(mut self, stimulus: Vec<Vec<u64>>) -> Blasys {
-        self.config = self.config.stimulus(stimulus);
-        self
-    }
-
-    /// Disable the hybrid ASSO/GreConD per-variant selection (pure
-    /// configured factorizer, as an ablation).
-    pub fn hybrid(mut self, hybrid: bool) -> Blasys {
-        self.config = self.config.hybrid(hybrid);
-        self
-    }
-
-    /// Bound-pruned candidate probes during exploration (on by
-    /// default): abandon a candidate's Monte-Carlo evaluation
-    /// block-wise once its partial error provably exceeds the best
-    /// candidate seen this step. The committed trajectory is
-    /// **bit-identical** with pruning on or off — only wall-clock
-    /// changes (see
-    /// [`ExploreConfig::prune`](crate::explore::ExploreConfig::prune)).
-    pub fn prune(mut self, prune: bool) -> Blasys {
-        self.spec.prune = prune;
-        self
-    }
-
-    /// Select the exploration engine (greedy by default; see
-    /// [`Explorer`](crate::explore::Explorer) for beam search,
-    /// simulated annealing, and the 3-D Pareto mode).
-    pub fn explorer(mut self, explorer: crate::explore::Explorer) -> Blasys {
-        self.spec.explorer = explorer;
-        self
-    }
-
-    /// Set the decomposition limits `k × m`.
-    pub fn limits(mut self, k: usize, m: usize) -> Blasys {
-        self.config = self.config.limits(k, m);
-        self
-    }
-
-    /// Set the full decomposition configuration.
-    pub fn decomposition(mut self, cfg: DecompConfig) -> Blasys {
-        self.config = self.config.decomposition(cfg);
-        self
-    }
-
-    /// Number of Monte-Carlo samples (the paper uses 1 M; the default
-    /// here is 10 k — raise it for final numbers).
-    pub fn samples(mut self, samples: usize) -> Blasys {
-        self.config = self.config.samples(samples);
-        self
-    }
-
-    /// RNG seed for the Monte-Carlo stimulus.
-    pub fn seed(mut self, seed: u64) -> Blasys {
-        self.config = self.config.seed(seed);
-        self
-    }
-
-    /// Stop at this error threshold instead of walking the full
-    /// trajectory.
-    pub fn threshold(mut self, threshold: f64) -> Blasys {
-        self.spec.stop = StopCriterion::ErrorThreshold(threshold);
-        self
-    }
-
-    /// Walk the full trajectory regardless of error (Figure 5 mode).
-    pub fn exhaust(mut self) -> Blasys {
-        self.spec.stop = StopCriterion::Exhaust;
-        self
-    }
-
-    /// The metric driving exploration and thresholds.
-    pub fn metric(mut self, metric: QorMetric) -> Blasys {
-        self.spec.metric = metric;
-        self
-    }
-
-    /// OR-semi-ring vs XOR-field decompressors.
-    pub fn algebra(mut self, algebra: Algebra) -> Blasys {
-        self.config = self.config.algebra(algebra);
-        self
-    }
-
-    /// Replace the factorizer wholesale (algorithm, thresholds, ...).
-    pub fn factorizer(mut self, factorizer: Factorizer) -> Blasys {
-        self.config = self.config.factorizer(factorizer);
-        self
-    }
-
-    /// Select the weighted-QoR scheme.
-    ///
-    /// # Examples
-    ///
-    /// Weighting factorization errors by output significance (the
-    /// paper's WQoR, compared against UQoR in
-    /// `examples/weighted_qor.rs`):
-    ///
-    /// ```
-    /// use blasys_circuits::multiplier;
-    /// use blasys_core::flow::OutputWeighting;
-    /// use blasys_core::Blasys;
-    ///
-    /// let result = Blasys::new()
-    ///     .samples(512)
-    ///     .weighting(OutputWeighting::ValueInfluence)
-    ///     .run(&multiplier(2));
-    /// assert_eq!(result.trajectory()[0].qor.avg_relative, 0.0);
-    /// ```
-    pub fn weighting(mut self, weighting: OutputWeighting) -> Blasys {
-        self.config = self.config.weighting(weighting);
-        self
-    }
-
-    /// Replace the cell library used for all estimation.
-    pub fn library(mut self, library: CellLibrary) -> Blasys {
-        self.config = self.config.library(library);
-        self
-    }
-
-    /// The session configuration this builder resolves to — pass it to
-    /// [`FlowSession::open`] to profile once and explore many times.
-    pub fn session_config(&self) -> FlowConfig {
-        self.config.clone()
-    }
-
-    /// The per-exploration settings this builder resolves to — pass to
-    /// [`FlowSession::explore`](crate::session::FlowSession::explore).
-    pub fn explore_spec(&self) -> ExploreSpec {
-        self.spec.clone()
-    }
-
-    /// Run the full flow on a netlist parsed from a file (or any other
-    /// untrusted source), validating the interface limits that
-    /// [`Blasys::run`] would otherwise turn into panics.
-    ///
-    /// Implemented on the staged session API: one
-    /// [`FlowSession::open`] → `profile` → `explore` pass, so the
-    /// result is bit-identical to the same calls made directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FlowError`] when the netlist has no outputs, no
-    /// gates to approximate, or more outputs than the 64-bit QoR value
-    /// model supports.
-    pub fn try_run(&self, nl: &Netlist) -> Result<BlasysResult, FlowError> {
-        let session = FlowSession::open(nl, self.config.clone())?.profile()?;
-        let exploration = session.explore(&self.spec);
-        let mut result = session.into_result(exploration);
-        if self.certify {
-            let last = result.trajectory.len() - 1;
-            result.certify_step(last);
-        }
-        Ok(result)
-    }
-
-    /// Run the full flow on a netlist — a convenience wrapper over
-    /// [`Blasys::try_run`] for trusted, programmatically built
-    /// circuits.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`FlowError`] — e.g. a netlist with more than 64
-    /// outputs or no gates to approximate. Use [`Blasys::try_run`] for
-    /// circuits from untrusted sources (e.g. parsed BLIF files).
-    pub fn run(&self, nl: &Netlist) -> BlasysResult {
-        self.try_run(nl)
-            .unwrap_or_else(|e| panic!("Blasys::run: {e} (use try_run to handle flow errors)"))
-    }
+///
+/// # Errors
+///
+/// Returns a [`FlowError`] when the netlist fails admission linting,
+/// has no outputs, no inputs, no gates to approximate or more outputs
+/// than the 64-bit QoR value model supports, and when the config's
+/// cancel token or wall budget stops profiling.
+pub fn run(nl: &Netlist, cfg: FlowConfig, spec: &ExploreSpec) -> Result<BlasysResult, FlowError> {
+    let session = FlowSession::open(nl, cfg)?.profile()?;
+    let exploration = session.explore(spec);
+    Ok(session.into_result(exploration))
 }
 
 /// Why a netlist cannot be driven through the flow (the checks behind
-/// [`Blasys::try_run`]).
+/// [`FlowSession::open`] and [`FlowSession::profile`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowError {
     /// The netlist failed admission linting: it violates storage
@@ -362,14 +125,19 @@ impl std::error::Error for FlowError {}
 /// Monte-Carlo evaluator. Used by the SAT benchmarks and acceptance
 /// tests to obtain a structurally different but functionally identical
 /// design.
-pub fn exact_resynthesis(nl: &Netlist, decomp: &DecompConfig) -> Netlist {
-    let partition = decompose(nl, decomp);
-    let profiles = profile_partition(nl, &partition, &ProfileConfig::default());
-    let impls: Vec<ClusterImpl> = profiles
+///
+/// # Errors
+///
+/// The [`FlowSession::open`] checks: a netlist the flow cannot take.
+pub fn exact_resynthesis(nl: &Netlist, decomp: &DecompConfig) -> Result<Netlist, FlowError> {
+    let cfg = FlowConfig::new().decomposition(*decomp);
+    let session = FlowSession::open(nl, cfg)?.profile()?;
+    let impls: Vec<ClusterImpl> = session
+        .profiles()
         .iter()
         .map(|p| ClusterImpl::Replace(p.exact().netlist.clone()))
         .collect();
-    substitute(nl, &partition, &impls).cleaned()
+    Ok(substitute(nl, session.partition(), &impls).cleaned())
 }
 
 /// Per-cluster output weights: each subcircuit output is weighted by
@@ -531,7 +299,7 @@ impl BlasysResult {
     /// synthesize it to gates (`examples/quickstart.rs` in miniature):
     ///
     /// ```
-    /// use blasys_core::{Blasys, QorMetric};
+    /// use blasys_core::{run, ExploreSpec, FlowConfig, QorMetric};
     /// use blasys_logic::builder::{add, input_bus, mark_output_bus};
     /// use blasys_logic::Netlist;
     ///
@@ -541,7 +309,7 @@ impl BlasysResult {
     /// let s = add(&mut nl, &a, &b);
     /// mark_output_bus(&mut nl, "s", &s);
     ///
-    /// let result = Blasys::new().samples(1024).run(&nl);
+    /// let result = run(&nl, FlowConfig::new().samples(1024), &ExploreSpec::new()).unwrap();
     /// let step = result
     ///     .best_step_under(QorMetric::AvgRelative, 0.05)
     ///     .expect("step 0 is exact, so always within budget");
@@ -561,6 +329,23 @@ impl BlasysResult {
     /// [`QorReport`](crate::qor::QorReport)
     /// (`certified_worst_absolute`). Returns the full certificate
     /// (witness input, probe count, solver statistics).
+    ///
+    /// # Examples
+    ///
+    /// The certificate always dominates the sampled bound
+    /// (`examples/approximate_multiplier.rs` validates designs this
+    /// way before trusting them on a workload):
+    ///
+    /// ```
+    /// use blasys_circuits::multiplier;
+    /// use blasys_core::{run, ExploreSpec, FlowConfig};
+    ///
+    /// let nl = multiplier(2);
+    /// let mut result = run(&nl, FlowConfig::new().samples(512), &ExploreSpec::new()).unwrap();
+    /// let last = result.trajectory().len() - 1;
+    /// let certified = result.certify_step(last).certificate.worst_absolute;
+    /// assert!(certified >= result.trajectory()[last].qor.worst_absolute);
+    /// ```
     ///
     /// # Panics
     ///
@@ -609,7 +394,12 @@ mod tests {
     use blasys_logic::equiv::{check_equiv, EquivConfig};
 
     fn quick(nl: &Netlist) -> BlasysResult {
-        Blasys::new().samples(2048).seed(3).run(nl)
+        run(
+            nl,
+            FlowConfig::new().samples(2048).seed(3),
+            &ExploreSpec::new(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -686,10 +476,10 @@ mod tests {
     #[test]
     fn weighted_flow_runs() {
         let nl = multiplier(4);
-        let result = Blasys::new()
+        let cfg = FlowConfig::new()
             .samples(1024)
-            .weighting(OutputWeighting::ValueInfluence)
-            .run(&nl);
+            .weighting(OutputWeighting::ValueInfluence);
+        let result = run(&nl, cfg, &ExploreSpec::new()).unwrap();
         assert!(result.trajectory().len() > 1);
     }
 
@@ -706,12 +496,17 @@ mod tests {
 #[cfg(test)]
 mod extra_tests {
     use super::*;
+    use blasys_bmf::Algebra;
     use blasys_circuits::multiplier;
+
+    fn run_with(nl: &Netlist, cfg: FlowConfig) -> BlasysResult {
+        run(nl, cfg, &ExploreSpec::new()).unwrap()
+    }
 
     #[test]
     fn field_algebra_flow_end_to_end() {
         let nl = multiplier(4);
-        let result = Blasys::new().samples(1024).algebra(Algebra::Field).run(&nl);
+        let result = run_with(&nl, FlowConfig::new().samples(1024).algebra(Algebra::Field));
         assert!(result.trajectory().len() > 1);
         // Step 0 remains exact under XOR decompressors too.
         assert_eq!(result.trajectory()[0].qor.avg_relative, 0.0);
@@ -735,11 +530,11 @@ mod extra_tests {
                 }
             }
         }
-        let biased = Blasys::new().stimulus(stim).run(&nl);
+        let biased = run_with(&nl, FlowConfig::new().stimulus(stim));
         // With a = 0 the exact product is always 0, so any variant that
         // keeps outputs at 0 shows zero error; the trajectory's final
         // error under biased stimulus must be no larger than uniform.
-        let uniform = Blasys::new().samples(2048).run(&nl);
+        let uniform = run_with(&nl, FlowConfig::new().samples(2048));
         let b_last = biased.trajectory().last().unwrap().qor.avg_relative;
         let u_last = uniform.trajectory().last().unwrap().qor.avg_relative;
         assert!(
@@ -751,12 +546,14 @@ mod extra_tests {
     #[test]
     fn certification_pass_stamps_final_step() {
         let nl = multiplier(3);
-        let result = Blasys::new().samples(1024).certify(true).run(&nl);
+        let mut result = run_with(&nl, FlowConfig::new().samples(1024));
+        let point = result.certify_step(result.trajectory().len() - 1);
         let last = result.trajectory().last().unwrap();
         let certified = last
             .qor
             .certified_worst_absolute
-            .expect("certify(true) must stamp the final step");
+            .expect("certify_step must stamp the final step");
+        assert_eq!(certified, point.certificate.worst_absolute);
         // The certificate dominates the sampled bound.
         assert!(certified >= last.qor.worst_absolute);
         assert_eq!(last.qor.best_known_worst_absolute(), certified);
@@ -772,7 +569,7 @@ mod extra_tests {
     fn prove_step0_exact_via_sat() {
         use blasys_circuits::adder;
         let nl = adder(8); // 16 inputs
-        let mut result = Blasys::new().samples(2048).seed(17).run(&nl);
+        let mut result = run_with(&nl, FlowConfig::new().samples(2048).seed(17));
         use blasys_logic::Equivalence;
         assert_eq!(
             result.prove_step_exact(0),
@@ -788,8 +585,8 @@ mod extra_tests {
     #[test]
     fn smaller_windows_give_coarser_tradeoffs() {
         let nl = multiplier(4);
-        let small = Blasys::new().samples(1024).limits(4, 4).run(&nl);
-        let large = Blasys::new().samples(1024).limits(8, 8).run(&nl);
+        let small = run_with(&nl, FlowConfig::new().samples(1024).limits(4, 4));
+        let large = run_with(&nl, FlowConfig::new().samples(1024).limits(8, 8));
         // Smaller windows -> more clusters.
         assert!(small.partition().len() >= large.partition().len());
     }

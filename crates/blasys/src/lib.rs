@@ -18,7 +18,7 @@
 //!    64×64 bit transpose, bound-pruned probes — see the
 //!    [`montecarlo`] module docs), and both profiling and the
 //!    per-step candidate sweep run on the `blasys-par` work-stealing
-//!    pool (see [`Parallelism`] and [`flow::Blasys::parallelism`]);
+//!    pool (see [`Parallelism`] and [`FlowConfig::parallelism`]);
 //!    results are bit-identical at any worker count, with pruning on
 //!    or off;
 //! 4. **synthesize** the chosen configuration into a gate-level
@@ -26,6 +26,9 @@
 //! 5. **certify** (optional, beyond the paper): upgrade the sampled
 //!    error estimates to proofs with the `blasys-sat` CDCL engine —
 //!    [`certify`].
+//!
+//! [`FlowSession`] is the front door: it runs the stages one at a time,
+//! and [`run`] is its one-shot form.
 //!
 //! # The certification pass
 //!
@@ -45,35 +48,37 @@
 //! * [`BlasysResult::prove_step_exact`](flow::BlasysResult::prove_step_exact)
 //!   proves a step functionally identical to the original at **any**
 //!   input width (step 0, the exact resynthesis, is the interesting
-//!   case: simulation can only say "probably equal" past 16 inputs);
-//! * [`Blasys::certify`](flow::Blasys::certify) runs the pass on the
-//!   final trajectory point automatically at the end of
-//!   [`Blasys::run`](flow::Blasys::run).
+//!   case: simulation can only say "probably equal" past 16 inputs).
 //!
 //! # Example
 //!
 //! ```
-//! use blasys_core::{Blasys, QorMetric};
+//! use blasys_core::{run, ExploreSpec, FlowConfig, FlowError};
 //! use blasys_logic::builder::{add, input_bus, mark_output_bus};
 //! use blasys_logic::Netlist;
 //!
+//! # fn main() -> Result<(), FlowError> {
 //! let mut nl = Netlist::new("add8");
 //! let a = input_bus(&mut nl, "a", 8);
 //! let b = input_bus(&mut nl, "b", 8);
 //! let s = add(&mut nl, &a, &b);
 //! mark_output_bus(&mut nl, "s", &s);
 //!
-//! let result = Blasys::new()
-//!     .samples(2048)
-//!     .run(&nl);
+//! let mut result = run(&nl, FlowConfig::new().samples(2048), &ExploreSpec::new())?;
 //! // The trajectory walks from the exact design toward maximum
 //! // approximation; error grows, modeled area shrinks.
 //! assert!(result.trajectory().len() > 1);
+//! // Certify the most approximate point's worst-case error with SAT.
+//! let last = result.trajectory().len() - 1;
+//! let certified = result.certify_step(last).certificate.worst_absolute;
+//! assert!(certified >= result.trajectory()[last].qor.worst_absolute);
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! # Sessions: profile once, explore many times
 //!
-//! [`Blasys`] reruns the whole pipeline per call. When several
+//! [`run`] reruns the whole pipeline per call. When several
 //! explorations of the **same circuit** are needed — different
 //! metrics, thresholds, prune settings — open a staged
 //! [`FlowSession`] instead: decomposition, the
@@ -120,13 +125,13 @@ pub mod report;
 pub mod session;
 
 pub use blasys_lint as lint;
-pub use blasys_par::Parallelism;
+pub use blasys_par::{Parallelism, Pool};
 pub use certify::{prove_exact, CertifiedPoint};
-pub use explore::{AnnealSchedule, ExploreConfig, Explorer, StopCriterion, TrajectoryPoint};
-pub use flow::{Blasys, BlasysResult, FlowError};
+pub use explore::{AnnealSchedule, Explorer, StopCriterion, TrajectoryPoint};
+pub use flow::{run, BlasysResult, FlowError};
 pub use montecarlo::{Evaluator, McConfig, ProbeState, Signal, TableNetwork};
 pub use obs::{Observers, QorCounters, TraceObserver};
-pub use profile::{profile_partition, SubcircuitProfile, Variant};
+pub use profile::{SubcircuitProfile, Variant};
 pub use qor::{QorMetric, QorReport};
 pub use report::{
     diagnostic_json, diagnostics_json, snapshot_json, stop_reason_name, FlowReport, Json,

@@ -1623,12 +1623,10 @@ mod tests {
         let serial: Vec<QorReport> = (0..n)
             .map(|c| ev.qor_with(c, &vec![0u16; ev.network().table(c).len()]))
             .collect();
-        let threaded = blasys_par::par_run_with(
-            blasys_par::Parallelism::Threads(4),
-            n,
-            || ev.probe_state(),
-            |st, c| ev.qor_probe(st, c, &vec![0u16; ev.network().table(c).len()]),
-        );
+        let mut states: Vec<_> = (0..4).map(|_| ev.probe_state()).collect();
+        let threaded = blasys_par::Pool::new(4).run_states(n, &mut states, |st, c| {
+            ev.qor_probe(st, c, &vec![0u16; ev.network().table(c).len()])
+        });
         assert_eq!(serial, threaded);
     }
 

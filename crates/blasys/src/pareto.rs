@@ -34,9 +34,10 @@ pub struct TradeoffPoint {
 /// ```
 /// use blasys_circuits::multiplier;
 /// use blasys_core::pareto::{pareto_front, tradeoff_curve};
-/// use blasys_core::{Blasys, QorMetric};
+/// use blasys_core::{run, ExploreSpec, FlowConfig, QorMetric};
 ///
-/// let result = Blasys::new().samples(512).run(&multiplier(2));
+/// let cfg = FlowConfig::new().samples(512);
+/// let result = run(&multiplier(2), cfg, &ExploreSpec::new()).unwrap();
 /// let curve = tradeoff_curve(result.trajectory(), QorMetric::AvgRelative);
 /// assert_eq!(curve.len(), result.trajectory().len());
 /// assert_eq!(curve[0].norm_area, 1.0); // normalized to the exact design

@@ -13,7 +13,7 @@ use blasys_bmf::{metrics, Algebra, Algorithm, Factorization, Factorizer};
 use blasys_decomp::{cluster_truth_table, extract_cluster_netlist, Partition};
 use blasys_logic::{Netlist, TruthTable};
 use blasys_obs::{Counter, Registry};
-use blasys_par::{Parallelism, Workers};
+use blasys_par::Pool;
 use blasys_synth::estimate::{estimate, EstimateConfig};
 use blasys_synth::{synthesize_tt, CellLibrary, EspressoConfig};
 
@@ -51,7 +51,8 @@ pub struct SubcircuitProfile {
     /// Window outputs `m_i`.
     pub num_outputs: usize,
     /// `variants[d]` holds degree `d + 1`; the last entry is the exact
-    /// variant (`f = m_i`).
+    /// variant (`f = m_i`). A window without outputs (dead logic) has
+    /// only its exact variant, at degree 0.
     pub variants: Vec<Variant>,
 }
 
@@ -60,15 +61,19 @@ impl SubcircuitProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `f` is 0 or exceeds the output count.
+    /// Panics if `f` exceeds the output count, or is 0 for a window
+    /// with outputs.
     pub fn variant(&self, f: usize) -> &Variant {
-        assert!(f >= 1 && f <= self.num_outputs, "degree out of range");
-        &self.variants[f - 1]
+        assert!(
+            f <= self.num_outputs && (f >= 1 || self.num_outputs == 0),
+            "degree out of range"
+        );
+        &self.variants[f.max(1) - 1]
     }
 
     /// The exact variant (`f = m_i`).
     pub fn exact(&self) -> &Variant {
-        &self.variants[self.num_outputs - 1]
+        self.variant(self.num_outputs)
     }
 }
 
@@ -99,10 +104,6 @@ pub struct ProfileConfig {
     /// are kept and the lowest-error one wins (falling back to the
     /// smallest one when none saves area).
     pub hybrid: bool,
-    /// Worker threads for per-window profiling. Windows are profiled
-    /// independently (BMF ladder + variant synthesis per cluster), so
-    /// the resulting profiles are identical for every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for ProfileConfig {
@@ -114,48 +115,48 @@ impl Default for ProfileConfig {
             estimate: EstimateConfig::default(),
             output_weights: None,
             hybrid: true,
-            parallelism: Parallelism::default(),
         }
     }
+}
+
+/// Profile every cluster of a partition on `pool` with no observer or
+/// metrics registry: the
+/// [`FlowSession::profile`](crate::session::FlowSession::profile) core
+/// for tests and benchmarks that need profiles without a session.
+///
+/// # Errors
+///
+/// Never in practice: profiling stops early only for a cancel token or
+/// a deadline, and this entry point sets neither.
+#[doc(hidden)]
+pub fn profile_partition_on(
+    nl: &Netlist,
+    partition: &Partition,
+    cfg: &ProfileConfig,
+    pool: &Pool,
+) -> Result<Vec<SubcircuitProfile>, FlowError> {
+    profile_partition_ctx(nl, partition, cfg, pool, &FlowContext::NONE)
 }
 
 /// Profile every cluster of a partition (Algorithm 1, lines 3–10).
 ///
 /// Windows are independent — each worker extracts its cluster's truth
 /// table and reference netlist from the shared (read-only) inputs and
-/// builds the full degree ladder — so they profile in parallel under
-/// `cfg.parallelism`, with identical results at any worker count.
-pub fn profile_partition(
-    nl: &Netlist,
-    partition: &Partition,
-    cfg: &ProfileConfig,
-) -> Vec<SubcircuitProfile> {
-    profile_partition_ctx(
-        nl,
-        partition,
-        cfg,
-        Workers::Transient(cfg.parallelism),
-        &FlowContext::NONE,
-    )
-    .expect("profiling without a cancel token or deadline cannot fail")
-}
-
-/// The session-aware core behind [`profile_partition`] and
-/// [`FlowSession::profile`](crate::session::FlowSession::profile):
-/// runs the per-window work on `workers` (`cfg.parallelism` is ignored
-/// in favor of it), reports each completed window to the context's
-/// observer, and aborts between windows when the context's token is
-/// tripped or its deadline passes.
+/// builds the full degree ladder — so they profile in parallel on
+/// `pool`, with identical results at any worker count. Each completed
+/// window is reported to the context's observer; profiling aborts
+/// between windows when the context's token is tripped or its deadline
+/// passes.
 pub(crate) fn profile_partition_ctx(
     nl: &Netlist,
     partition: &Partition,
     cfg: &ProfileConfig,
-    workers: Workers<'_>,
+    pool: &Pool,
     ctx: &FlowContext<'_>,
 ) -> Result<Vec<SubcircuitProfile>, FlowError> {
     let total = partition.len();
     let counters = ctx.registry.map(ProfileCounters::register);
-    let window = |ci: usize, inner: Workers<'_>| -> Option<SubcircuitProfile> {
+    let window = |ci: usize, inner: &Pool| -> Option<SubcircuitProfile> {
         if ctx.cancelled() || ctx.expired() {
             return None;
         }
@@ -174,12 +175,10 @@ pub(crate) fn profile_partition_ctx(
     // moves *inside* each window's BMF candidate scans. Factorizations
     // are bit-identical at any worker count, so both schedules produce
     // the same profiles.
-    let profiles: Vec<Option<SubcircuitProfile>> = if total >= workers.worker_count() {
-        workers.run(total, |ci| {
-            window(ci, Workers::Transient(Parallelism::Serial))
-        })
+    let profiles: Vec<Option<SubcircuitProfile>> = if total >= pool.threads() {
+        pool.run(total, |ci| window(ci, Pool::serial()))
     } else {
-        (0..total).map(|ci| window(ci, workers)).collect()
+        (0..total).map(|ci| window(ci, pool)).collect()
     };
     if profiles.iter().any(Option::is_none) {
         return Err(if ctx.cancelled() {
@@ -189,44 +188,6 @@ pub(crate) fn profile_partition_ctx(
         });
     }
     Ok(profiles.into_iter().flatten().collect())
-}
-
-/// Profile a single window truth table at every degree.
-pub fn profile_window(cluster: usize, tt: &TruthTable, cfg: &ProfileConfig) -> SubcircuitProfile {
-    profile_window_with_reference(cluster, tt, None, cfg)
-}
-
-/// Like [`profile_window`], but additionally considers a reference
-/// gate-level implementation for the exact variant (the original
-/// cluster logic is usually far smaller than a from-scratch
-/// resynthesis of its truth table).
-pub fn profile_window_with_reference(
-    cluster: usize,
-    tt: &TruthTable,
-    reference: Option<Netlist>,
-    cfg: &ProfileConfig,
-) -> SubcircuitProfile {
-    profile_window_with_reference_on(
-        cluster,
-        tt,
-        reference,
-        cfg,
-        Workers::Transient(Parallelism::Serial),
-    )
-}
-
-/// [`profile_window_with_reference`] with an explicit execution
-/// context for the BMF candidate scans (see
-/// [`Factorizer::factorize_on`]). Profiles are bit-identical at any
-/// worker count.
-pub fn profile_window_with_reference_on(
-    cluster: usize,
-    tt: &TruthTable,
-    reference: Option<Netlist>,
-    cfg: &ProfileConfig,
-    workers: Workers<'_>,
-) -> SubcircuitProfile {
-    profile_window_counted(cluster, tt, reference, cfg, workers, None)
 }
 
 /// The candidate family a ladder rung's winner came from (the
@@ -282,14 +243,19 @@ struct Candidate {
     local_hamming: usize,
 }
 
-/// [`profile_window_with_reference_on`], tallying rung winners and
-/// synthesized candidates on `counters` when given.
+/// Profile one window truth table at every degree, running the BMF
+/// candidate scans on `pool` (see [`Factorizer::factorize_on`]; the
+/// ladder is bit-identical at any worker count). `reference` is the
+/// window's original gate-level logic: the exact variant uses it when
+/// it is cheaper than a from-scratch resynthesis of the table (it
+/// almost always is). Rung winners and synthesized candidates are
+/// tallied on `counters` when given.
 pub(crate) fn profile_window_counted(
     cluster: usize,
     tt: &TruthTable,
     reference: Option<Netlist>,
     cfg: &ProfileConfig,
-    workers: Workers<'_>,
+    pool: &Pool,
     counters: Option<&ProfileCounters>,
 ) -> SubcircuitProfile {
     let k = tt.num_inputs();
@@ -335,8 +301,9 @@ pub(crate) fn profile_window_counted(
     // consider *truncating* the previous degree's choice — this keeps
     // the ladder area-monotone, which Algorithm 1's error-greedy
     // exploration implicitly relies on (its design-metric model sums
-    // variant areas).
-    let identity = Factorizer::new().factorize(&matrix, m);
+    // variant areas). A window without outputs has no rungs; degree 1
+    // keeps its unused identity well-formed.
+    let identity = Factorizer::new().factorize(&matrix, m.max(1));
     let mut chain_fac = identity.clone();
     let mut prev_area = exact_area;
     let mut prev_fac = identity;
@@ -369,14 +336,14 @@ pub(crate) fn profile_window_counted(
             let kept: u64 = (0..f).fold(0u64, |acc, l| acc | chain_fac.c().row(l));
             push(Family::Nulling, chain_fac.clone(), Some(kept));
         }
-        push(primary, factorizer.factorize_on(&matrix, f, workers), None);
+        push(primary, factorizer.factorize_on(&matrix, f, pool), None);
         // On the exhaustive path the algorithm plays no part: GreConD
         // would return the primary factorization again.
         if let Some(fz) = grecond
             .as_ref()
             .filter(|fz| !fz.solves_exhaustively(&matrix, f))
         {
-            push(Family::GreConD, fz.factorize_on(&matrix, f, workers), None);
+            push(Family::GreConD, fz.factorize_on(&matrix, f, pool), None);
         }
         push(
             Family::Truncated,
@@ -508,8 +475,20 @@ mod tests {
     use super::*;
     use blasys_decomp::{decompose, DecompConfig};
     use blasys_logic::builder::{add, input_bus, mark_output_bus};
+    use blasys_par::Parallelism;
 
-    /// Test oracle for [`profile_window_with_reference_on`]: the eager
+    /// Every window's ladder, profiled at the default
+    /// (`BLASYS_THREADS`) parallelism.
+    fn profile_default(
+        nl: &Netlist,
+        part: &Partition,
+        cfg: &ProfileConfig,
+    ) -> Vec<SubcircuitProfile> {
+        let pool = Pool::with_parallelism(Parallelism::default());
+        profile_partition_on(nl, part, cfg, &pool).expect("no cancel token or deadline")
+    }
+
+    /// Test oracle for [`profile_window_counted`]: the eager
     /// per-rung selection it replaced. Every candidate (GreConD included,
     /// even where it repeats the exhaustive solve) is factorized,
     /// synthesized and estimated, then a stable sort keeps one. The lazy
@@ -519,7 +498,7 @@ mod tests {
         tt: &TruthTable,
         reference: Option<Netlist>,
         cfg: &ProfileConfig,
-        workers: Workers<'_>,
+        pool: &Pool,
     ) -> SubcircuitProfile {
         let k = tt.num_inputs();
         let m = tt.num_outputs();
@@ -601,7 +580,7 @@ mod tests {
 
             let mut facs: Vec<blasys_bmf::Factorization> = candidates
                 .iter()
-                .map(|fz| fz.factorize_on(&matrix, f, workers))
+                .map(|fz| fz.factorize_on(&matrix, f, pool))
                 .collect();
             if prev_fac.degree() == f + 1 && f + 1 >= 2 {
                 facs.push(blasys_bmf::truncated(
@@ -683,7 +662,7 @@ mod tests {
     fn profiles_cover_every_cluster_and_degree() {
         let nl = adder(6);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_default(&nl, &part, &ProfileConfig::default());
         assert_eq!(profiles.len(), part.len());
         for (p, c) in profiles.iter().zip(part.clusters()) {
             assert_eq!(p.num_outputs, c.outputs().len());
@@ -701,7 +680,7 @@ mod tests {
     fn exact_variant_has_zero_local_error() {
         let nl = adder(5);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_default(&nl, &part, &ProfileConfig::default());
         for p in &profiles {
             assert_eq!(p.exact().local_hamming, 0);
             assert_eq!(p.exact().degree, p.num_outputs);
@@ -712,7 +691,7 @@ mod tests {
     fn local_error_nonincreasing_in_degree() {
         let nl = adder(6);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_default(&nl, &part, &ProfileConfig::default());
         for p in &profiles {
             for w in p.variants.windows(2) {
                 assert!(
@@ -738,13 +717,10 @@ mod tests {
             .build();
         for nl in [adder(5), mult8] {
             let part = decompose(&nl, &DecompConfig::default());
-            let serial = profile_partition(&nl, &part, &ProfileConfig::default());
+            let cfg = ProfileConfig::default();
+            let serial = profile_partition_on(&nl, &part, &cfg, Pool::serial()).unwrap();
             for threads in [2, part.len() + 3] {
-                let cfg = ProfileConfig {
-                    parallelism: Parallelism::Threads(threads),
-                    ..ProfileConfig::default()
-                };
-                let par = profile_partition(&nl, &part, &cfg);
+                let par = profile_partition_on(&nl, &part, &cfg, &Pool::new(threads)).unwrap();
                 assert_eq!(serial.len(), par.len());
                 for (s, p) in serial.iter().zip(&par) {
                     let label = format!("{} threads={threads}", nl.name());
@@ -773,21 +749,14 @@ mod tests {
     /// lazy path at 1, 2 and 4 BMF workers; the ladders must match.
     fn assert_profiles_match_oracle(label: &str, nl: &Netlist, cfg: &ProfileConfig) {
         let part = decompose(nl, &DecompConfig::default());
+        let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
         for (ci, cluster) in part.clusters().iter().enumerate() {
             let tt = cluster_truth_table(nl, cluster);
             let reference = extract_cluster_netlist(nl, cluster, &format!("s{ci}_ref"));
-            let serial = Workers::Transient(Parallelism::Serial);
-            let want = profile_window_oracle(ci, &tt, Some(reference.clone()), cfg, serial);
-            for threads in [1, 2, 4] {
-                let workers = Workers::Transient(Parallelism::Threads(threads));
-                let got = profile_window_with_reference_on(
-                    ci,
-                    &tt,
-                    Some(reference.clone()),
-                    cfg,
-                    workers,
-                );
-                assert_ladders_identical(&format!("{label} threads={threads}"), &want, &got);
+            let want = profile_window_oracle(ci, &tt, Some(reference.clone()), cfg, Pool::serial());
+            for pool in &pools {
+                let got = profile_window_counted(ci, &tt, Some(reference.clone()), cfg, pool, None);
+                assert_ladders_identical(&format!("{label} {pool:?}"), &want, &got);
             }
         }
     }
@@ -890,7 +859,7 @@ mod tests {
             factorizer: Factorizer::new().with_counters(counters),
             ..ProfileConfig::default()
         };
-        let _ = profile_partition(&nl, &part, &cfg);
+        let _ = profile_default(&nl, &part, &cfg);
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("bmf.windows_factorized"),
@@ -910,9 +879,9 @@ mod tests {
                 registry: Some(&registry),
                 ..FlowContext::NONE
             };
-            let workers = Workers::Transient(Parallelism::Threads(threads));
+            let pool = Pool::new(threads);
             let profiles =
-                profile_partition_ctx(&nl, &part, &ProfileConfig::default(), workers, &ctx)
+                profile_partition_ctx(&nl, &part, &ProfileConfig::default(), &pool, &ctx)
                     .expect("no cancel token or deadline");
             let snap = registry.snapshot();
             let wins: Vec<u64> = ["nulling", "asso", "grecond", "truncated"]
@@ -936,7 +905,7 @@ mod tests {
     fn variant_netlist_realizes_its_table() {
         let nl = adder(4);
         let part = decompose(&nl, &DecompConfig::default());
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_default(&nl, &part, &ProfileConfig::default());
         for p in &profiles {
             for v in &p.variants {
                 let tt = TruthTable::from_netlist(&v.netlist);

@@ -558,7 +558,8 @@ mod tests {
 
     #[test]
     fn flow_report_surfaces_the_rounded_sample_count() {
-        use crate::flow::Blasys;
+        use crate::flow::run;
+        use crate::session::{ExploreSpec, FlowConfig};
         use blasys_logic::builder::{add, input_bus, mark_output_bus};
         use blasys_logic::Netlist;
 
@@ -570,7 +571,8 @@ mod tests {
         // 1000 requested -> 16 blocks -> 1024 evaluated. Every report
         // (all trajectory steps and the projected FlowReport) must
         // carry the actual count, never the requested one.
-        let result = Blasys::new().samples(1000).seed(5).run(&nl);
+        let cfg = FlowConfig::new().samples(1000).seed(5);
+        let result = run(&nl, cfg, &ExploreSpec::new()).unwrap();
         for p in result.trajectory() {
             assert_eq!(p.qor.samples, 1024, "step {}", p.step);
         }
@@ -613,10 +615,12 @@ mod tests {
 
     #[test]
     fn flow_report_records_the_explorer() {
-        use crate::flow::Blasys;
+        use crate::flow::run;
+        use crate::session::{ExploreSpec, FlowConfig};
         use blasys_circuits::multiplier;
 
-        let result = Blasys::new().samples(512).seed(3).run(&multiplier(2));
+        let cfg = FlowConfig::new().samples(512).seed(3);
+        let result = run(&multiplier(2), cfg, &ExploreSpec::new()).unwrap();
         let report = FlowReport::from_result(&result, 0).with_explorer(Explorer::Beam { width: 4 });
         let s = report.to_json().to_string();
         assert!(s.contains("\"explorer\": \"beam:4\""), "{s}");
@@ -632,7 +636,8 @@ mod tests {
 
     #[test]
     fn flow_report_projects_a_run() {
-        use crate::flow::Blasys;
+        use crate::flow::run;
+        use crate::session::{ExploreSpec, FlowConfig};
         use blasys_logic::builder::{add, input_bus, mark_output_bus};
         use blasys_logic::Netlist;
 
@@ -641,7 +646,8 @@ mod tests {
         let b = input_bus(&mut nl, "b", 4);
         let s = add(&mut nl, &a, &b);
         mark_output_bus(&mut nl, "s", &s);
-        let result = Blasys::new().samples(1024).seed(5).run(&nl);
+        let cfg = FlowConfig::new().samples(1024).seed(5);
+        let result = run(&nl, cfg, &ExploreSpec::new()).unwrap();
         let step = result.trajectory().len() - 1;
         let report = FlowReport::from_result(&result, step);
         assert_eq!(report.circuit, "add4");

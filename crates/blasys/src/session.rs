@@ -1,13 +1,11 @@
 //! Staged flow sessions: decompose and profile **once**, explore
 //! **many times**.
 //!
-//! The one-shot [`Blasys`](crate::flow::Blasys) front-end reruns the
-//! whole pipeline — decompose → profile → explore — for every query.
-//! That is the wrong altitude for serving many queries against the
-//! same circuit: decomposition and per-window BMF profiling dominate
-//! wall-clock and depend only on the circuit and the profile settings,
-//! while exploration settings (metric, threshold, pruning, budgets)
-//! vary per query.
+//! Decomposition and per-window BMF profiling dominate wall-clock and
+//! depend only on the circuit and the profile settings, while
+//! exploration settings (metric, threshold, pruning, budgets) vary per
+//! query. Rerunning the whole pipeline per query is therefore the
+//! wrong altitude for serving many queries against the same circuit.
 //!
 //! [`FlowSession`] splits the pipeline into typestate-checked stages:
 //!
@@ -23,9 +21,8 @@
 //! every [`explore`](FlowSession::explore) call reuses all of them and
 //! only pays for its own candidate sweep. Explorations are
 //! bit-identical to a fresh one-shot flow with the same settings (the
-//! facade's [`Blasys::try_run`](crate::flow::Blasys::try_run) is
-//! itself implemented on a session, and differential tests enforce
-//! identity).
+//! one-shot [`run`](crate::flow::run) is itself one open → profile →
+//! explore pass, and differential tests enforce identity).
 //!
 //! # Observers, cancellation, budgets
 //!
@@ -74,11 +71,11 @@ use blasys_bmf::{Algebra, FactorizeCounters, Factorizer};
 use blasys_decomp::{decompose, DecompConfig, Partition};
 use blasys_logic::Netlist;
 use blasys_obs::Registry;
-use blasys_par::{Parallelism, Pool, PoolMetrics, Workers};
+use blasys_par::{Parallelism, Pool, PoolMetrics};
 use blasys_synth::estimate::EstimateConfig;
 use blasys_synth::{CellLibrary, EspressoConfig};
 
-use crate::explore::{explore_ctx, ExploreConfig, Explorer, StopCriterion, TrajectoryPoint};
+use crate::explore::{explore_ctx, Explorer, StopCriterion, TrajectoryPoint};
 use crate::flow::{influence_weights, BlasysResult, FlowError, OutputWeighting};
 use crate::montecarlo::{Evaluator, McConfig};
 use crate::obs::QorCounters;
@@ -286,8 +283,8 @@ impl Default for ExploreSpec {
 }
 
 impl ExploreSpec {
-    /// Defaults matching [`Blasys::new`](crate::flow::Blasys::new):
-    /// average relative error, full walk, pruning on, no caps.
+    /// Paper defaults: average relative error, full walk, greedy
+    /// search, pruning on, no caps.
     pub fn new() -> ExploreSpec {
         ExploreSpec::default()
     }
@@ -441,8 +438,8 @@ impl FlowContext<'_> {
 
 /// Session-wide configuration: everything the decompose and profile
 /// stages need, i.e. everything that is *per circuit* rather than per
-/// exploration. Builder-style, mirroring the matching
-/// [`Blasys`](crate::flow::Blasys) methods.
+/// exploration. Builder-style; per-exploration settings live on
+/// [`ExploreSpec`].
 #[derive(Clone)]
 pub struct FlowConfig {
     pub(crate) decomp: DecompConfig,
@@ -487,7 +484,10 @@ impl Default for FlowConfig {
 }
 
 impl FlowConfig {
-    /// Paper defaults, matching [`Blasys::new`](crate::flow::Blasys::new).
+    /// Paper defaults: k = m = 10 decomposition, ASSO with threshold
+    /// sweep, OR semi-ring, uniform weights, hybrid ladders, 10 k
+    /// Monte-Carlo samples (the paper uses 1 M), worker threads from
+    /// `BLASYS_THREADS` (unset → serial).
     pub fn new() -> FlowConfig {
         FlowConfig {
             decomp: DecompConfig::default(),
@@ -613,7 +613,7 @@ impl FlowConfig {
 
     /// Attach a metrics registry. The session registers and updates
     /// `flow.*` stage wall-time counters, `qor.*` engine counters, and
-    /// (for pooled sessions) `pool.*` worker metrics on it; snapshot
+    /// (with two or more workers) `pool.*` worker metrics on it; snapshot
     /// the registry whenever you like. See
     /// [`crate::obs`](crate::obs#counter-determinism) for which
     /// counters are deterministic.
@@ -677,8 +677,9 @@ pub struct FlowSession<Stage> {
     cfg: FlowConfig,
     original: Netlist,
     partition: Partition,
-    /// Persistent worker pool, built once at open (`None` = serial).
-    pool: Option<Pool>,
+    /// Persistent worker pool, built once at open (one worker runs
+    /// inline on the caller).
+    pool: Pool,
     stage: Stage,
 }
 
@@ -697,13 +698,6 @@ impl<Stage> FlowSession<Stage> {
     pub fn config(&self) -> &FlowConfig {
         &self.cfg
     }
-
-    fn workers(&self) -> Workers<'_> {
-        match &self.pool {
-            Some(pool) => Workers::Pooled(pool),
-            None => Workers::Transient(Parallelism::Serial),
-        }
-    }
 }
 
 impl FlowSession<Decomposed> {
@@ -711,9 +705,9 @@ impl FlowSession<Decomposed> {
     ///
     /// # Errors
     ///
-    /// The same interface checks as
-    /// [`Blasys::try_run`](crate::flow::Blasys::try_run): no outputs,
-    /// more than 64 outputs, no inputs, or nothing to approximate.
+    /// [`FlowError::InvalidNetlist`] for a netlist that fails admission
+    /// linting; otherwise no outputs, more than 64 outputs, no inputs,
+    /// or nothing to approximate.
     pub fn open(nl: &Netlist, cfg: FlowConfig) -> Result<FlowSession<Decomposed>, FlowError> {
         // Netlists reach here from untrusted sources (parsed BLIF), so
         // the storage-invariant check always runs — it is linear and
@@ -751,14 +745,14 @@ impl FlowSession<Decomposed> {
                 panic!("decompose produced an inconsistent partition: {diags:?}");
             }
         }
+        // Scheduling metrics only mean something with worker threads.
         let workers = cfg.parallelism.worker_count();
-        let pool = (workers >= 2).then(|| {
-            let metrics = cfg
-                .metrics
-                .as_ref()
-                .map(|r| PoolMetrics::register(r, workers));
-            Pool::new_with_metrics(workers, metrics)
-        });
+        let metrics = cfg
+            .metrics
+            .as_ref()
+            .filter(|_| workers >= 2)
+            .map(|r| PoolMetrics::register(r, workers));
+        let pool = Pool::new_with_metrics(workers, metrics);
         Ok(FlowSession {
             cfg,
             original: nl.clone(),
@@ -808,7 +802,6 @@ impl FlowSession<Decomposed> {
             estimate: cfg.estimate,
             output_weights,
             hybrid: cfg.hybrid,
-            parallelism: cfg.parallelism,
         };
         let ctx = FlowContext {
             observer: cfg.observer.as_deref(),
@@ -816,13 +809,9 @@ impl FlowSession<Decomposed> {
             deadline: cfg.wall_budget.map(|d| Instant::now() + d),
             registry: cfg.metrics.as_deref(),
         };
-        let workers = match &pool {
-            Some(pool) => Workers::Pooled(pool),
-            None => Workers::Transient(Parallelism::Serial),
-        };
         cfg.observe(|o| o.on_stage_start(FlowStage::Profile));
         let t0 = Instant::now();
-        let profiles = profile_partition_ctx(&original, &partition, &profile_cfg, workers, &ctx)?;
+        let profiles = profile_partition_ctx(&original, &partition, &profile_cfg, &pool, &ctx)?;
         if let Some(r) = &cfg.metrics {
             r.counter("flow.profile.wall_ns")
                 .add(t0.elapsed().as_nanos() as u64);
@@ -911,19 +900,10 @@ impl FlowSession<Profiled> {
         // An annealing schedule with no explicit seed inherits the
         // session's stimulus seed, so "same session config" implies
         // "same trajectory" without extra plumbing.
-        let mut explorer = spec.explorer;
-        if let Explorer::Anneal(ref mut schedule) = explorer {
-            if schedule.seed.is_none() {
-                schedule.seed = Some(self.cfg.mc.seed);
-            }
+        let mut spec = spec.clone();
+        if let Explorer::Anneal(schedule) = &mut spec.explorer {
+            schedule.seed.get_or_insert(self.cfg.mc.seed);
         }
-        let cfg = ExploreConfig {
-            metric: spec.metric,
-            stop: spec.stop,
-            prune: spec.prune,
-            parallelism: self.cfg.parallelism,
-            explorer,
-        };
         let ctx = FlowContext {
             observer,
             cancel: spec.cancel.as_ref(),
@@ -937,10 +917,9 @@ impl FlowSession<Profiled> {
         let exploration = explore_ctx(
             &mut evaluator,
             &self.stage.profiles,
-            &cfg,
-            self.workers(),
+            &spec,
+            &self.pool,
             &ctx,
-            &spec.budget,
         );
         if let Some(r) = &self.cfg.metrics {
             r.counter("flow.explore.wall_ns")

@@ -19,7 +19,7 @@
 //! pass (exact per-row usage re-solve, coordinate-descent basis
 //! update).
 
-use blasys_par::{in_worker, Parallelism, Workers};
+use blasys_par::{in_worker, Pool};
 
 use crate::matrix::BoolMatrix;
 use crate::metrics::weighted_error;
@@ -111,7 +111,7 @@ impl WsumTable {
 ///
 /// Panics if `f == 0` or `m` has zero columns.
 pub fn asso(m: &BoolMatrix, f: usize, params: &AssoParams) -> (BoolMatrix, BoolMatrix) {
-    asso_on(m, f, params, Workers::Transient(Parallelism::Serial))
+    asso_on(m, f, params, Pool::serial())
 }
 
 /// [`asso`] with an explicit execution context for the candidate
@@ -128,16 +128,16 @@ pub fn asso_on(
     m: &BoolMatrix,
     f: usize,
     params: &AssoParams,
-    workers: Workers<'_>,
+    pool: &Pool,
 ) -> (BoolMatrix, BoolMatrix) {
-    asso_counted(m, f, params, workers, None)
+    asso_counted(m, f, params, pool, None)
 }
 
 pub(crate) fn asso_counted(
     m: &BoolMatrix,
     f: usize,
     params: &AssoParams,
-    workers: Workers<'_>,
+    pool: &Pool,
     counters: Option<&FactorizeCounters>,
 ) -> (BoolMatrix, BoolMatrix) {
     assert!(f >= 1, "factorization degree must be at least 1");
@@ -155,11 +155,7 @@ pub(crate) fn asso_counted(
             &uniform
         }
     };
-    let workers = if in_worker() {
-        Workers::Transient(Parallelism::Serial)
-    } else {
-        workers
-    };
+    let pool = if in_worker() { Pool::serial() } else { pool };
 
     let candidates = candidate_basis(m, params);
     let wtab = WsumTable::build(weights);
@@ -202,7 +198,7 @@ pub(crate) fn asso_counted(
     let mut covered = vec![0u64; n];
 
     let tasks = if candidates.len() >= 16 {
-        workers.worker_count().min(candidates.len()).max(1)
+        pool.threads().min(candidates.len()).max(1)
     } else {
         1
     };
@@ -214,7 +210,7 @@ pub(crate) fn asso_counted(
         // Chunk-local first-best under strict `>`, reduced over chunks
         // in ascending order under strict `>`: equals the serial
         // first-best for any chunking.
-        let locals: Vec<Option<(f64, u64)>> = workers.run(tasks, |t| {
+        let locals: Vec<Option<(f64, u64)>> = pool.run(tasks, |t| {
             // Trailing tasks may get an empty chunk (`lo` past the end).
             let lo = (t * chunk).min(candidates.len());
             let hi = ((t + 1) * chunk).min(candidates.len());
@@ -410,13 +406,7 @@ pub fn asso_sweep(
     thresholds: &[f64],
     base: &AssoParams,
 ) -> (BoolMatrix, BoolMatrix) {
-    asso_sweep_on(
-        m,
-        f,
-        thresholds,
-        base,
-        Workers::Transient(Parallelism::Serial),
-    )
+    asso_sweep_on(m, f, thresholds, base, Pool::serial())
 }
 
 /// [`asso_sweep`] with an explicit execution context, passed down to
@@ -428,9 +418,9 @@ pub fn asso_sweep_on(
     f: usize,
     thresholds: &[f64],
     base: &AssoParams,
-    workers: Workers<'_>,
+    pool: &Pool,
 ) -> (BoolMatrix, BoolMatrix) {
-    asso_sweep_counted(m, f, thresholds, base, workers, None)
+    asso_sweep_counted(m, f, thresholds, base, pool, None)
 }
 
 pub(crate) fn asso_sweep_counted(
@@ -438,7 +428,7 @@ pub(crate) fn asso_sweep_counted(
     f: usize,
     thresholds: &[f64],
     base: &AssoParams,
-    workers: Workers<'_>,
+    pool: &Pool,
     counters: Option<&FactorizeCounters>,
 ) -> (BoolMatrix, BoolMatrix) {
     let uniform;
@@ -455,7 +445,7 @@ pub(crate) fn asso_sweep_counted(
             threshold: t,
             ..base.clone()
         };
-        let (b, c) = asso_counted(m, f, &params, workers, counters);
+        let (b, c) = asso_counted(m, f, &params, pool, counters);
         let err = weighted_error(&b.or_product(&c), m, weights);
         if best.as_ref().is_none_or(|(e, _, _)| err < *e) {
             best = Some((err, b, c));
@@ -573,6 +563,7 @@ mod tests {
             // empty.
             BoolMatrix::from_fn(48, 36, |i, j| (i * 5 + j * 11) % 7 < 3 || i % 9 == j % 4),
         ];
+        let pools = [2, 4, 7, 25].map(Pool::new);
         for m in &shapes {
             for weighted in [false, true] {
                 let p = AssoParams {
@@ -581,10 +572,9 @@ mod tests {
                 };
                 for f in [1, 2, 3] {
                     let serial = asso(m, f, &p);
-                    for threads in [2, 4, 7, 25] {
-                        let par =
-                            asso_on(m, f, &p, Workers::Transient(Parallelism::Threads(threads)));
-                        assert_eq!(serial, par, "f={f} threads={threads} weighted={weighted}");
+                    for pool in &pools {
+                        let par = asso_on(m, f, &p, pool);
+                        assert_eq!(serial, par, "f={f} {pool:?} weighted={weighted}");
                     }
                 }
             }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use blasys_par::{in_worker, Parallelism, Workers};
+use blasys_par::{in_worker, Pool};
 
 use crate::asso::{asso_sweep_counted, AssoParams};
 use crate::grecon::grecond;
@@ -221,12 +221,12 @@ impl Factorizer {
     ///
     /// Panics if `f == 0`.
     pub fn factorize(&self, m: &BoolMatrix, f: usize) -> Factorization {
-        self.factorize_on(m, f, Workers::Transient(Parallelism::Serial))
+        self.factorize_on(m, f, Pool::serial())
     }
 
     /// [`factorize`](Factorizer::factorize) with an explicit execution
     /// context: candidate scoring (heuristic path) and basis
-    /// enumeration (exhaustive tiny-instance path) run on `workers`.
+    /// enumeration (exhaustive tiny-instance path) run on `pool`.
     ///
     /// The result is **bit-identical at any worker count** — both
     /// parallel reductions keep the first best under the serial scan
@@ -237,9 +237,9 @@ impl Factorizer {
     /// # Panics
     ///
     /// Panics if `f == 0`.
-    pub fn factorize_on(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
+    pub fn factorize_on(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
         let t0 = Instant::now();
-        let fac = self.factorize_inner(m, f, workers);
+        let fac = self.factorize_inner(m, f, pool);
         if let Some(c) = &self.counters {
             c.factorize_ns.observe(t0.elapsed().as_nanos() as u64);
         }
@@ -259,11 +259,11 @@ impl Factorizer {
             && matches!(self.algebra, Algebra::SemiRing)
     }
 
-    fn factorize_inner(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
+    fn factorize_inner(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
         assert!(f >= 1, "factorization degree must be at least 1");
         let cols = m.num_cols();
         if self.solves_exhaustively(m, f) {
-            return self.exact_small(m, f, workers);
+            return self.exact_small(m, f, pool);
         }
         if f >= cols {
             // Identity factorization: B = M (padded), C = I (padded).
@@ -283,14 +283,7 @@ impl Factorizer {
                             refine_rounds: self.refine_rounds,
                             ..AssoParams::default()
                         };
-                        asso_sweep_counted(
-                            m,
-                            f,
-                            thresholds,
-                            &base,
-                            workers,
-                            self.counters.as_deref(),
-                        )
+                        asso_sweep_counted(m, f, thresholds, &base, pool, self.counters.as_deref())
                     }
                     Algorithm::GreConD => grecond(m, f),
                 };
@@ -405,7 +398,7 @@ impl Factorizer {
     /// serial order and the reduction keeps the first strictly-lowest
     /// error in ascending first-index order — exactly the serial scan's
     /// winner, at any worker count.
-    fn exact_small(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
+    fn exact_small(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
         let cols = m.num_cols();
         let n = m.num_rows();
         let width = 1usize << cols;
@@ -459,14 +452,10 @@ impl Factorizer {
             }
             or_of
         };
-        let workers = if in_worker() {
-            Workers::Transient(Parallelism::Serial)
-        } else {
-            workers
-        };
+        let pool = if in_worker() { Pool::serial() } else { pool };
         type Best = Option<(f64, [usize; EXACT_MAX_COLS])>;
         let firsts = patterns - (f - 1);
-        let locals: Vec<(u64, Best)> = workers.run(firsts, |i0| {
+        let locals: Vec<(u64, Best)> = pool.run(firsts, |i0| {
             let mut best: Best = None;
             let mut scored = 0u64;
             let mut chosen = [0usize; EXACT_MAX_COLS];
@@ -564,7 +553,7 @@ impl Factorizer {
     /// straightforward per-combination scan (subset-OR DP plus a
     /// per-row first-minimum usage solve, allocating per combination)
     /// that the table-driven path must reproduce bit for bit.
-    fn exact_small_oracle(&self, m: &BoolMatrix, f: usize, workers: Workers<'_>) -> Factorization {
+    fn exact_small_oracle(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
         let cols = m.num_cols();
         let n = m.num_rows();
         let uniform;
@@ -585,11 +574,7 @@ impl Factorizer {
             s
         };
         let patterns: Vec<u64> = (1u64..1 << cols).collect();
-        let workers = if in_worker() {
-            Workers::Transient(Parallelism::Serial)
-        } else {
-            workers
-        };
+        let pool = if in_worker() { Pool::serial() } else { pool };
         // Enumerate combinations of `f` basis patterns (with smaller
         // index first to avoid permutations).
         fn combos(
@@ -610,7 +595,7 @@ impl Factorizer {
         }
         type Best = Option<(f64, Vec<u64>, Vec<u64>)>;
         let firsts = patterns.len() - (f - 1);
-        let locals: Vec<(u64, Best)> = workers.run(firsts, |i0| {
+        let locals: Vec<(u64, Best)> = pool.run(firsts, |i0| {
             let mut best: Best = None;
             let mut scored = 0u64;
             let mut eval = |chosen: &[usize]| {
@@ -770,7 +755,6 @@ mod tests {
 
     #[test]
     fn factorize_on_is_bit_identical_across_worker_counts() {
-        use blasys_par::{Parallelism, Workers};
         // Heuristic path (6 cols) and exhaustive tiny path (4 cols).
         let wide = BoolMatrix::from_fn(40, 6, |i, j| (i * 5 + j * j) % 3 == 0);
         let tiny = BoolMatrix::from_fn(16, 4, |i, j| (i >> j) & 1 == 1 || i % 5 == j);
@@ -778,11 +762,7 @@ mod tests {
             for f in 1..m.num_cols() {
                 let serial = Factorizer::new().factorize(m, f);
                 for threads in [2, 4, 8] {
-                    let par = Factorizer::new().factorize_on(
-                        m,
-                        f,
-                        Workers::Transient(Parallelism::Threads(threads)),
-                    );
+                    let par = Factorizer::new().factorize_on(m, f, &Pool::new(threads));
                     assert_eq!(serial, par, "cols={} f={f} threads={threads}", m.num_cols());
                 }
             }
@@ -792,7 +772,7 @@ mod tests {
     #[test]
     fn exact_small_matches_the_per_combination_oracle() {
         use crate::metrics::value_weights;
-        use blasys_par::{Parallelism, Workers};
+        let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
         // splitmix64: deterministic random matrices without a rand dep.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
@@ -818,17 +798,13 @@ mod tests {
                 };
                 for f in 1..cols {
                     assert!(fz.solves_exhaustively(&m, f));
-                    let serial = Workers::Transient(Parallelism::Serial);
+                    let serial = Pool::serial();
                     let oracle = fz.exact_small_oracle(&m, f, serial);
-                    for par in [
-                        Parallelism::Serial,
-                        Parallelism::Threads(2),
-                        Parallelism::Threads(4),
-                    ] {
-                        let got = fz.exact_small(&m, f, Workers::Transient(par));
+                    for pool in &pools {
+                        let got = fz.exact_small(&m, f, pool);
                         assert_eq!(
                             got, oracle,
-                            "trial {trial} rows={rows} cols={cols} f={f} {weights:?} {par:?}"
+                            "trial {trial} rows={rows} cols={cols} f={f} {weights:?} {pool:?}"
                         );
                     }
                 }
@@ -839,12 +815,11 @@ mod tests {
     #[test]
     fn exact_small_scores_as_many_combinations_as_the_oracle() {
         use crate::obs::FactorizeCounters;
-        use blasys_par::{Parallelism, Workers};
         let m = BoolMatrix::from_fn(32, 5, |i, j| (i * 7 + j * 3) % 5 < 2);
         for f in 1..5 {
             let new = blasys_obs::Registry::default();
             let old = blasys_obs::Registry::default();
-            let serial = Workers::Transient(Parallelism::Serial);
+            let serial = Pool::serial();
             Factorizer::new()
                 .with_counters(Arc::new(FactorizeCounters::register(&new)))
                 .exact_small(&m, f, serial);
@@ -875,8 +850,7 @@ mod tests {
         let registry2 = blasys_obs::Registry::default();
         let counters2 = Arc::new(FactorizeCounters::register(&registry2));
         let fz2 = Factorizer::new().with_counters(counters2);
-        use blasys_par::{Parallelism, Workers};
-        let _ = fz2.factorize_on(&m, 2, Workers::Transient(Parallelism::Threads(4)));
+        let _ = fz2.factorize_on(&m, 2, &Pool::new(4));
         assert_eq!(
             snap.counter("bmf.candidates_scored"),
             registry2.snapshot().counter("bmf.candidates_scored")

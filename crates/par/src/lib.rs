@@ -1,26 +1,27 @@
-//! Scoped work-stealing thread pool for the BLASYS flow.
+//! Persistent work-stealing thread pool for the BLASYS flow.
 //!
 //! The flow's hot loops — per-window BMF profiling and the per-step
 //! candidate sweep of the greedy exploration — are embarrassingly
 //! parallel: every task reads a shared immutable model and writes only
 //! its own result slot. This crate provides the minimal execution
-//! layer they need, built entirely on [`std::thread::scope`] (the
-//! build environment has no access to crates.io, so no `rayon`):
+//! layer they need on plain `std` threads (the build environment has
+//! no access to crates.io, so no `rayon`):
 //!
 //! * [`Parallelism`] — the user-facing knob (`Serial`, `Threads(n)`,
-//!   `Auto`), threaded through the `Blasys` builder and readable from
-//!   the `BLASYS_THREADS` environment variable;
-//! * [`par_run`] / [`par_run_with`] / [`par_run_states`] — fork-join
-//!   map over task indices `0..n`, returning results **in task order**
-//!   regardless of which worker executed what. `par_run_with` gives
-//!   every worker a scratch state reused across all tasks the worker
-//!   executes; `par_run_states` borrows caller-owned states so they
-//!   also survive *between* fork-joins (the Monte-Carlo probe overlay
-//!   reused across every exploration step).
+//!   `Auto`), threaded through `FlowConfig` and readable from the
+//!   `BLASYS_THREADS` environment variable;
+//! * [`Pool`] — worker threads spawned once and reused by every
+//!   fork-join. [`Pool::run`] maps over task indices `0..n` and
+//!   returns results **in task order** regardless of which worker
+//!   executed what; [`Pool::run_states`] lends worker `w` the
+//!   caller-owned `states[w]`, so scratch state survives *between*
+//!   fork-joins (the Monte-Carlo probe overlay reused across every
+//!   exploration step). A one-worker pool spawns no threads and runs
+//!   inline on the caller; [`Pool::serial`] is a shared handle to one.
 //!
 //! # Scheduling
 //!
-//! Tasks are seeded round-robin-chunked into one deque per worker;
+//! Tasks are seeded as contiguous chunks into one deque per worker;
 //! a worker pops from the front of its own deque and, when empty,
 //! steals from the back of the fullest victim. This keeps mostly
 //! cache-friendly contiguous runs per worker while letting short
@@ -30,15 +31,15 @@
 //! # Panics and nesting
 //!
 //! A panic in any task aborts the remaining work and is re-raised on
-//! the caller's thread with its original payload. Nested *parallel*
-//! scopes are rejected (a task spawning another parallel `par_run`
-//! would deadlock-prone oversubscribe the pool); running a `Serial`
-//! map inside a worker is always allowed.
+//! the caller's thread with its original payload; the workers survive
+//! it. Nested *parallel* runs are rejected (a task starting another
+//! parallel run would oversubscribe or deadlock the pool); running on
+//! a serial pool inside a worker is always allowed.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use blasys_obs::{Counter, Gauge, Registry};
 
@@ -109,151 +110,6 @@ pub fn in_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
 
-/// Run `f(0..tasks)` under `par`, returning results in task order.
-///
-/// # Panics
-///
-/// Re-raises the first task panic on the calling thread. Panics if
-/// called with a parallel setting from inside a pool worker (nested
-/// scopes are rejected).
-pub fn par_run<R, F>(par: Parallelism, tasks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_run_with(par, tasks, || (), |(), i| f(i))
-}
-
-/// Like [`par_run`], but every worker gets a scratch state built by
-/// `init` and passed mutably to each of its tasks. Use this for
-/// allocation-heavy per-thread scratch built fresh per call; when the
-/// same states should survive *across* calls (e.g. one Monte-Carlo
-/// probe overlay per worker reused over every exploration step), build
-/// them once and use [`par_run_states`] instead.
-///
-/// # Panics
-///
-/// Same contract as [`par_run`].
-pub fn par_run_with<S, R, I, F>(par: Parallelism, tasks: usize, init: I, f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    I: Fn() -> S,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    if tasks == 0 {
-        return Vec::new();
-    }
-    let workers = par.worker_count().min(tasks);
-    let mut states: Vec<S> = (0..workers).map(|_| init()).collect();
-    par_run_states(par, tasks, &mut states, f)
-}
-
-/// Like [`par_run`], but worker `w` borrows `states[w]` mutably for
-/// every task it executes. The states survive the call, so hot loops
-/// can hoist them out and reuse them across many fork-joins — no
-/// per-call allocation. `states` must hold at least
-/// `min(par.worker_count(), tasks)` entries (extras are unused).
-///
-/// # Panics
-///
-/// Same contract as [`par_run`]; additionally panics if `states` has
-/// fewer entries than the resolved worker count.
-pub fn par_run_states<S, R, F>(par: Parallelism, tasks: usize, states: &mut [S], f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    if tasks == 0 {
-        return Vec::new();
-    }
-    let workers = par.worker_count().min(tasks);
-    assert!(
-        states.len() >= workers,
-        "par_run_states needs one state per worker ({} < {workers})",
-        states.len()
-    );
-    if workers <= 1 {
-        // Serial fast path: no scope, no queues; legal inside a worker.
-        let state = &mut states[0];
-        return (0..tasks).map(|i| f(state, i)).collect();
-    }
-    assert!(
-        !in_worker(),
-        "nested blasys-par parallel scope: a pool task attempted to start \
-         another parallel par_run (use Parallelism::Serial for inner maps)"
-    );
-
-    // One deque per worker, seeded with contiguous chunks so each
-    // worker starts on a cache-friendly run of neighboring tasks.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let lo = tasks * w / workers;
-            let hi = tasks * (w + 1) / workers;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
-    let abort = AtomicBool::new(false);
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    let mut results: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
-    let mut done: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = states[..workers]
-            .iter_mut()
-            .enumerate()
-            .map(|(w, state)| {
-                let queues = &queues;
-                let abort = &abort;
-                let panic_payload = &panic_payload;
-                let f = &f;
-                scope.spawn(move || {
-                    IN_WORKER.with(|g| g.set(true));
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    while !abort.load(Ordering::Relaxed) {
-                        let Some((task, _stolen)) = next_task(queues, w) else {
-                            break;
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| f(state, task))) {
-                            Ok(r) => local.push((task, r)),
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                *panic_payload.lock().unwrap() = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    IN_WORKER.with(|g| g.set(false));
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => done.push(local),
-                Err(e) => {
-                    // Worker died outside `catch_unwind` (shouldn't
-                    // happen, but don't lose the payload if it does).
-                    abort.store(true, Ordering::Relaxed);
-                    let mut slot = panic_payload.lock().unwrap();
-                    slot.get_or_insert(e);
-                }
-            }
-        }
-    });
-    if let Some(payload) = panic_payload.lock().unwrap().take() {
-        resume_unwind(payload);
-    }
-    for (i, r) in done.into_iter().flatten() {
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every task produced a result"))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Persistent pool
 // ---------------------------------------------------------------------------
@@ -319,14 +175,14 @@ struct JobSlot {
     epoch: u64,
     /// The in-flight job, cleared when the last worker finishes it.
     job: Option<Job>,
-    /// Workers still active on the current job.
+    /// Number of workers still active on the current job.
     remaining: usize,
     shutdown: bool,
 }
 
 struct PoolShared {
     slot: Mutex<JobSlot>,
-    /// Workers wait here for a new job (or shutdown).
+    /// Idle workers wait here for a new job (or shutdown).
     job_ready: Condvar,
     /// Submitters wait here for job completion (or a free slot).
     job_done: Condvar,
@@ -341,7 +197,7 @@ struct JobCtx<'a, S, R, F> {
     /// One slot per task; each task index is written exactly once.
     results: *mut Option<R>,
     queues: &'a [Mutex<VecDeque<usize>>],
-    /// Workers with index `>= active` have no queue and do nothing.
+    /// A worker with index `>= active` has no queue and does nothing.
     active: usize,
     abort: &'a AtomicBool,
     panic_payload: &'a Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -425,14 +281,8 @@ fn pool_worker(shared: &PoolShared, w: usize) {
 
 /// A persistent fork-join pool: worker threads are created **once**
 /// and reused across any number of [`Pool::run`] / [`Pool::run_states`]
-/// calls, instead of being re-spawned per fork-join like the scoped
-/// [`par_run`] family.
-///
-/// Scheduling, result ordering, panic propagation, and the
-/// nested-scope rejection are identical to [`par_run_states`]; the
-/// only difference is thread lifetime. A flow session builds one pool
-/// at open time and drives its profiling and every exploration sweep
-/// through it.
+/// calls. A flow session builds one pool at open time and drives its
+/// profiling and every exploration sweep through it.
 ///
 /// `Pool::new(n)` with `n <= 1` spawns no threads at all — every run
 /// executes inline on the caller (the serial path).
@@ -508,6 +358,13 @@ impl Pool {
         Pool::new(par.worker_count())
     }
 
+    /// A shared one-worker pool: every run executes inline on the
+    /// caller, so it is legal inside another pool's tasks.
+    pub fn serial() -> &'static Pool {
+        static SERIAL: OnceLock<Pool> = OnceLock::new();
+        SERIAL.get_or_init(|| Pool::new(1))
+    }
+
     /// The worker count this pool resolves to (1 = inline execution).
     pub fn threads(&self) -> usize {
         self.threads
@@ -517,8 +374,9 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// Same contract as [`par_run`]: re-raises the first task panic on
-    /// the caller, and rejects parallel runs from inside a pool worker.
+    /// Re-raises the first task panic on the caller. Panics if a pool
+    /// with more than one worker is run from inside a pool worker
+    /// (nested parallel runs are rejected).
     pub fn run<R, F>(&self, tasks: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -528,13 +386,16 @@ impl Pool {
         self.run_states(tasks, &mut states, |(), i| f(i))
     }
 
-    /// Like [`par_run_states`], but on the persistent workers: worker
-    /// `w` borrows `states[w]` mutably for every task it executes, and
-    /// the states survive between calls.
+    /// Like [`Pool::run`], but worker `w` borrows `states[w]` mutably
+    /// for every task it executes. The states survive the call, so hot
+    /// loops can hoist them out and reuse them across many fork-joins.
+    /// `states` must hold at least `min(self.threads(), tasks)` entries
+    /// (extras are unused).
     ///
     /// # Panics
     ///
-    /// Same contract as [`par_run_states`].
+    /// Same contract as [`Pool::run`]; additionally panics if `states`
+    /// has fewer entries than the active worker count.
     pub fn run_states<S, R, F>(&self, tasks: usize, states: &mut [S], f: F) -> Vec<R>
     where
         S: Send,
@@ -561,8 +422,9 @@ impl Pool {
              another parallel run (use the serial path for inner maps)"
         );
 
-        // Same seeding as `par_run_states`: contiguous chunks per
-        // active worker, stealing drains imbalance.
+        // One deque per active worker, seeded with contiguous chunks
+        // so each worker starts on a cache-friendly run of neighboring
+        // tasks; stealing drains imbalance.
         let queues: Vec<Mutex<VecDeque<usize>>> = (0..active)
             .map(|w| {
                 let lo = tasks * w / active;
@@ -636,61 +498,6 @@ impl Drop for Pool {
     }
 }
 
-/// How a flow phase executes its parallel map: spawn scoped workers
-/// for this one call ([`par_run_states`]), or reuse a persistent
-/// [`Pool`]. Phases written against `Workers` run identically on
-/// either — the pool only changes thread lifetime, never results.
-#[derive(Debug, Clone, Copy)]
-pub enum Workers<'a> {
-    /// Scoped threads spawned and joined inside the call.
-    Transient(Parallelism),
-    /// A caller-owned persistent pool.
-    Pooled(&'a Pool),
-}
-
-impl Workers<'_> {
-    /// The worker count this execution context resolves to.
-    pub fn worker_count(&self) -> usize {
-        match self {
-            Workers::Transient(p) => p.worker_count(),
-            Workers::Pooled(pool) => pool.threads(),
-        }
-    }
-
-    /// Run `f(0..tasks)`, returning results in task order. Same
-    /// contract as [`par_run`].
-    pub fn run<R, F>(&self, tasks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match self {
-            Workers::Transient(p) => par_run(*p, tasks, f),
-            Workers::Pooled(pool) => pool.run(tasks, f),
-        }
-    }
-
-    /// Run with caller-owned per-worker states. Same contract as
-    /// [`par_run_states`].
-    pub fn run_states<S, R, F>(&self, tasks: usize, states: &mut [S], f: F) -> Vec<R>
-    where
-        S: Send,
-        R: Send,
-        F: Fn(&mut S, usize) -> R + Sync,
-    {
-        match self {
-            Workers::Transient(p) => par_run_states(*p, tasks, states, f),
-            Workers::Pooled(pool) => pool.run_states(tasks, states, f),
-        }
-    }
-}
-
-impl From<Parallelism> for Workers<'static> {
-    fn from(par: Parallelism) -> Workers<'static> {
-        Workers::Transient(par)
-    }
-}
-
 /// Pop from our own deque's front, else steal from the back of the
 /// fullest victim. The flag is true when the task was stolen.
 fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<(usize, bool)> {
@@ -724,6 +531,15 @@ mod tests {
     use std::thread::ThreadId;
     use std::time::Duration;
 
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .map(String::from)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
     #[test]
     fn results_are_in_task_order() {
         for par in [
@@ -732,19 +548,19 @@ mod tests {
             Parallelism::Threads(5),
             Parallelism::Auto,
         ] {
-            let got = par_run(par, 33, |i| i * i);
-            let want: Vec<usize> = (0..33).map(|i| i * i).collect();
-            assert_eq!(got, want, "{par:?}");
+            let pool = Pool::with_parallelism(par);
+            for round in 0..3 {
+                let got = pool.run(33, |i| i * i + round);
+                let want: Vec<usize> = (0..33).map(|i| i * i + round).collect();
+                assert_eq!(got, want, "{par:?} round {round}");
+            }
         }
     }
 
     #[test]
     fn zero_tasks_and_more_workers_than_tasks() {
-        assert_eq!(
-            par_run(Parallelism::Threads(4), 0, |i| i),
-            Vec::<usize>::new()
-        );
-        assert_eq!(par_run(Parallelism::Threads(8), 2, |i| i + 1), vec![1, 2]);
+        assert_eq!(Pool::new(4).run(0, |i| i), Vec::<usize>::new());
+        assert_eq!(Pool::new(8).run(2, |i| i + 1), vec![1, 2]);
     }
 
     #[test]
@@ -757,7 +573,7 @@ mod tests {
         const TASKS: usize = 16;
         let done = AtomicUsize::new(0);
         let ran_by: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
-        let results = par_run(Parallelism::Threads(2), TASKS, |i| {
+        let results = Pool::new(2).run(TASKS, |i| {
             ran_by
                 .lock()
                 .unwrap()
@@ -800,45 +616,35 @@ mod tests {
 
     #[test]
     fn worker_state_is_reused_within_a_worker() {
-        // Each worker's state counts the tasks it executed; the total
-        // across workers must equal the task count and no state may be
-        // created more than once per worker.
-        let inits = AtomicUsize::new(0);
-        let counts = par_run_with(
-            Parallelism::Threads(3),
-            64,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |count, _i| {
-                *count += 1;
-                *count
-            },
-        );
+        // Each worker's state counts the tasks it executed: the states
+        // sum to the task count, and at least one worker saw a running
+        // count > 1, proving one state serves all of a worker's tasks.
+        let mut states = vec![0usize; 3];
+        let counts = Pool::new(3).run_states(64, &mut states, |count, _i| {
+            *count += 1;
+            *count
+        });
         assert_eq!(counts.len(), 64);
-        // `counts[i]` is the per-worker running count at task i; the
-        // max per worker sums to 64. Weak but meaningful: at least one
-        // worker saw a running count > 1, proving state reuse.
         assert!(counts.iter().any(|&c| c > 1));
-        assert!(
-            inits.load(Ordering::Relaxed) <= 3,
-            "at most one init per worker"
-        );
+        assert_eq!(states.iter().sum::<usize>(), 64);
     }
 
     #[test]
     fn caller_owned_states_survive_across_calls() {
-        let mut states = vec![0usize; Parallelism::Threads(3).worker_count()];
-        for round in 1..=4 {
-            let got = par_run_states(Parallelism::Threads(3), 30, &mut states, |st, i| {
+        // The states belong to the caller, not to a pool: one vector
+        // carries over between the inline pool and a threaded one.
+        let mut states = vec![0usize; 3];
+        let threaded = Pool::new(3);
+        for (round, pool) in [Pool::serial(), &threaded, Pool::serial(), &threaded]
+            .into_iter()
+            .enumerate()
+        {
+            let got = pool.run_states(30, &mut states, |st, i| {
                 *st += 1;
                 i
             });
             assert_eq!(got, (0..30).collect::<Vec<_>>(), "round {round}");
-            // Every task increments exactly one worker's state, and
-            // nothing resets them between calls.
-            assert_eq!(states.iter().sum::<usize>(), 30 * round);
+            assert_eq!(states.iter().sum::<usize>(), 30 * (round + 1));
         }
     }
 
@@ -846,7 +652,7 @@ mod tests {
     fn too_few_states_is_rejected() {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut states = vec![0usize; 1];
-            par_run_states(Parallelism::Threads(4), 16, &mut states, |st, i| {
+            Pool::new(4).run_states(16, &mut states, |st, i| {
                 *st += 1;
                 i
             })
@@ -856,47 +662,40 @@ mod tests {
 
     #[test]
     fn panics_propagate_with_their_payload() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_run(Parallelism::Threads(2), 8, |i| {
-                if i == 5 {
-                    panic!("task five exploded");
-                }
-                i
-            })
-        }));
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("task five exploded"), "payload: {msg}");
+        // Both the threaded and the inline path re-raise the task's own
+        // payload, formatted `String`s included.
+        for pool in [&Pool::new(2), Pool::serial()] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(8, |i| {
+                    if i == 5 {
+                        panic!("task {i} exploded");
+                    }
+                    i
+                })
+            }));
+            let payload = caught.expect_err("panic must propagate");
+            let msg = panic_message(payload.as_ref());
+            assert!(msg.contains("task 5 exploded"), "payload: {msg}");
+        }
     }
 
     #[test]
     fn nested_parallel_scopes_are_rejected() {
+        // An inner parallel run on a *different* pool, from inside a
+        // worker: rejected.
+        let outer = Pool::new(2);
+        let inner = Pool::new(2);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_run(Parallelism::Threads(2), 4, |i| {
-                // Inner *parallel* map from inside a worker: rejected.
-                par_run(Parallelism::Threads(2), 4, |j| i + j)
-            })
+            outer.run(4, |i| inner.run(4, |j| i + j))
         }));
         let payload = caught.expect_err("nested parallel scope must panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = panic_message(payload.as_ref());
         assert!(msg.contains("nested"), "payload: {msg}");
     }
 
     #[test]
     fn nested_serial_maps_are_allowed() {
-        let got = par_run(Parallelism::Threads(2), 4, |i| {
-            par_run(Parallelism::Serial, 3, |j| i * 10 + j)
-        });
+        let got = Pool::new(2).run(4, |i| Pool::serial().run(3, |j| i * 10 + j));
         assert_eq!(got[2], vec![20, 21, 22]);
     }
 
@@ -906,19 +705,8 @@ mod tests {
         assert_eq!(Parallelism::Threads(7).worker_count(), 7);
         assert_eq!(Parallelism::Threads(0).worker_count(), 1);
         assert!(Parallelism::Auto.worker_count() >= 1);
-    }
-
-    #[test]
-    fn pool_matches_scoped_results_across_many_jobs() {
-        let pool = Pool::new(3);
-        for round in 0..5usize {
-            let got = pool.run(37, |i| i * i + round);
-            let want: Vec<usize> = (0..37).map(|i| i * i + round).collect();
-            assert_eq!(got, want, "round {round}");
-        }
-        // Zero tasks and more workers than tasks behave like par_run.
-        assert_eq!(pool.run(0, |i| i), Vec::<usize>::new());
-        assert_eq!(pool.run(2, |i| i + 1), vec![1, 2]);
+        assert_eq!(Pool::with_parallelism(Parallelism::Threads(3)).threads(), 3);
+        assert_eq!(Pool::serial().threads(), 1);
     }
 
     #[test]
@@ -955,12 +743,7 @@ mod tests {
             })
         }));
         let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = panic_message(payload.as_ref());
         assert!(msg.contains("pool task three exploded"), "payload: {msg}");
         // The workers survived the panic and serve the next job.
         assert_eq!(pool.run(4, |i| i), vec![0, 1, 2, 3]);
@@ -968,36 +751,17 @@ mod tests {
 
     #[test]
     fn pool_rejects_nested_parallel_runs() {
+        // A task re-entering its *own* pool is rejected before it could
+        // wait on the job slot it is holding.
         let pool = Pool::new(2);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(4, |i| par_run(Parallelism::Threads(2), 4, move |j| i + j))
+            pool.run(4, |i| pool.run(4, move |j| i + j))
         }));
         let payload = caught.expect_err("nested parallel scope must panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = panic_message(payload.as_ref());
         assert!(msg.contains("nested"), "payload: {msg}");
-        // Serial inner maps remain legal on pool workers.
-        let got = pool.run(4, |i| par_run(Parallelism::Serial, 3, move |j| i * 10 + j));
-        assert_eq!(got[2], vec![20, 21, 22]);
-    }
-
-    #[test]
-    fn workers_enum_runs_both_paths_identically() {
-        let pool = Pool::new(4);
-        let want: Vec<usize> = (0..50).map(|i| i * 7).collect();
-        for workers in [
-            Workers::Transient(Parallelism::Threads(4)),
-            Workers::Pooled(&pool),
-        ] {
-            assert_eq!(workers.run(50, |i| i * 7), want);
-            assert!(workers.worker_count() >= 4);
-            let mut states = vec![0usize; workers.worker_count().min(50)];
-            assert_eq!(workers.run_states(50, &mut states, |_, i| i * 7), want);
-        }
+        // The pool still serves the next job.
+        assert_eq!(pool.run(3, |i| i * 2), vec![0, 2, 4]);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use blasys_decomp::{
     Partition,
 };
 use blasys_logic::{Netlist, NodeId, TruthTable};
-use blasys_par::{par_run, Parallelism};
+use blasys_par::{Parallelism, Pool};
 use blasys_synth::estimate::{estimate, EstimateConfig};
 use blasys_synth::{
     gate_cost, map_sop, minimize_column, shannon_columns, CellLibrary, DesignMetrics,
@@ -103,7 +103,8 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
 
     // Ladders per (cluster, column) — independent minimization
     // problems, built in parallel.
-    let ladders: Vec<Vec<Vec<ColumnVariant>>> = par_run(cfg.parallelism, tables.len(), |ci| {
+    let pool = Pool::with_parallelism(cfg.parallelism);
+    let ladders: Vec<Vec<Vec<ColumnVariant>>> = pool.run(tables.len(), |ci| {
         let tt = &tables[ci];
         (0..tt.num_outputs())
             .map(|col| column_ladder(tt, col, cfg.ladder_steps, &cfg.espresso))
@@ -130,7 +131,7 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
     let order = column_order(nl, &partition);
 
     // Current per-cluster replacement cost (exact = original gates).
-    let mut cost_now: Vec<usize> = par_run(cfg.parallelism, partition.len(), |ci| {
+    let mut cost_now: Vec<usize> = pool.run(partition.len(), |ci| {
         gate_cost(&build_cluster_impl(
             nl,
             &partition,

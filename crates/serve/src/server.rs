@@ -192,23 +192,27 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
             guard.recv()
         };
         match conn {
-            Ok(conn) => {
-                handle_connection(shared, conn);
+            Ok(mut conn) => {
+                handle_connection(shared, &mut conn);
+                // Free the admission slot before closing: a closed-loop
+                // client reconnects the moment it sees the close and
+                // must not find its finished request still counted.
                 shared.metrics.inflight.add(-1);
+                drop(conn);
             }
             Err(_) => break, // accept loop gone and queue drained
         }
     }
 }
 
-fn handle_connection(shared: &Shared, mut conn: TcpStream) {
+fn handle_connection(shared: &Shared, conn: &mut TcpStream) {
     let t0 = Instant::now();
     let _ = conn.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = conn.set_write_timeout(Some(Duration::from_secs(30)));
     let _ = conn.set_nodelay(true);
     shared.metrics.requests.add(1);
-    match read_request(&mut conn, shared.cfg.max_body_bytes) {
-        Ok(req) => route(shared, &req, &mut conn),
+    match read_request(conn, shared.cfg.max_body_bytes) {
+        Ok(req) => route(shared, &req, conn),
         Err(HttpError::Disconnected) => {}
         Err(e) => {
             let (status, reason) = e.status();
@@ -219,7 +223,7 @@ fn handle_connection(shared: &Shared, mut conn: TcpStream) {
                 HttpError::Disconnected => unreachable!("handled above"),
             };
             let _ = write_json(
-                &mut conn,
+                conn,
                 status,
                 reason,
                 &Json::obj([

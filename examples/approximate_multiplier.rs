@@ -7,9 +7,9 @@
 //!
 //! The validation idea (never trust a sampled bound alone) is
 //! doc-tested on
-//! [`Blasys::certify`](blasys_repro::blasys::Blasys::certify).
+//! [`BlasysResult::certify_step`](blasys_repro::blasys::BlasysResult::certify_step).
 
-use blasys_repro::blasys::{Blasys, QorMetric};
+use blasys_repro::blasys::{run, ExploreSpec, FlowConfig, QorMetric};
 use blasys_repro::circuits::multiplier;
 use blasys_repro::logic::Simulator;
 use rand::rngs::SmallRng;
@@ -24,10 +24,8 @@ fn main() {
         nl.num_outputs()
     );
 
-    let result = match Blasys::new()
-        .samples(blasys_bench::sample_count_or(20_000))
-        .try_run(&nl)
-    {
+    let cfg = FlowConfig::new().samples(blasys_bench::sample_count_or(20_000));
+    let result = match run(&nl, cfg, &ExploreSpec::new()) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("error: {e}");

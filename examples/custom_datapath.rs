@@ -9,7 +9,7 @@
 //! [`to_blif`](blasys_repro::logic::blif::to_blif) and
 //! [`prove_exact`](blasys_repro::blasys::prove_exact).
 
-use blasys_repro::blasys::{Blasys, QorMetric};
+use blasys_repro::blasys::{run, ExploreSpec, FlowConfig, QorMetric};
 use blasys_repro::logic::blif::to_blif;
 use blasys_repro::logic::builder::{abs_diff, add, input_bus, mark_output_bus};
 use blasys_repro::logic::equiv::{check_equiv, EquivConfig};
@@ -32,10 +32,8 @@ fn main() {
         nl.depth()
     );
 
-    let result = match Blasys::new()
-        .samples(blasys_bench::sample_count_or(10_000))
-        .try_run(&nl)
-    {
+    let cfg = FlowConfig::new().samples(blasys_bench::sample_count_or(10_000));
+    let result = match run(&nl, cfg, &ExploreSpec::new()) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("error: {e}");

@@ -8,7 +8,7 @@
 //! the command-line equivalent is `blasys run <file.blif>` (see
 //! `docs/USAGE.md`).
 
-use blasys_repro::blasys::{Blasys, QorMetric};
+use blasys_repro::blasys::{run, ExploreSpec, FlowConfig, QorMetric};
 use blasys_repro::logic::builder::{add, input_bus, mark_output_bus};
 use blasys_repro::logic::Netlist;
 
@@ -26,13 +26,12 @@ fn main() {
     // 2. Run the BLASYS flow: decompose into k x m windows, factorize
     //    every window at every degree, then greedily walk the
     //    accuracy/complexity trade-off (Algorithm 1 of the paper).
-    //    `try_run` surfaces flow errors instead of panicking (`run()`
-    //    is the panicking convenience wrapper).
-    let result = match Blasys::new()
+    //    Flow errors (e.g. a circuit with no gates) come back as
+    //    `FlowError`s.
+    let cfg = FlowConfig::new()
         .limits(10, 10) // the paper's k = m = 10
-        .samples(blasys_bench::sample_count_or(10_000)) // BLASYS_SAMPLES override for CI
-        .try_run(&nl)
-    {
+        .samples(blasys_bench::sample_count_or(10_000)); // BLASYS_SAMPLES override for CI
+    let result = match run(&nl, cfg, &ExploreSpec::new()) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("error: {e}");

@@ -6,12 +6,12 @@
 //! Run: `cargo run --example weighted_qor --release`
 //!
 //! The core snippets are doc-tested on
-//! [`Blasys::weighting`](blasys_repro::blasys::Blasys::weighting) and
+//! [`OutputWeighting`](blasys_repro::blasys::flow::OutputWeighting) and
 //! [`tradeoff_curve`](blasys_repro::blasys::pareto::tradeoff_curve).
 
 use blasys_repro::blasys::flow::OutputWeighting;
 use blasys_repro::blasys::pareto::{pareto_front, tradeoff_curve};
-use blasys_repro::blasys::{Blasys, QorMetric};
+use blasys_repro::blasys::{run, ExploreSpec, FlowConfig, QorMetric};
 use blasys_repro::circuits::multiplier;
 
 fn main() {
@@ -23,11 +23,8 @@ fn main() {
         ("uniform  (UQoR)", OutputWeighting::Uniform),
         ("weighted (WQoR)", OutputWeighting::ValueInfluence),
     ] {
-        let result = match Blasys::new()
-            .samples(samples)
-            .weighting(weighting)
-            .try_run(&nl)
-        {
+        let cfg = FlowConfig::new().samples(samples).weighting(weighting);
+        let result = match run(&nl, cfg, &ExploreSpec::new()) {
             Ok(result) => result,
             Err(e) => {
                 eprintln!("error: {e}");

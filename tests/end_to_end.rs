@@ -1,13 +1,14 @@
 //! Cross-crate integration tests: the full BLASYS pipeline on real
 //! benchmark circuits.
 
-use blasys_repro::blasys::{Blasys, QorMetric};
+use blasys_repro::blasys::{run, BlasysResult, ExploreSpec, FlowConfig, QorMetric};
 use blasys_repro::circuits::{adder, butterfly, multiplier};
 use blasys_repro::logic::equiv::{check_equiv, EquivConfig};
 use blasys_repro::salsa::{run_salsa, SalsaConfig};
 
-fn quick(nl: &blasys_repro::logic::Netlist) -> blasys_repro::blasys::BlasysResult {
-    Blasys::new().samples(4096).seed(17).run(nl)
+fn quick(nl: &blasys_repro::logic::Netlist) -> BlasysResult {
+    let cfg = FlowConfig::new().samples(4096).seed(17);
+    run(nl, cfg, &ExploreSpec::new()).unwrap()
 }
 
 #[test]
@@ -72,7 +73,7 @@ fn blasys_beats_salsa_on_multiplier() {
     // outperforms per-output approximation on multiplier-like logic.
     let nl = multiplier(6);
     let threshold = 0.25;
-    let result = Blasys::new().samples(4096).seed(17).exhaust().run(&nl);
+    let result = quick(&nl);
     let base = result.baseline_metrics();
     let blasys_saving = result
         .best_step_under(QorMetric::AvgRelative, threshold)
@@ -139,4 +140,41 @@ fn synthesized_approximation_respects_budget_out_of_sample() {
         err < budget * 3.0,
         "out-of-sample error {err} too far above budget"
     );
+}
+
+/// FIR parsed back from BLIF carries dead logic, which the decomposer
+/// gathers into a window without outputs. Profiling gives that window
+/// its exact variant alone, and the flow explores and synthesizes
+/// around it.
+#[test]
+fn fir_after_blif_round_trip_profiles_and_explores() {
+    use blasys_repro::blasys::session::FlowSession;
+    use blasys_repro::logic::blif::{from_blif, to_blif};
+
+    let fir = blasys_repro::circuits::benchmark("FIR")
+        .expect("suite circuit")
+        .build();
+    let parsed = from_blif(&to_blif(&fir)).expect("round trip parses");
+    let session = FlowSession::open(&parsed, FlowConfig::new().samples(512))
+        .and_then(FlowSession::profile)
+        .expect("FIR profiles");
+    let dead: Vec<_> = session
+        .profiles()
+        .iter()
+        .filter(|p| p.num_outputs == 0)
+        .collect();
+    assert!(
+        !dead.is_empty(),
+        "the round trip leaves a window without outputs"
+    );
+    for p in dead {
+        assert_eq!(p.variants.len(), 1, "cluster {}", p.cluster);
+        assert_eq!(p.exact().degree, 0, "cluster {}", p.cluster);
+    }
+    let exploration = session.explore(&ExploreSpec::new().probe_budget(600));
+    let result = session.result(&exploration);
+    let last = result.trajectory().len() - 1;
+    assert!(last > 0, "the budget covers at least one step");
+    let approx = result.synthesize_step(last);
+    assert_eq!(approx.num_outputs(), fir.num_outputs());
 }

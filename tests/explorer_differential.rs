@@ -16,13 +16,14 @@
 //! `tests/qor_differential.rs`, which pinned the packed QoR engine.
 
 use blasys_repro::blasys::explore::{
-    explore, explore_full, AnnealSchedule, ExploreConfig, Explorer, StopCriterion, TrajectoryPoint,
+    explore_on, AnnealSchedule, Explorer, StopCriterion, TrajectoryPoint,
 };
 use blasys_repro::blasys::montecarlo::{Evaluator, McConfig};
-use blasys_repro::blasys::profile::{profile_partition, ProfileConfig, SubcircuitProfile};
+use blasys_repro::blasys::profile::{profile_partition_on, ProfileConfig, SubcircuitProfile};
+use blasys_repro::blasys::{Exploration, ExploreSpec};
 use blasys_repro::decomp::{decompose, DecompConfig};
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::Parallelism;
+use blasys_repro::par::{Parallelism, Pool};
 use proptest::prelude::*;
 
 /// Small decomposition windows so random netlists split into several
@@ -78,18 +79,30 @@ fn setup(nl: &Netlist, seed: u64) -> Option<(Vec<SubcircuitProfile>, Evaluator)>
     if part.is_empty() {
         return None;
     }
-    let profiles = profile_partition(nl, &part, &ProfileConfig::default());
+    let profiles =
+        profile_partition_on(nl, &part, &ProfileConfig::default(), Pool::serial()).unwrap();
     let ev = Evaluator::new(nl, &part, &McConfig { samples: 512, seed });
     Some((profiles, ev))
+}
+
+/// One exploration of a fresh clone of `base` on `pool`.
+fn explore(
+    base: &Evaluator,
+    profiles: &[SubcircuitProfile],
+    spec: &ExploreSpec,
+    pool: &Pool,
+) -> Exploration {
+    let mut ev = base.clone();
+    explore_on(&mut ev, profiles, spec, pool)
 }
 
 fn run(
     base: &Evaluator,
     profiles: &[SubcircuitProfile],
-    cfg: &ExploreConfig,
+    spec: &ExploreSpec,
+    pool: &Pool,
 ) -> Vec<TrajectoryPoint> {
-    let mut ev = base.clone();
-    explore(&mut ev, profiles, cfg)
+    explore(base, profiles, spec, pool).into_trajectory()
 }
 
 /// Full bit-identity over every trajectory field, float fields
@@ -135,17 +148,19 @@ proptest! {
     #[test]
     fn beam_width_one_is_bit_identical_to_greedy(nl in arb_netlist(), seed in any::<u64>()) {
         let Some((profiles, base)) = setup(&nl, seed) else { return; };
+        let four = Pool::new(4);
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
-            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+            for pool in [Pool::serial(), &four] {
                 for prune in [true, false] {
-                    let common = ExploreConfig { stop, parallelism, prune, ..ExploreConfig::default() };
-                    let greedy = run(&base, &profiles, &common);
+                    let common = ExploreSpec { stop, prune, ..ExploreSpec::new() };
+                    let greedy = run(&base, &profiles, &common, pool);
                     let beam = run(
                         &base,
                         &profiles,
-                        &ExploreConfig { explorer: Explorer::Beam { width: 1 }, ..common },
+                        &common.explorer(Explorer::Beam { width: 1 }),
+                        pool,
                     );
-                    let label = format!("{stop:?}/{parallelism:?}/prune={prune}");
+                    let label = format!("{stop:?}/{pool:?}/prune={prune}");
                     same_trajectory!(&label, &greedy, &beam);
                 }
             }
@@ -158,29 +173,14 @@ proptest! {
     fn anneal_is_bit_identical_across_worker_counts(nl in arb_netlist(), seed in any::<u64>()) {
         let Some((profiles, base)) = setup(&nl, seed) else { return; };
         let schedule = AnnealSchedule { steps: 48, seed: Some(seed ^ 0xA11C), ..AnnealSchedule::default() };
-        let reference = run(
-            &base,
-            &profiles,
-            &ExploreConfig {
-                stop: StopCriterion::ErrorThreshold(0.08),
-                parallelism: Parallelism::Serial,
-                explorer: Explorer::Anneal(schedule),
-                ..ExploreConfig::default()
-            },
-        );
+        let spec = ExploreSpec::new()
+            .threshold(0.08)
+            .explorer(Explorer::Anneal(schedule));
+        let reference = run(&base, &profiles, &spec, Pool::serial());
         for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let pool = Pool::with_parallelism(parallelism);
             for prune in [true, false] {
-                let other = run(
-                    &base,
-                    &profiles,
-                    &ExploreConfig {
-                        stop: StopCriterion::ErrorThreshold(0.08),
-                        parallelism,
-                        prune,
-                        explorer: Explorer::Anneal(schedule),
-                        ..ExploreConfig::default()
-                    },
-                );
+                let other = run(&base, &profiles, &spec.clone().prune(prune), &pool);
                 let label = format!("anneal {parallelism:?}/prune={prune}");
                 same_trajectory!(&label, &reference, &other);
             }
@@ -193,12 +193,13 @@ proptest! {
     #[test]
     fn pareto3_error_axis_never_worse_than_greedy(nl in arb_netlist(), seed in any::<u64>()) {
         let Some((profiles, base)) = setup(&nl, seed) else { return; };
-        let greedy = run(&base, &profiles, &ExploreConfig::default());
-        let mut ev = base.clone();
-        let exploration = explore_full(
-            &mut ev,
+        let pool = Pool::with_parallelism(Parallelism::default());
+        let greedy = run(&base, &profiles, &ExploreSpec::new(), &pool);
+        let exploration = explore(
+            &base,
             &profiles,
-            &ExploreConfig { explorer: Explorer::Pareto3, ..ExploreConfig::default() },
+            &ExploreSpec::new().explorer(Explorer::Pareto3),
+            &pool,
         );
         let p3 = exploration.trajectory();
         prop_assert_eq!(p3.len(), greedy.len());

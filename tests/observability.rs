@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use blasys_repro::blasys::report::FlowReport;
 use blasys_repro::blasys::session::{ExploreSpec, FlowConfig, FlowSession};
-use blasys_repro::blasys::{snapshot_json, Blasys, Parallelism, TraceObserver};
+use blasys_repro::blasys::{run, snapshot_json, Parallelism, TraceObserver};
 use blasys_repro::circuits::multiplier;
 use blasys_repro::obs::{Registry, Snapshot, TracePhase, Tracer};
 
@@ -173,12 +173,12 @@ fn engine_counters_identical_serial_vs_threaded() {
 #[test]
 fn metrics_snapshot_embeds_in_flow_report_json() {
     let registry = Arc::new(Registry::new());
-    let result = Blasys::new()
+    let cfg = FlowConfig::new()
         .samples(SAMPLES)
         .seed(SEED)
         .parallelism(Parallelism::Serial)
-        .metrics(registry.clone())
-        .run(&multiplier(4));
+        .metrics(registry.clone());
+    let result = run(&multiplier(4), cfg, &ExploreSpec::new()).expect("mult4 runs");
     let snapshot = registry.snapshot();
     assert!(snapshot.counter("qor.probes").unwrap_or(0) > 0);
 

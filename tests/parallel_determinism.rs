@@ -5,13 +5,13 @@
 //! committed trajectory (clusters, degrees, QoR reports, modeled
 //! area) — on randomized netlists and stimulus seeds.
 
-use blasys_repro::blasys::explore::{explore, ExploreConfig};
+use blasys_repro::blasys::explore::explore_on;
 use blasys_repro::blasys::montecarlo::{Evaluator, McConfig};
-use blasys_repro::blasys::profile::{profile_partition, ProfileConfig};
-use blasys_repro::blasys::Blasys;
+use blasys_repro::blasys::profile::{profile_partition_on, ProfileConfig};
+use blasys_repro::blasys::{run, ExploreSpec, FlowConfig};
 use blasys_repro::decomp::{decompose, DecompConfig};
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::Parallelism;
+use blasys_repro::par::{Parallelism, Pool};
 use proptest::prelude::*;
 
 /// Random small netlist built from a script of gate operations (same
@@ -46,8 +46,8 @@ fn arb_netlist() -> impl Strategy<Value = Netlist> {
                 let n = nodes[nodes.len() - 1 - o % nodes.len().min(4)];
                 nl.mark_output(format!("z{o}"), n);
             }
-            // Profiling expects live logic only (clusters of dead gates
-            // have no outputs to factorize), as the flow guarantees.
+            // Live logic only: a window of dead gates has no outputs and
+            // hence no ladder, which would leave nothing to compare.
             nl.cleaned()
         })
 }
@@ -74,8 +74,8 @@ fn assert_trajectories_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `explore` with `Parallelism::Threads(4)` walks a bit-identical
-    /// trajectory to `Parallelism::Serial` on random netlists/seeds.
+    /// Exploring on a 4-worker pool walks a bit-identical trajectory
+    /// to the serial pool on random netlists/seeds.
     #[test]
     fn explore_threads4_is_bit_identical_to_serial(nl in arb_netlist(), seed in any::<u64>()) {
         let part = decompose(&nl, &DecompConfig::default());
@@ -85,18 +85,14 @@ proptest! {
         let mc = McConfig { samples: 1024, seed };
         // Profiles once (shared); the parallel claim under test here is
         // the explore sweep.
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles =
+            profile_partition_on(&nl, &part, &ProfileConfig::default(), Pool::serial()).unwrap();
+        let spec = ExploreSpec::new();
         let mut ev_serial = Evaluator::new(&nl, &part, &mc);
         let mut ev_threaded = Evaluator::new(&nl, &part, &mc);
-        let serial = explore(&mut ev_serial, &profiles, &ExploreConfig {
-            parallelism: Parallelism::Serial,
-            ..ExploreConfig::default()
-        });
-        let threaded = explore(&mut ev_threaded, &profiles, &ExploreConfig {
-            parallelism: Parallelism::Threads(4),
-            ..ExploreConfig::default()
-        });
-        assert_trajectories_identical(&serial, &threaded);
+        let serial = explore_on(&mut ev_serial, &profiles, &spec, Pool::serial());
+        let threaded = explore_on(&mut ev_threaded, &profiles, &spec, &Pool::new(4));
+        assert_trajectories_identical(serial.trajectory(), threaded.trajectory());
     }
 
     /// Parallel window profiling produces the same ladders: area,
@@ -107,16 +103,9 @@ proptest! {
         if part.is_empty() {
             return;
         }
-        // Baseline parallelism pinned explicitly: the default honors
-        // BLASYS_THREADS, which the CI parallel job sets.
-        let serial = profile_partition(&nl, &part, &ProfileConfig {
-            parallelism: Parallelism::Serial,
-            ..ProfileConfig::default()
-        });
-        let threaded = profile_partition(&nl, &part, &ProfileConfig {
-            parallelism: Parallelism::Threads(4),
-            ..ProfileConfig::default()
-        });
+        let cfg = ProfileConfig::default();
+        let serial = profile_partition_on(&nl, &part, &cfg, Pool::serial()).unwrap();
+        let threaded = profile_partition_on(&nl, &part, &cfg, &Pool::new(4)).unwrap();
         prop_assert_eq!(serial.len(), threaded.len());
         for (s, t) in serial.iter().zip(&threaded) {
             prop_assert_eq!(s.cluster, t.cluster);
@@ -136,12 +125,10 @@ proptest! {
 #[test]
 fn full_flow_threads_matches_serial_on_multiplier() {
     let nl = blasys_repro::circuits::multiplier(4);
-    let serial = Blasys::new()
-        .samples(1024)
-        .seed(9)
-        .parallelism(Parallelism::Serial)
-        .run(&nl);
-    let threaded = Blasys::new().samples(1024).seed(9).threads(4).run(&nl);
+    let cfg = FlowConfig::new().samples(1024).seed(9);
+    let spec = ExploreSpec::new();
+    let serial = run(&nl, cfg.clone().parallelism(Parallelism::Serial), &spec).unwrap();
+    let threaded = run(&nl, cfg.threads(4), &spec).unwrap();
     assert_trajectories_identical(serial.trajectory(), threaded.trajectory());
 }
 

@@ -6,13 +6,14 @@
 //! sample count), committed and probed, serial and at 4 threads.
 //! Extends the PR-2 trajectory-identity suite with the pruned sweep.
 
-use blasys_repro::blasys::explore::{explore, ExploreConfig, StopCriterion};
+use blasys_repro::blasys::explore::{explore_on, StopCriterion};
 use blasys_repro::blasys::montecarlo::{Evaluator, McConfig};
-use blasys_repro::blasys::profile::{profile_partition, ProfileConfig};
+use blasys_repro::blasys::profile::{profile_partition_on, ProfileConfig};
 use blasys_repro::blasys::qor::{QorMetric, QorReport};
+use blasys_repro::blasys::ExploreSpec;
 use blasys_repro::decomp::{decompose, DecompConfig};
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::Parallelism;
+use blasys_repro::par::Pool;
 use proptest::prelude::*;
 
 /// Small decomposition windows so the random netlists split into
@@ -90,6 +91,15 @@ fn mutated_rows(ev: &Evaluator, cluster: usize, seed: u64) -> Vec<u16> {
         .collect()
 }
 
+/// Packed probes of every cluster's mutated table by 4 workers sharing
+/// the evaluator, in cluster order.
+fn threaded_probes(ev: &Evaluator, seed: u64) -> Vec<QorReport> {
+    let mut states: Vec<_> = (0..4).map(|_| ev.probe_state()).collect();
+    Pool::new(4).run_states(ev.network().len(), &mut states, |st, c| {
+        ev.qor_probe(st, c, &mutated_rows(ev, c, seed))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -146,13 +156,7 @@ proptest! {
                 .map(|c| ev.qor_probe_reference(&mut st, c, &mutated_rows(&ev, c, seed)))
                 .collect()
         };
-        let packed = blasys_repro::par::par_run_with(
-            Parallelism::Threads(4),
-            n,
-            || ev.probe_state(),
-            |st, c| ev.qor_probe(st, c, &mutated_rows(&ev, c, seed)),
-        );
-        prop_assert_eq!(scalar, packed);
+        prop_assert_eq!(scalar, threaded_probes(&ev, seed));
     }
 
     /// Ragged-tail coverage for the multi-word lane engine: sample
@@ -210,13 +214,7 @@ proptest! {
                     .map(|c| ev.qor_probe_reference(&mut st, c, &mutated_rows(&ev, c, seed)))
                     .collect()
             };
-            let threaded = blasys_repro::par::par_run_with(
-                Parallelism::Threads(4),
-                n,
-                || ev.probe_state(),
-                |st, c| ev.qor_probe(st, c, &mutated_rows(&ev, c, seed)),
-            );
-            prop_assert_eq!(scalar, threaded, "threaded, samples {}", samples);
+            prop_assert_eq!(scalar, threaded_probes(&ev, seed), "threaded, samples {}", samples);
         }
     }
 
@@ -230,28 +228,23 @@ proptest! {
             return;
         }
         let mc = McConfig { samples: 1024, seed };
-        let profiles = profile_partition(&nl, &part, &ProfileConfig::default());
+        let profiles = profile_partition_on(&nl, &part, &ProfileConfig::default(), Pool::serial())
+            .unwrap();
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
-            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+            for pool in [Pool::serial(), &Pool::new(4)] {
+                let spec = ExploreSpec { stop, ..ExploreSpec::new() };
                 let mut ev_pruned = Evaluator::new(&nl, &part, &mc);
                 let mut ev_plain = Evaluator::new(&nl, &part, &mc);
-                let pruned = explore(&mut ev_pruned, &profiles, &ExploreConfig {
-                    stop,
-                    parallelism,
-                    prune: true,
-                    ..ExploreConfig::default()
-                });
-                let plain = explore(&mut ev_plain, &profiles, &ExploreConfig {
-                    stop,
-                    parallelism,
-                    prune: false,
-                    ..ExploreConfig::default()
-                });
+                let pruned =
+                    explore_on(&mut ev_pruned, &profiles, &spec.clone().prune(true), pool)
+                        .into_trajectory();
+                let plain = explore_on(&mut ev_plain, &profiles, &spec.prune(false), pool)
+                    .into_trajectory();
                 prop_assert_eq!(pruned.len(), plain.len());
                 for (s, p) in pruned.iter().zip(&plain) {
                     prop_assert_eq!(s.changed_cluster, p.changed_cluster);
                     prop_assert_eq!(&s.degrees, &p.degrees);
-                    prop_assert_eq!(s.qor, p.qor, "step {} ({:?}, {:?})", s.step, stop, parallelism);
+                    prop_assert_eq!(s.qor, p.qor, "step {} ({:?}, {:?})", s.step, stop, pool);
                     prop_assert_eq!(s.model_area_um2.to_bits(), p.model_area_um2.to_bits());
                 }
             }

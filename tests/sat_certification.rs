@@ -4,7 +4,7 @@
 
 use blasys_repro::blasys::flow::exact_resynthesis;
 use blasys_repro::blasys::qor::QorAccumulator;
-use blasys_repro::blasys::{Blasys, CertifiedPoint};
+use blasys_repro::blasys::{run, CertifiedPoint, ExploreSpec, FlowConfig};
 use blasys_repro::bmf::Factorizer;
 use blasys_repro::circuits::{adder, fig3_truth_table};
 use blasys_repro::decomp::DecompConfig;
@@ -20,7 +20,7 @@ fn sat_proves_exact_resynthesis_beyond_exhaustive_limit() {
     // only ever answer "probably equal" — the SAT backend proves it.
     let nl = adder(12);
     assert!(nl.num_inputs() >= 20, "must exceed the exhaustive regime");
-    let resynth = exact_resynthesis(&nl, &DecompConfig::default());
+    let resynth = exact_resynthesis(&nl, &DecompConfig::default()).unwrap();
 
     // The sampled checker cannot produce a proof here.
     let sampled = check_equiv(&nl, &resynth, &EquivConfig::default());
@@ -43,7 +43,8 @@ fn certified_error_of_approximated_adder8_matches_brute_force() {
     // Run the real BLASYS flow on the paper-style 8-bit adder and
     // certify an explored (genuinely approximate) trajectory point.
     let nl = adder(8);
-    let mut result = Blasys::new().samples(4096).seed(23).run(&nl);
+    let cfg = FlowConfig::new().samples(4096).seed(23);
+    let mut result = run(&nl, cfg, &ExploreSpec::new()).unwrap();
     let last = result.trajectory().len() - 1;
     for step in [last / 2, last] {
         let point: CertifiedPoint = result.certify_step(step);

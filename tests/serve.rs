@@ -9,7 +9,8 @@
 //!   partial result with `stop_reason: "wall-budget"`;
 //! * malformed BLIF → 400 with lint diagnostics; oversized body →
 //!   413; a stalled sender → 408; the cache never exceeds its bound
-//!   (LRU eviction counted); graceful shutdown drains in-flight work.
+//!   (LRU eviction counted); graceful shutdown drains in-flight work;
+//!   a closed-loop client is never refused for a finished request.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -418,6 +419,29 @@ fn graceful_shutdown_drains_in_flight_work() {
     );
 
     shutdown_noop(addr);
+}
+
+/// A closed-loop client reconnects as soon as it reads the server's
+/// close. The server frees its admission slot before closing, so at
+/// `max_inflight(1)` every sequential request is admitted.
+#[test]
+fn sequential_closing_requests_are_never_refused() {
+    let (addr, registry, handle) = start(test_config().max_inflight(1));
+    for i in 0..250 {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        write!(
+            conn,
+            "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+        )
+        .expect("send");
+        let mut raw = String::new();
+        conn.read_to_string(&mut raw).expect("read to close");
+        assert!(raw.starts_with("HTTP/1.1 200"), "request {i}: {raw}");
+    }
+    assert_eq!(registry.snapshot().counter("serve.rejected"), Some(0));
+    shutdown(addr, handle);
 }
 
 /// Double-check nothing answers anymore (helper so the intent reads).

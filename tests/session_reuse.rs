@@ -17,7 +17,7 @@ use blasys_repro::blasys::session::{
     CancelToken, ExploreSpec, FlowConfig, FlowObserver, FlowSession, FlowStage, StopReason,
 };
 use blasys_repro::blasys::{
-    AnnealSchedule, Blasys, Explorer, QorMetric, SubcircuitProfile, TrajectoryPoint,
+    run, AnnealSchedule, Explorer, QorMetric, SubcircuitProfile, TrajectoryPoint,
 };
 use blasys_repro::circuits::{adder, multiplier};
 use blasys_repro::logic::Netlist;
@@ -70,20 +70,13 @@ fn specs() -> Vec<(&'static str, ExploreSpec)> {
     ]
 }
 
-/// The one-shot builder equivalent of one spec.
+/// The one-shot [`run`] equivalent of one spec.
 fn one_shot(nl: &Netlist, spec: &ExploreSpec, parallelism: Parallelism) -> Vec<TrajectoryPoint> {
-    let mut builder = Blasys::new()
+    let cfg = FlowConfig::new()
         .samples(SAMPLES)
         .seed(SEED)
-        .metric(spec.metric)
-        .prune(spec.prune)
         .parallelism(parallelism);
-    builder = match spec.stop {
-        blasys_repro::blasys::StopCriterion::ErrorThreshold(t) => builder.threshold(t),
-        blasys_repro::blasys::StopCriterion::Exhaust => builder.exhaust(),
-    };
-    builder
-        .try_run(nl)
+    run(nl, cfg, spec)
         .expect("one-shot flow must succeed")
         .trajectory()
         .to_vec()
