@@ -62,14 +62,17 @@
 //! best-so-far bound through the candidate probes: each completed
 //! probe lowers a shared monotone bound (seeded with the stop
 //! threshold), and every in-flight probe abandons block-wise the
-//! moment its monotone partial error exceeds it
-//! ([`Evaluator::qor_probe_bounded`]). This is a pure wall-clock
+//! moment a lower bound on its final error exceeds it
+//! ([`Evaluator::qor_probe_bounded`]). That lower bound counts the
+//! error the committed design already has on the lanes the candidate
+//! cannot change, so a candidate is judged on the error it *adds*, not
+//! just on the prefix it has accumulated. This is a pure wall-clock
 //! optimization — the committed trajectory is **bit-identical** with
 //! pruning on or off, at any worker count, because:
 //!
-//! * a pruned candidate's final error is ≥ its partial error, hence
-//!   strictly above the bound, hence strictly above the step winner's
-//!   error — it could never have won;
+//! * a pruned candidate's final error is strictly above the bound,
+//!   hence strictly above the step winner's error — it could never
+//!   have won;
 //! * the comparison is strict, so candidates tying the bound (and the
 //!   winner itself) always run to completion, preserving the
 //!   lowest-index tie-break;
@@ -79,15 +82,20 @@
 //!   candidate is pruned, the unpruned sweep's minimum would also have
 //!   exceeded the threshold — both paths stop at the same step.
 //!
-//! Engines that need more than the per-step minimum keep the bound
-//! **fixed at the stop threshold** instead of tightening it: beam
-//! search (`width > 1`) must rank the top-k expansions, and pareto3
-//! must archive every feasible candidate — in both cases the
-//! surviving probe set is exactly `{error ≤ threshold}` regardless of
-//! thread timing, so their results stay deterministic too.
+//! Beam search keeps the `width` best distinct children, so it
+//! tightens its bound to the `width`-th smallest error among the
+//! *distinct* feasible child designs that have finished probing
+//! (greedy's running minimum at `width == 1`): an expansion strictly
+//! worse than `width` distinct finished children ranks behind all of
+//! them and can never be kept, whichever lineage reaches them. Ties
+//! survive, so the kept set and its rank order are the unpruned ones. Pareto3 must archive every feasible candidate, so
+//! it keeps its bound **fixed at the stop threshold**: its surviving
+//! probe set is exactly `{error ≤ threshold}` regardless of thread
+//! timing. Annealing gates on the threshold alone.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use blasys_par::Pool;
@@ -503,6 +511,19 @@ fn beam_ctx(
         if expansions.is_empty() {
             break StopReason::Exhausted;
         }
+        // Child design of every expansion, as the index of the first
+        // expansion reaching the same degree vector (two branches can
+        // converge on one design).
+        let mut first_seen: HashMap<Vec<usize>, usize> = HashMap::new();
+        let designs: Vec<usize> = expansions
+            .iter()
+            .enumerate()
+            .map(|(i, &(b, ci))| {
+                let mut child = frontier[b].degrees.clone();
+                child[ci] -= 1;
+                *first_seen.entry(child).or_insert(i)
+            })
+            .collect();
         // Whole-sweep probe-budget check, like greedy: a step either
         // probes every expansion or does not start.
         if let Some(max) = spec.budget.max_probes {
@@ -511,12 +532,15 @@ fn beam_ctx(
             }
         }
         ctx.count("explore.frontier_size", frontier.len() as u64);
-        // Bound: fixed at the stop threshold for width > 1 (top-k
-        // selection must see every feasible expansion; see the module
-        // docs), tightening like greedy at width == 1 (only the
-        // minimum survives selection, so the greedy proof applies
-        // unchanged).
+        // Bound: the threshold to start with, then, once `width`
+        // distinct child designs have finished feasibly, the largest
+        // of their errors (the width-th smallest seen so far). An
+        // expansion strictly worse than `width` distinct finished
+        // children ranks behind all of them and cannot be kept, so
+        // only strict losers are pruned (see the module docs). At
+        // width == 1 this is greedy's running minimum.
         let bound = AtomicU64::new(threshold.to_bits());
+        let best_designs: Mutex<Vec<(f64, usize)>> = Mutex::new(Vec::with_capacity(width + 1));
         let frontier_ref = &frontier;
         let probes: Vec<Option<(f64, QorReport)>> =
             pool.run_states(expansions.len(), &mut probe_states, |state, i| {
@@ -532,8 +556,17 @@ fn beam_ctx(
                         || f64::from_bits(bound.load(Ordering::Relaxed)),
                     )?;
                     let err = report.value(spec.metric);
-                    if width == 1 {
-                        bound.fetch_min(err.to_bits(), Ordering::Relaxed);
+                    if err <= threshold {
+                        let mut best = best_designs.lock().unwrap_or_else(PoisonError::into_inner);
+                        match best.iter_mut().find(|(_, d)| *d == designs[i]) {
+                            Some(entry) => entry.0 = entry.0.min(err),
+                            None => best.push((err, designs[i])),
+                        }
+                        best.sort_by(|a, b| a.0.total_cmp(&b.0));
+                        best.truncate(width);
+                        if best.len() == width {
+                            bound.fetch_min(best[width - 1].0.to_bits(), Ordering::Relaxed);
+                        }
                     }
                     Some((err, report))
                 } else {
@@ -546,10 +579,12 @@ fn beam_ctx(
         // Expansions are already in (branch, cluster) order, so a
         // stable sort by error alone realizes exactly that — and at
         // width == 1 it degenerates to greedy's (error, cluster) order.
-        let mut scored: Vec<(f64, usize, usize, QorReport)> = probes
+        let mut scored: Vec<(f64, usize, usize, usize, QorReport)> = probes
             .into_iter()
-            .zip(&expansions)
-            .filter_map(|(p, &(b, ci))| p.map(|(err, report)| (err, b, ci, report)))
+            .zip(expansions.iter().zip(&designs))
+            .filter_map(|(p, (&(b, ci), &design))| {
+                p.map(|(err, report)| (err, design, b, ci, report))
+            })
             .collect();
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
         let Some(leader) = scored.first() else {
@@ -562,15 +597,13 @@ fn beam_ctx(
         // Keep the best `width` feasible children with distinct degree
         // vectors (two branches can converge on the same design; the
         // better-ranked lineage wins).
-        let mut seen: HashSet<Vec<usize>> = HashSet::new();
+        let mut seen: HashSet<usize> = HashSet::new();
         let mut kept: Vec<(f64, usize, usize, QorReport)> = Vec::with_capacity(width);
-        for (err, b, ci, report) in scored {
+        for (err, design, b, ci, report) in scored {
             if err > threshold || kept.len() == width {
                 break;
             }
-            let mut child = frontier[b].degrees.clone();
-            child[ci] -= 1;
-            if seen.insert(child) {
+            if seen.insert(design) {
                 kept.push((err, b, ci, report));
             }
         }
@@ -799,6 +832,28 @@ mod tests {
         explore_on(ev, profiles, spec, &Pool::with_parallelism(parallelism)).into_trajectory()
     }
 
+    /// [`explore_with`], plus the `explore.branches` and
+    /// `explore.frontier_size` counts: children kept per step, summed,
+    /// which exposes a frontier member lost to an unsound bound even
+    /// when the leader trajectory does not change.
+    fn explore_counted(
+        ev: &mut Evaluator,
+        profiles: &[SubcircuitProfile],
+        spec: &ExploreSpec,
+        parallelism: Parallelism,
+    ) -> (Vec<TrajectoryPoint>, [Option<u64>; 2]) {
+        let registry = blasys_obs::Registry::new();
+        let ctx = FlowContext {
+            registry: Some(&registry),
+            ..FlowContext::NONE
+        };
+        let pool = Pool::with_parallelism(parallelism);
+        let trajectory = explore_ctx(ev, profiles, spec, &pool, &ctx).into_trajectory();
+        let snapshot = registry.snapshot();
+        let counts = ["explore.branches", "explore.frontier_size"].map(|c| snapshot.counter(c));
+        (trajectory, counts)
+    }
+
     /// [`explore_with`] at the default (`BLASYS_THREADS`) parallelism.
     fn explore(
         ev: &mut Evaluator,
@@ -814,7 +869,14 @@ mod tests {
         let b = input_bus(&mut nl, "b", width);
         let s = add(&mut nl, &a, &b);
         mark_output_bus(&mut nl, "s", &s);
-        let part = decompose(&nl, &DecompConfig::default());
+        setup_netlist(nl, &DecompConfig::default())
+    }
+
+    fn setup_netlist(
+        nl: Netlist,
+        decomp: &DecompConfig,
+    ) -> (Netlist, Vec<SubcircuitProfile>, Evaluator) {
+        let part = decompose(&nl, decomp);
         let profiles = profile_partition_on(&nl, &part, &ProfileConfig::default(), Pool::serial())
             .expect("no cancel token or deadline");
         let ev = Evaluator::new(
@@ -1004,6 +1066,64 @@ mod tests {
                 b.qor.avg_relative,
                 g.qor.avg_relative
             );
+        }
+    }
+
+    #[test]
+    fn prune_bound_beam_topk_is_deterministic() {
+        // The width-th best distinct finished child tightens the beam
+        // bound; with pruning on or off, serial or at 4 workers, every
+        // trajectory must match the unpruned serial one bit for bit.
+        // A multiplier in small windows: its best and second-best
+        // children are often far apart in probe order, so a bound that
+        // is too tight would drop a frontier member.
+        let small_windows = DecompConfig {
+            max_inputs: 4,
+            max_outputs: 4,
+            ..DecompConfig::default()
+        };
+        let (_nl, profiles, pristine) =
+            setup_netlist(blasys_circuits::multiplier(4), &small_windows);
+        // Two branches converge on one child design at step 2 of the
+        // exhaustive walk: the step-1 frontier holds two single-decrement
+        // designs, and each can still take the other's decrement.
+        assert!(profiles.iter().filter(|p| p.num_outputs > 1).count() >= 2);
+        for width in [2, 3] {
+            for metric in QorMetric::ALL {
+                for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
+                    let spec = ExploreSpec {
+                        stop,
+                        ..ExploreSpec::new()
+                            .metric(metric)
+                            .explorer(Explorer::Beam { width })
+                    };
+                    let reference = explore_counted(
+                        &mut pristine.clone(),
+                        &profiles,
+                        &spec.clone().prune(false),
+                        Parallelism::Serial,
+                    );
+                    if stop == StopCriterion::Exhaust {
+                        assert!(reference.0.len() > 2, "the walk reaches a converging step");
+                    }
+                    for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+                        for prune in [true, false] {
+                            let got = explore_counted(
+                                &mut pristine.clone(),
+                                &profiles,
+                                &spec.clone().prune(prune),
+                                parallelism,
+                            );
+                            assert_same_trajectory(&reference.0, &got.0);
+                            assert_eq!(
+                                reference.1, got.1,
+                                "{width} {metric:?} {stop:?} {parallelism:?} prune {prune}: \
+                                 kept children per step"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -42,12 +42,18 @@
 //!    in `O(64·log 64)` word operations, replacing the scalar
 //!    per-lane/per-output bit extraction the accumulator used to do.
 //! 3. **Bound-pruned probes** — [`Evaluator::qor_probe_bounded`]
-//!    checks the accumulator's monotone partial value
-//!    ([`QorAccumulator::partial_value`]) after every block and
-//!    abandons the probe the moment the candidate provably cannot
-//!    beat a caller-supplied bound. Block order is fixed, so pruning
-//!    never changes which candidate wins — only how much losing
-//!    candidates cost.
+//!    checks a lower bound on the candidate's final error after every
+//!    block and abandons the probe the moment the candidate provably
+//!    cannot beat a caller-supplied bound. The bound is the
+//!    accumulator's monotone partial value
+//!    ([`QorAccumulator::partial_value`]) plus the *committed suffix*:
+//!    the committed network's error on the not-yet-accumulated lanes
+//!    the candidate cannot change (the root cluster's committed row is
+//!    kept there, so the whole cone is). Without the suffix a loser
+//!    carries the committed design's error like everyone else and is
+//!    caught only near the end. Block order is fixed, so pruning never
+//!    changes which candidate wins — only how much losing candidates
+//!    cost.
 //!
 //! Two storage-level layers keep the per-block work memory-bound
 //! rather than dispatch-bound:
@@ -555,6 +561,17 @@ pub struct ProbeState {
     /// Combined with the evaluator's cached committed row indices it
     /// yields the root cluster's exact change mask per block.
     row_diff: Vec<u64>,
+    /// `root_changed[block]` = lanes where the probed cluster's
+    /// candidate row differs from its committed row: the only lanes
+    /// whose outputs can move. Derived at most once per probe and
+    /// block, on demand: the group loop extends it group by group, and
+    /// building `suffix` extends it to every block.
+    root_changed: Vec<u64>,
+    /// `suffix[block]` = sum, over blocks `≥ block`, of the committed
+    /// error terms on lanes outside `root_changed` (`blocks + 1`
+    /// entries, the last zero). Built lazily, once per probe, when the
+    /// prune bound first turns finite.
+    suffix: Vec<f64>,
 }
 
 /// A reusable QoR evaluator: fixed stimulus, golden outputs from the
@@ -603,6 +620,12 @@ pub struct Evaluator {
     /// mismatching lanes a probe of that cluster inherits and cannot
     /// affect.
     outside_mism: Vec<u64>,
+    /// `committed_terms[block][metric as usize]` = sum of the committed
+    /// network's per-sample error terms ([`QorMetric::sample_term`])
+    /// over that block, in lane order. Lanes a probe cannot change keep
+    /// exactly these terms, which is what the committed-suffix lower
+    /// bound of [`Evaluator::qor_probe_bounded_by`] sums.
+    committed_terms: Vec<[f64; 3]>,
     /// `row_idx[cluster * samples + sample]` = the table row index
     /// cluster `cluster` looks up for `sample` under the *committed*
     /// input values (a free by-product of [`Evaluator::recompute_cluster`]'s
@@ -627,6 +650,7 @@ pub struct Evaluator {
 /// (cluster, block).
 #[derive(Default)]
 struct ProbeTally {
+    blocks: u64,
     cone_hits: u64,
     cone_misses: u64,
     lanes: u64,
@@ -640,10 +664,30 @@ impl ProbeTally {
         if pruned {
             c.probes_pruned.inc();
         }
+        c.blocks.add(self.blocks);
         c.cone_hits.add(self.cone_hits);
         c.cone_misses.add(self.cone_misses);
         c.lanes.add(self.lanes);
     }
+}
+
+/// Whether the committed-suffix lower bound proves a probe loses:
+/// `partial + rest` (in [`QorMetric::sample_term`] units) exceeds
+/// `bound` by more than a float-reordering margin. The lower bound sums
+/// the same non-negative terms as the finished probe in another order,
+/// so the two can differ by rounding; the margin (`1e-9` of the larger
+/// of `bound` and the committed error) dwarfs that, so a candidate
+/// whose final error is at most `bound` is never pruned by it.
+fn suffix_prunes(
+    acc: &QorAccumulator,
+    metric: QorMetric,
+    samples: usize,
+    rest: f64,
+    bound: f64,
+    committed_err: f64,
+) -> bool {
+    let margin = 1e-9 * bound.max(committed_err);
+    acc.partial_value_with(metric, samples, rest) > bound + margin
 }
 
 // The parallel candidate sweep shares `&Evaluator` across worker
@@ -731,6 +775,7 @@ impl Evaluator {
             committed_diff: vec![0u64; num_pos * blocks],
             committed_mism: vec![0u64; blocks],
             outside_mism: vec![0u64; num_clusters * blocks],
+            committed_terms: vec![[0.0; 3]; blocks],
             row_idx: vec![0u16; num_clusters * samples],
             blocks,
             samples,
@@ -782,6 +827,8 @@ impl Evaluator {
             po_words: Vec::with_capacity(self.network.po_sigs.len()),
             changed: vec![0; self.network.len() * LANES],
             row_diff: Vec::new(),
+            root_changed: vec![0; self.blocks],
+            suffix: vec![0.0; self.blocks + 1],
         }
     }
 
@@ -937,18 +984,30 @@ impl Evaluator {
     }
 
     /// Like [`Evaluator::qor_probe`], but abandons the probe — and
-    /// returns `None` — as soon as the candidate's monotone partial
-    /// error over `metric` exceeds `bound` (checked after every
-    /// 64-sample block, in fixed block order).
+    /// returns `None` — as soon as a lower bound on the candidate's
+    /// final error over `metric` exceeds `bound` (checked before the
+    /// first 64-sample block and after every block, in fixed block
+    /// order).
+    ///
+    /// Two lower bounds are checked. The accumulator's partial value
+    /// assumes every remaining sample is error-free. The committed
+    /// suffix adds what the remaining samples provably contribute: on
+    /// a lane where the candidate's row for the probed cluster equals
+    /// the committed row, the probe outputs exactly the committed
+    /// values, so that lane's error term is the committed one; every
+    /// other lane's term is at least zero. The suffix is summed in a
+    /// different order than the finished probe, so it prunes only past
+    /// a float-reordering margin of `1e-9 × max(bound, committed
+    /// error)`. From an error-free committed state the suffix is zero
+    /// and is skipped.
     ///
     /// Pruning is sound for winner selection: a pruned candidate's
-    /// final value is at least its partial value, hence strictly above
-    /// `bound`; as long as `bound` is at least the eventual best
-    /// candidate's value, no pruned candidate could have won or tied.
-    /// Ties at exactly `bound` are never pruned (the comparison is
-    /// strict), so index-based tie-breaks are preserved and greedy
-    /// trajectories stay bit-identical with pruning on or off, at any
-    /// worker count.
+    /// final value is strictly above `bound`; as long as `bound` is at
+    /// least the eventual best candidate's value, no pruned candidate
+    /// could have won or tied. Ties at exactly `bound` are never pruned
+    /// (the comparisons are strict), so index-based tie-breaks are
+    /// preserved and greedy trajectories stay bit-identical with
+    /// pruning on or off, at any worker count.
     ///
     /// # Panics
     ///
@@ -972,7 +1031,10 @@ impl Evaluator {
     /// as candidates complete), so in-flight probes benefit from
     /// tightening they could not have seen at launch. Soundness is
     /// unaffected as long as every value the closure returns is at
-    /// least the eventual best candidate's final error.
+    /// least the eventual best candidate's final error (for beam
+    /// search: the error of the last child it keeps). The committed
+    /// suffix is built once, the first time the closure returns a
+    /// finite value.
     ///
     /// # Panics
     ///
@@ -1010,23 +1072,26 @@ impl Evaluator {
             overlay,
             changed,
             row_diff,
+            root_changed,
+            suffix,
             ..
         } = state;
-        // Candidate-vs-committed changed-row bitmap. The root
-        // cluster's inputs are committed (its producers sit outside
-        // its own cone), so its committed per-lane row indices are
-        // still valid under the probe: a lane's output moves iff its
-        // index hits a changed row. This replaces the old "assume
-        // every root lane changed" full eval — a candidate close to
-        // the committed table probes in near-zero time.
-        let committed_rows = self.network.table(cluster);
-        row_diff.clear();
-        row_diff.resize(committed_rows.len().div_ceil(64), 0);
-        let mut any_changed = false;
-        for (r, (&new_r, &old_r)) in rows.iter().zip(committed_rows).enumerate() {
-            if new_r != old_r {
-                row_diff[r >> 6] |= 1u64 << (r & 63);
-                any_changed = true;
+        self.start_root_changes(cluster, rows, row_diff, root_changed);
+        // Committed-suffix lower bound: lanes outside `root_changed`
+        // keep their committed outputs, hence their committed error
+        // terms, so `partial + suffix[b + 1]` bounds the final error
+        // from below after block `b`. Built the first time the bound is
+        // finite; from an error-free committed state it is all zero
+        // and is never built.
+        let use_suffix = self.committed_mism.iter().any(|&m| m != 0);
+        let mut committed_err: Option<f64> = None;
+        let b_now = bound();
+        if use_suffix && b_now.is_finite() {
+            let committed = self.committed_suffix(cluster, metric, row_diff, root_changed, suffix);
+            committed_err = Some(committed);
+            if suffix_prunes(&acc, metric, self.samples, suffix[0], b_now, committed) {
+                tally.flush(self.counters.as_deref(), true);
+                return None;
             }
         }
         // Marking the whole cone valid up front is sound: the group
@@ -1065,19 +1130,8 @@ impl Evaluator {
                 let base = self.network.out_base_of(ci);
                 let mut dw = [0u64; LANES];
                 if ci == cluster {
-                    // Root cluster: exact change mask from the cached
-                    // committed row indices × the changed-row bitmap.
-                    if any_changed {
-                        for (w, d) in dw[..bw].iter_mut().enumerate() {
-                            let idxs =
-                                &self.row_idx[cluster * self.samples + (g0 + w) * 64..][..64];
-                            let mut dd = 0u64;
-                            for (lane, &ix) in idxs.iter().enumerate() {
-                                dd |= (row_diff[(ix >> 6) as usize] >> (ix & 63) & 1) << lane;
-                            }
-                            *d = dd;
-                        }
-                    }
+                    self.extend_root_changes(cluster, row_diff, root_changed, g0 + bw);
+                    dw[..bw].copy_from_slice(&root_changed[g0..g0 + bw]);
                 } else {
                     // Exact per-input diff words: only cone-internal
                     // producer outputs can move, and the consumed
@@ -1267,6 +1321,7 @@ impl Evaluator {
                         mism |= self.committed_diff[o * blocks + b];
                     }
                 }
+                tally.blocks += 1;
                 let wrong = mism.count_ones() as usize;
                 acc.push_correct(64 - wrong);
                 if wrong > 0 {
@@ -1303,9 +1358,25 @@ impl Evaluator {
                 // Prune at the same per-block granularity as before:
                 // only the cone recompute coarsened to groups.
                 let b_now = bound();
-                if b_now.is_finite() && acc.partial_value(metric, self.samples) > b_now {
-                    tally.flush(self.counters.as_deref(), true);
-                    return None;
+                if b_now.is_finite() {
+                    let mut lost = acc.partial_value(metric, self.samples) > b_now;
+                    if !lost && use_suffix {
+                        let committed = *committed_err.get_or_insert_with(|| {
+                            self.committed_suffix(cluster, metric, row_diff, root_changed, suffix)
+                        });
+                        lost = suffix_prunes(
+                            &acc,
+                            metric,
+                            self.samples,
+                            suffix[b + 1],
+                            b_now,
+                            committed,
+                        );
+                    }
+                    if lost {
+                        tally.flush(self.counters.as_deref(), true);
+                        return None;
+                    }
                 }
             }
             g0 += bw;
@@ -1314,6 +1385,105 @@ impl Evaluator {
         let report = acc.finish();
         debug_assert_eq!(report.samples, self.samples);
         Some(report)
+    }
+
+    /// Start a probe's root change mask: `row_diff` becomes the
+    /// bitmap of rows where the candidate `rows` differ from
+    /// `cluster`'s committed table, and `root_changed` is emptied —
+    /// or, when no row differs, filled with zeros for every block.
+    /// [`Evaluator::extend_root_changes`] then derives blocks on
+    /// demand, so a probe pruned early never pays for the rest.
+    fn start_root_changes(
+        &self,
+        cluster: usize,
+        rows: &[u16],
+        row_diff: &mut Vec<u64>,
+        root_changed: &mut Vec<u64>,
+    ) {
+        let committed_rows = self.network.table(cluster);
+        row_diff.clear();
+        row_diff.resize(committed_rows.len().div_ceil(64), 0);
+        let mut any_changed = false;
+        for (r, (&new_r, &old_r)) in rows.iter().zip(committed_rows).enumerate() {
+            if new_r != old_r {
+                row_diff[r >> 6] |= 1u64 << (r & 63);
+                any_changed = true;
+            }
+        }
+        root_changed.clear();
+        if !any_changed {
+            root_changed.resize(self.blocks, 0);
+        }
+    }
+
+    /// Extend `root_changed` to cover blocks `..upto`: bit `lane` of
+    /// `root_changed[block]` is set ⇔ `cluster`'s probed output can
+    /// move on that lane. The root cluster's inputs are committed (its
+    /// producers sit outside its own cone), so its cached committed
+    /// per-lane row indices still hold under the probe: a lane's
+    /// output moves iff its index hits a changed row of `row_diff`.
+    fn extend_root_changes(
+        &self,
+        cluster: usize,
+        row_diff: &[u64],
+        root_changed: &mut Vec<u64>,
+        upto: usize,
+    ) {
+        for b in root_changed.len()..upto {
+            let idxs = &self.row_idx[cluster * self.samples + b * 64..][..64];
+            let mut dd = 0u64;
+            for (lane, &ix) in idxs.iter().enumerate() {
+                dd |= (row_diff[(ix >> 6) as usize] >> (ix & 63) & 1) << lane;
+            }
+            root_changed.push(dd);
+        }
+    }
+
+    /// Build `suffix[b]`: the committed error terms of `metric` summed
+    /// over blocks `≥ b` and over the lanes outside `root_changed` —
+    /// lanes a probe of `cluster` leaves at their committed values
+    /// (the mask is first extended to every block). Each block
+    /// subtracts its changed lanes' terms from the cached block sum, or
+    /// sums its unchanged lanes directly when those are fewer. Returns
+    /// the committed network's `metric` value, which scales the
+    /// float-reordering margin of [`suffix_prunes`].
+    fn committed_suffix(
+        &self,
+        cluster: usize,
+        metric: QorMetric,
+        row_diff: &[u64],
+        root_changed: &mut Vec<u64>,
+        suffix: &mut Vec<f64>,
+    ) -> f64 {
+        self.extend_root_changes(cluster, row_diff, root_changed, self.blocks);
+        let term = |s: usize| metric.sample_term(self.golden[s], self.committed_po[s]);
+        let lanes_sum = |b: usize, mut w: u64| {
+            let mut sum = 0.0f64;
+            while w != 0 {
+                sum += term(b * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+            sum
+        };
+        suffix.clear();
+        suffix.resize(self.blocks + 1, 0.0);
+        let mut total = 0.0f64;
+        for b in (0..self.blocks).rev() {
+            let block_sum = self.committed_terms[b][metric as usize];
+            total += block_sum;
+            let mism = self.committed_mism[b];
+            let moved = mism & root_changed[b];
+            let kept = mism & !moved;
+            let unchanged = if moved == 0 {
+                block_sum
+            } else if kept.count_ones() <= moved.count_ones() {
+                lanes_sum(b, kept)
+            } else {
+                (block_sum - lanes_sum(b, moved)).max(0.0)
+            };
+            suffix[b] = suffix[b + 1] + unchanged;
+        }
+        QorAccumulator::new(self.output_bits).partial_value_with(metric, self.samples, total)
     }
 
     /// Pre-incremental reference probe: recomputes the downstream
@@ -1375,7 +1545,8 @@ impl Evaluator {
 
     /// Recompute the committed packed values of the given POs, splice
     /// them into `committed_po` (bits outside `mask` are kept), and
-    /// refresh the derived committed-vs-golden mismatch masks.
+    /// refresh the derived committed-vs-golden mismatch masks and
+    /// per-block error-term sums.
     fn patch_committed_po(&mut self, pos: &[usize], mask: u64) {
         let keep = !mask;
         let blocks = self.blocks;
@@ -1383,11 +1554,13 @@ impl Evaluator {
             network,
             stimulus,
             values,
+            golden,
             golden_words,
             committed_po,
             committed_diff,
             committed_mism,
             outside_mism,
+            committed_terms,
             ..
         } = self;
         // Group pass (same LANES width as the probe path): each cone
@@ -1439,6 +1612,16 @@ impl Evaluator {
                 all |= committed_diff[o * blocks + b];
             }
             committed_mism[b] = all;
+            let mut terms = [0.0f64; 3];
+            let mut w = all;
+            while w != 0 {
+                let s = b * 64 + w.trailing_zeros() as usize;
+                w &= w - 1;
+                for (t, metric) in terms.iter_mut().zip(QorMetric::ALL) {
+                    *t += metric.sample_term(golden[s], committed_po[s]);
+                }
+            }
+            committed_terms[b] = terms;
         }
         for ci in 0..network.len() {
             let cone_mask = network.po_cone_mask(ci);
@@ -1745,6 +1928,131 @@ mod tests {
         assert!(ev
             .qor_probe_bounded(&mut st, 0, &zeros, QorMetric::AvgRelative, err / 1e6)
             .is_none());
+    }
+
+    /// A random live netlist from a seeded script of two-input gates.
+    fn random_netlist(seed: u64) -> Netlist {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut nl = Netlist::new("rand");
+        let inputs = rng.gen_range(4usize..10);
+        let mut nodes: Vec<_> = (0..inputs).map(|i| nl.add_input(format!("i{i}"))).collect();
+        for _ in 0..rng.gen_range(30usize..120) {
+            let a = nodes[rng.gen_range(0..nodes.len())];
+            let b = nodes[rng.gen_range(0..nodes.len())];
+            let g = match rng.gen_range(0u8..7) {
+                0 => nl.and(a, b),
+                1 => nl.or(a, b),
+                2 => nl.xor(a, b),
+                3 => nl.nand(a, b),
+                4 => nl.nor(a, b),
+                5 => nl.xnor(a, b),
+                _ => nl.not(a),
+            };
+            nodes.push(g);
+        }
+        for o in 0..rng.gen_range(3usize..12) {
+            let n = nodes[nodes.len() - 1 - (o * 5) % nodes.len().min(40)];
+            nl.mark_output(format!("z{o}"), n);
+        }
+        nl.cleaned()
+    }
+
+    /// `cluster`'s committed table with each row replaced, with
+    /// probability `p`, by a random row of the cluster's output width.
+    fn perturbed_table(ev: &Evaluator, rng: &mut SmallRng, cluster: usize, p: f64) -> Vec<u16> {
+        let mask = ((1u32 << ev.network.num_outputs_of(cluster)) - 1) as u16;
+        ev.network
+            .table(cluster)
+            .iter()
+            .map(|&r| {
+                if rng.gen::<f64>() < p {
+                    rng.gen::<u16>() & mask
+                } else {
+                    r
+                }
+            })
+            .collect()
+    }
+
+    /// The committed-suffix bound after every block, checked against the
+    /// finished error: the probed per-sample outputs come from a clone
+    /// with the candidate committed, pushed in block order.
+    fn assert_suffix_bound_sound(ev: &Evaluator, cluster: usize, rows: &[u16], label: &str) {
+        let mut probed = ev.clone();
+        probed.commit(cluster, rows.to_vec());
+        let (mut row_diff, mut root, mut suffix) = (Vec::new(), Vec::new(), Vec::new());
+        ev.start_root_changes(cluster, rows, &mut row_diff, &mut root);
+        let mut st = ev.probe_state();
+        for metric in QorMetric::ALL {
+            let fin = ev.qor_probe(&mut st, cluster, rows).value(metric);
+            let committed = ev.committed_suffix(cluster, metric, &row_diff, &mut root, &mut suffix);
+            let margin = 1e-9 * fin.max(committed);
+            let mut acc = QorAccumulator::new(ev.output_bits);
+            let lb = acc.partial_value_with(metric, ev.samples, suffix[0]);
+            assert!(
+                lb <= fin + margin,
+                "{label} {metric:?}: before block 0, {lb} > {fin}"
+            );
+            for b in 0..ev.blocks {
+                for s in b * 64..(b + 1) * 64 {
+                    acc.push(ev.golden[s], probed.committed_po[s]);
+                }
+                let lb = acc.partial_value_with(metric, ev.samples, suffix[b + 1]);
+                assert!(
+                    lb <= fin + margin,
+                    "{label} {metric:?}: block {b}, {lb} > {fin}"
+                );
+            }
+            assert_eq!(
+                acc.finish().value(metric).to_bits(),
+                fin.to_bits(),
+                "{label}"
+            );
+            // A bound at exactly the final error is a tie: never pruned.
+            let tied = ev
+                .qor_probe_bounded(&mut st, cluster, rows, metric, fin)
+                .unwrap_or_else(|| panic!("{label} {metric:?}: pruned at its own error {fin}"));
+            assert_eq!(tied.value(metric).to_bits(), fin.to_bits(), "{label}");
+        }
+    }
+
+    #[test]
+    fn prune_bound_suffix_is_sound() {
+        for seed in 0..10u64 {
+            let nl = random_netlist(seed);
+            let part = decompose(&nl, &DecompConfig::default());
+            let cfg = McConfig {
+                samples: 448 + 64 * seed as usize,
+                seed,
+            };
+            let mut ev = Evaluator::new(&nl, &part, &cfg);
+            let exact = ev.clone();
+            let n = ev.network().len();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xB0_0D);
+            // Several commits into a walk, so the committed state errs
+            // and its error terms feed the suffix.
+            for _ in 0..4 {
+                let c = rng.gen_range(0..n);
+                let rows = perturbed_table(&ev, &mut rng, c, 0.3);
+                ev.commit(c, rows);
+            }
+            for c in 0..n {
+                for p in [0.0, 0.05, 0.3, 1.0] {
+                    let rows = perturbed_table(&ev, &mut rng, c, p);
+                    assert_suffix_bound_sound(&ev, c, &rows, &format!("seed {seed} c{c} p{p}"));
+                }
+            }
+            // A candidate undoing the only erring commit finishes at
+            // exactly 0.0 while the committed state errs: a 0.0 bound
+            // must not prune it.
+            let c = rng.gen_range(0..n);
+            let mut one = exact.clone();
+            one.commit(c, perturbed_table(&exact, &mut rng, c, 0.5));
+            let restore = exact.network().table(c).to_vec();
+            let label = format!("seed {seed} restore c{c}");
+            assert_eq!(one.qor_with(c, &restore).avg_relative, 0.0, "{label}");
+            assert_suffix_bound_sound(&one, c, &restore, &label);
+        }
     }
 
     #[test]

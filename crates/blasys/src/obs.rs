@@ -18,7 +18,8 @@
 //! `qor.probes` and `qor.commits` are **deterministic**: bit-identical
 //! across worker counts and repeat runs with the same settings. The
 //! remaining engine counters (`qor.probes_pruned`,
-//! `qor.cone_cache.*`, `qor.lanes_reevaluated`) are deterministic
+//! `qor.blocks_evaluated`, `qor.cone_cache.*`,
+//! `qor.lanes_reevaluated`) are deterministic
 //! whenever pruning decisions are — with pruning disabled (any worker
 //! count) or with a single worker. Under pruning with multiple
 //! workers, *which* losing candidates get abandoned early depends on
@@ -218,6 +219,9 @@ pub struct QorCounters {
     pub probes: Arc<Counter>,
     /// Probes abandoned early by the QoR bound (`qor.probes_pruned`).
     pub probes_pruned: Arc<Counter>,
+    /// 64-sample blocks accumulated before each probe finished or was
+    /// pruned (`qor.blocks_evaluated`).
+    pub blocks: Arc<Counter>,
     /// Per-(cluster, block) cone evaluations skipped because the
     /// input delta was empty (`qor.cone_cache.hits`).
     pub cone_hits: Arc<Counter>,
@@ -238,6 +242,7 @@ impl QorCounters {
         QorCounters {
             probes: registry.counter("qor.probes"),
             probes_pruned: registry.counter("qor.probes_pruned"),
+            blocks: registry.counter("qor.blocks_evaluated"),
             cone_hits: registry.counter("qor.cone_cache.hits"),
             cone_misses: registry.counter("qor.cone_cache.misses"),
             lanes: registry.counter("qor.lanes_reevaluated"),

@@ -29,6 +29,20 @@ impl QorMetric {
         QorMetric::AvgAbsolute,
         QorMetric::BitErrorRate,
     ];
+
+    /// One sample's contribution to this metric's accumulator sum, in
+    /// the units [`QorAccumulator::partial_value_with`] takes: the
+    /// relative error, the absolute error, or the differing bit count.
+    /// Computed with the same operations as [`QorAccumulator::push`],
+    /// so the terms are exactly what the accumulator adds.
+    pub fn sample_term(self, golden: u64, approx: u64) -> f64 {
+        let diff = golden.abs_diff(approx);
+        match self {
+            QorMetric::AvgRelative => diff as f64 / golden.max(1) as f64,
+            QorMetric::AvgAbsolute => diff as f64,
+            QorMetric::BitErrorRate => (golden ^ approx).count_ones() as f64,
+        }
+    }
 }
 
 /// Aggregated error statistics of one accuracy evaluation.
@@ -149,12 +163,22 @@ impl QorAccumulator {
     /// operation, so when all `total_samples` samples have been pushed
     /// the partial value is bit-identical to the finished report's.
     pub fn partial_value(&self, metric: QorMetric, total_samples: usize) -> f64 {
+        self.partial_value_with(metric, total_samples, 0.0)
+    }
+
+    /// The value [`QorReport::value`] would report for `metric` if the
+    /// remaining samples of a `total_samples`-sample evaluation added
+    /// `rest` to the metric's sum, in [`QorMetric::sample_term`] units.
+    /// With `rest` a lower bound on what the remaining samples add,
+    /// this is a lower bound on the final value that is tighter than
+    /// [`QorAccumulator::partial_value`] (which is `rest == 0.0`).
+    pub fn partial_value_with(&self, metric: QorMetric, total_samples: usize, rest: f64) -> f64 {
         let n = total_samples as f64;
         match metric {
-            QorMetric::AvgRelative => self.sum_rel / n,
-            QorMetric::AvgAbsolute => self.sum_abs / n / self.max_value().max(1.0),
+            QorMetric::AvgRelative => (self.sum_rel + rest) / n,
+            QorMetric::AvgAbsolute => (self.sum_abs + rest) / n / self.max_value().max(1.0),
             QorMetric::BitErrorRate => {
-                self.bit_errors as f64 / (n * self.output_bits.max(1) as f64)
+                (self.bit_errors as f64 + rest) / (n * self.output_bits.max(1) as f64)
             }
         }
     }
@@ -282,6 +306,31 @@ mod tests {
         let fin = acc.finish().value(QorMetric::AvgRelative);
         assert!(partial <= fin);
         assert!((partial - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sample_terms_sum_to_the_finished_value() {
+        // `as usize` indexes per-metric arrays in `ALL` order.
+        for (i, metric) in QorMetric::ALL.into_iter().enumerate() {
+            assert_eq!(metric as usize, i);
+        }
+        let samples: [(u64, u64); 4] = [(100, 90), (50, 60), (7, 7), (0, 3)];
+        for metric in QorMetric::ALL {
+            let mut acc = QorAccumulator::new(8);
+            let mut rest = 0.0;
+            for &(g, a) in &samples {
+                acc.push(g, a);
+                rest += metric.sample_term(g, a);
+            }
+            let empty = QorAccumulator::new(8);
+            assert_eq!(
+                empty
+                    .partial_value_with(metric, samples.len(), rest)
+                    .to_bits(),
+                acc.finish().value(metric).to_bits(),
+                "{metric:?}"
+            );
+        }
     }
 
     #[test]

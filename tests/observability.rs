@@ -125,6 +125,7 @@ fn engine_counters_identical_serial_vs_threaded() {
     for name in [
         "qor.probes",
         "qor.probes_pruned",
+        "qor.blocks_evaluated",
         "qor.cone_cache.hits",
         "qor.cone_cache.misses",
         "qor.lanes_reevaluated",
