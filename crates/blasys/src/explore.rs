@@ -407,7 +407,11 @@ fn greedy_ctx(
             break StopReason::ThresholdReached; // next step would cross it
         }
         degrees[ci] -= 1;
-        evaluator.commit(ci, profiles[ci].variant(degrees[ci]).table_rows.clone());
+        evaluator.commit(
+            &mut probe_states[0],
+            ci,
+            &profiles[ci].variant(degrees[ci]).table_rows,
+        );
         step += 1;
         ctx.count("explore.branches", 1);
         ctx.count("explore.frontier_size", 1);
@@ -627,8 +631,9 @@ fn beam_ctx(
             };
             branch.degrees[ci] -= 1;
             branch.evaluator.commit(
+                &mut probe_states[0],
                 ci,
-                profiles[ci].variant(branch.degrees[ci]).table_rows.clone(),
+                &profiles[ci].variant(branch.degrees[ci]).table_rows,
             );
             if rank == 0 {
                 leader_point = Some((ci, report));
@@ -778,7 +783,7 @@ fn anneal_ctx(
         ctx.count("explore.accepts", 1);
         degrees = cand;
         energy = cand_energy;
-        evaluator.commit(ci, rows.clone());
+        evaluator.commit(&mut state, ci, rows);
         let step = trajectory.len();
         let depth = model_depth(profiles, evaluator.network(), &degrees);
         trajectory.push(TrajectoryPoint {

@@ -33,8 +33,7 @@
 //! 1. **PO-cone caching** — [`TableNetwork::po_cone`] precomputes, per
 //!    cluster, which primary outputs its fan-out cone can reach, and
 //!    the evaluator caches the packed per-sample output values of the
-//!    *committed* network (refreshed incrementally on
-//!    [`Evaluator::commit`]). A probe recomputes only the cone POs'
+//!    *committed* network. A probe recomputes only the cone POs'
 //!    words and splices them into the cached values with a mask + OR
 //!    patch — untouched outputs are never revisited.
 //! 2. **64×64 bit-matrix transpose** — [`transpose64`] converts a
@@ -62,13 +61,32 @@
 //!   `LANES` (4) ×u64 blocks = 256 samples per cone pass: per-cluster
 //!   `Signal` dispatch, change-mask derivation, and input gathers are
 //!   paid once per group and amortize over four words, with a ragged
-//!   tail for block counts that are not a multiple of four. The
-//!   commit/splice and recompute paths take the same group walk.
+//!   tail for block counts that are not a multiple of four.
 //! * **SoA layout** — the [`TableNetwork`] stores inputs, tables,
 //!   cone order, and cone PO lists in flat CSR arrays, and committed
 //!   values / probe overlays live in one flat `Vec<u64>` addressed by
 //!   global output slot × block, so cone propagation walks contiguous
 //!   memory instead of chasing `Vec<Vec<u64>>` indirection.
+//!
+//! # One cone pass, two consumers
+//!
+//! Probe and commit walk the candidate's downstream cone through the
+//! same change-propagating group pass (`cone_group`): the root's
+//! exact change mask comes from its changed-row bitmap and cached row
+//! indices, every consumer sees only its inputs' non-zero diff words,
+//! and a lane is re-simulated only where some input moved (sparsely
+//! by XOR-ing diff bits into the cached row index, or densely by the
+//! two-transpose lookup). After each group the *probe* accumulates
+//! the cone POs' words into its [`QorReport`] and checks its prune
+//! bound; the *commit* splices the words whose change mask is non-zero
+//! into the committed values, writes the new row index of every
+//! consumer lane whose input delta was non-zero (the root's inputs do
+//! not move, so neither do its indices), and re-derives the committed
+//! PO cache — `committed_po`, the per-PO golden diffs, the mismatch
+//! rollups and the per-block error-term sums — only on blocks where a
+//! cone PO's driver word changed. Commit cost therefore tracks the
+//! lanes the winner flips, like a probe's; only [`Evaluator::new`]
+//! simulates every cluster on every lane.
 //!
 //! The pre-incremental scalar path is retained verbatim as
 //! [`Evaluator::qor_probe_reference`] /
@@ -313,14 +331,14 @@ impl TableNetwork {
     /// # Panics
     ///
     /// Panics if the row count differs from the installed table.
-    pub fn set_table(&mut self, cluster: usize, rows: Vec<u16>) {
+    pub fn set_table(&mut self, cluster: usize, rows: &[u16]) {
         let slice = &mut self.rows[self.row_off[cluster]..self.row_off[cluster + 1]];
         assert_eq!(
             rows.len(),
             slice.len(),
             "table shape must match the cluster window"
         );
-        slice.copy_from_slice(&rows);
+        slice.copy_from_slice(rows);
     }
 
     /// Clusters affected by a change to `cluster` (itself included),
@@ -532,7 +550,9 @@ fn eval_block(inputs: &[Signal], rows: &[u16], resolve: impl Fn(Signal) -> u64, 
 /// no allocation. Build one per worker thread with
 /// [`Evaluator::probe_state`] and reuse it across any number of
 /// probes (and across commits: every probe re-derives its cone from
-/// the then-current committed state).
+/// the then-current committed state). [`Evaluator::commit`] runs its
+/// cone pass in one as well, so the evaluator itself keeps no pass
+/// scratch; any state built for the same network shape will do.
 #[derive(Debug, Clone)]
 pub struct ProbeState {
     /// Current probe epoch; bumped at the start of every probe.
@@ -572,6 +592,13 @@ pub struct ProbeState {
     /// entries, the last zero). Built lazily, once per probe, when the
     /// prune bound first turns finite.
     suffix: Vec<f64>,
+    /// Commit pass only: `moved[ci * LANES + w]` = lanes of word `w`
+    /// of the current group where some input of consumer `ci` changed,
+    /// i.e. where its row index moves.
+    moved: Vec<u64>,
+    /// Commit pass only: `next_idx[(ci * LANES + w) * 64 + lane]` =
+    /// consumer `ci`'s new row index on a lane of `moved`.
+    next_idx: Vec<u16>,
 }
 
 /// A reusable QoR evaluator: fixed stimulus, golden outputs from the
@@ -615,11 +642,16 @@ pub struct Evaluator {
     /// the lanes where the committed network errs at all (drives the
     /// skip-correct fast path of [`Evaluator::qor_current`]).
     committed_mism: Vec<u64>,
-    /// `outside_mism[cluster * blocks + block]` = OR of
+    /// `outside_mism[outside_class[cluster] * blocks + block]` = OR of
     /// `committed_diff` over the POs *outside* the cluster's cone: the
     /// mismatching lanes a probe of that cluster inherits and cannot
-    /// affect.
+    /// affect. Stored once per distinct cone mask (`outside_masks`),
+    /// since clusters sharing a cone mask share these words.
     outside_mism: Vec<u64>,
+    /// Index of each cluster's cone mask in `outside_masks`.
+    outside_class: Vec<usize>,
+    /// The distinct PO-cone masks, in first-seen cluster order.
+    outside_masks: Vec<u64>,
     /// `committed_terms[block][metric as usize]` = sum of the committed
     /// network's per-sample error terms ([`QorMetric::sample_term`])
     /// over that block, in lane order. Lanes a probe cannot change keep
@@ -628,8 +660,9 @@ pub struct Evaluator {
     committed_terms: Vec<[f64; 3]>,
     /// `row_idx[cluster * samples + sample]` = the table row index
     /// cluster `cluster` looks up for `sample` under the *committed*
-    /// input values (a free by-product of [`Evaluator::recompute_cluster`]'s
-    /// first transpose). A probe's root cluster reads only committed
+    /// input values (a by-product of the first transpose at
+    /// construction, kept current by every commit's cone pass). A
+    /// probe's root cluster reads only committed
     /// inputs, so its probed outputs are `rows[row_idx[..]]` — the
     /// probe derives its true change mask from the candidate-vs-
     /// committed changed-row set instead of assuming every lane moved.
@@ -668,6 +701,16 @@ impl ProbeTally {
         c.cone_hits.add(self.cone_hits);
         c.cone_misses.add(self.cone_misses);
         c.lanes.add(self.lanes);
+    }
+
+    /// Flush a commit's cone pass: only its re-simulated lanes count,
+    /// under their own counter, so the probe counters keep meaning
+    /// probe work.
+    #[inline]
+    fn flush_commit(self, counters: Option<&QorCounters>) {
+        let Some(c) = counters else { return };
+        c.commits.inc();
+        c.commit_lanes.add(self.lanes);
     }
 }
 
@@ -765,6 +808,19 @@ impl Evaluator {
         }
 
         let num_clusters = network.len();
+        let mut outside_masks: Vec<u64> = Vec::new();
+        let outside_class: Vec<usize> = (0..num_clusters)
+            .map(|ci| {
+                let mask = network.po_cone_mask(ci);
+                match outside_masks.iter().position(|&m| m == mask) {
+                    Some(k) => k,
+                    None => {
+                        outside_masks.push(mask);
+                        outside_masks.len() - 1
+                    }
+                }
+            })
+            .collect();
         let mut ev = Evaluator {
             values: vec![0u64; network.total_outputs() * blocks],
             network,
@@ -774,7 +830,9 @@ impl Evaluator {
             committed_po: vec![0u64; samples],
             committed_diff: vec![0u64; num_pos * blocks],
             committed_mism: vec![0u64; blocks],
-            outside_mism: vec![0u64; num_clusters * blocks],
+            outside_mism: vec![0u64; outside_masks.len() * blocks],
+            outside_class,
+            outside_masks,
             committed_terms: vec![[0.0; 3]; blocks],
             row_idx: vec![0u16; num_clusters * samples],
             blocks,
@@ -783,8 +841,6 @@ impl Evaluator {
             counters: None,
         };
         ev.recompute_all();
-        let all: Vec<usize> = (0..ev.network.po_sigs.len()).collect();
-        ev.patch_committed_po(&all, u64::MAX);
         ev
     }
 
@@ -829,6 +885,8 @@ impl Evaluator {
             row_diff: Vec::new(),
             root_changed: vec![0; self.blocks],
             suffix: vec![0.0; self.blocks + 1],
+            moved: Vec::new(),
+            next_idx: Vec::new(),
         }
     }
 
@@ -1047,36 +1105,15 @@ impl Evaluator {
         metric: QorMetric,
         bound: impl Fn() -> f64,
     ) -> Option<QorReport> {
-        assert_eq!(
-            state.valid.len(),
-            self.network.len(),
-            "probe state must be built by this evaluator"
-        );
-        assert_eq!(
-            rows.len(),
-            self.network.table(cluster).len(),
-            "table shape must match the cluster window"
-        );
-        state.epoch += 1;
-        let epoch = state.epoch;
+        self.cone_begin(state, cluster, rows);
         let blocks = self.blocks;
         // Counter tallies stay in locals until the probe resolves; the
         // zero-observability path pays only the final `None` check.
         let mut tally = ProbeTally::default();
-        let cone_clusters = self.network.downstream(cluster);
         let cone_pos = self.network.po_cone(cluster);
         let keep = !self.network.po_cone_mask(cluster);
+        let outside = &self.outside_mism[self.outside_class[cluster] * blocks..][..blocks];
         let mut acc = QorAccumulator::new(self.output_bits);
-        let ProbeState {
-            valid,
-            overlay,
-            changed,
-            row_diff,
-            root_changed,
-            suffix,
-            ..
-        } = state;
-        self.start_root_changes(cluster, rows, row_diff, root_changed);
         // Committed-suffix lower bound: lanes outside `root_changed`
         // keep their committed outputs, hence their committed error
         // terms, so `partial + suffix[b + 1]` bounds the final error
@@ -1087,223 +1124,48 @@ impl Evaluator {
         let mut committed_err: Option<f64> = None;
         let b_now = bound();
         if use_suffix && b_now.is_finite() {
-            let committed = self.committed_suffix(cluster, metric, row_diff, root_changed, suffix);
+            let committed = self.committed_suffix(
+                cluster,
+                metric,
+                &state.row_diff,
+                &mut state.root_changed,
+                &mut state.suffix,
+            );
             committed_err = Some(committed);
-            if suffix_prunes(&acc, metric, self.samples, suffix[0], b_now, committed) {
+            if suffix_prunes(
+                &acc,
+                metric,
+                self.samples,
+                state.suffix[0],
+                b_now,
+                committed,
+            ) {
                 tally.flush(self.counters.as_deref(), true);
                 return None;
             }
         }
-        // Marking the whole cone valid up front is sound: the group
-        // loop below writes a producer's group words before any
-        // consumer (topological order) reads them, and nothing reads
-        // other groups.
-        for &ci in cone_clusters {
-            valid[ci] = epoch;
-        }
-        let mut out = [0u64; 16];
-        // Per-group active-input set for consumer clusters: input slot
-        // indices whose diff words are non-zero this group, and those
-        // diff words. At most 16 inputs per cluster (asserted by
-        // `TableNetwork::new`).
-        let mut nact = 0usize;
-        let mut act = [0usize; 16];
-        let mut dif4 = [[0u64; LANES]; 16];
         let mut g0 = 0usize;
         while g0 < blocks {
-            // One cone pass covers a group of up to LANES words (256
-            // samples): the per-cluster Signal dispatch, change-mask
-            // derivation, and input gathers run once per group instead
-            // of once per 64-sample block. A ragged tail (`bw < LANES`
-            // when the block count is not a multiple of LANES) flows
-            // through the same code with a shorter group. Group `g`
-            // values depend only on group `g` inputs, so a pruned
-            // probe abandons the remaining groups' cone work too, not
-            // just their accumulation. Change propagation: a cone
-            // cluster none of whose input words changed holds exactly
-            // its committed values and is copied, not re-evaluated —
-            // deep in the cone, probe cost tracks the lanes the
-            // candidate actually flips.
+            // Group `g` values depend only on group `g` inputs, so a
+            // pruned probe abandons the remaining groups' cone work
+            // too, not just their accumulation.
             let bw = (blocks - g0).min(LANES);
-            for &ci in cone_clusters {
-                let m = self.network.num_outputs_of(ci);
-                let base = self.network.out_base_of(ci);
-                let mut dw = [0u64; LANES];
-                if ci == cluster {
-                    self.extend_root_changes(cluster, row_diff, root_changed, g0 + bw);
-                    dw[..bw].copy_from_slice(&root_changed[g0..g0 + bw]);
-                } else {
-                    // Exact per-input diff words: only cone-internal
-                    // producer outputs can move, and the consumed
-                    // output's own diff is sharper than the producer's
-                    // any-output `changed` rollup — lanes where only a
-                    // sibling output flipped are not re-evaluated.
-                    nact = 0;
-                    for (i, &sig) in self.network.inputs_of(ci).iter().enumerate() {
-                        if let Signal::ClusterOut { idx, out } = sig {
-                            if valid[idx] == epoch {
-                                let off = (self.network.out_base_of(idx) + out) * blocks + g0;
-                                let mut dd = [0u64; LANES];
-                                let mut nonzero = 0u64;
-                                for (w, d) in dd[..bw].iter_mut().enumerate() {
-                                    if changed[idx * LANES + w] != 0 {
-                                        *d = overlay[off + w] ^ self.values[off + w];
-                                        nonzero |= *d;
-                                    }
-                                }
-                                if nonzero != 0 {
-                                    act[nact] = i;
-                                    dif4[nact] = dd;
-                                    nact += 1;
-                                }
-                            }
-                        }
-                    }
-                    for (w, d) in dw[..bw].iter_mut().enumerate() {
-                        for df in &dif4[..nact] {
-                            *d |= df[w];
-                        }
-                    }
-                }
-                if dw[..bw].iter().all(|&d| d == 0) {
-                    // Whole group unchanged: nothing is copied —
-                    // `changed == 0` tells every consumer (and the
-                    // accumulation below) to read the committed words
-                    // directly, which are bit-identical by definition.
-                    tally.cone_hits += bw as u64;
-                    changed[ci * LANES..ci * LANES + bw].fill(0);
-                    continue;
-                }
-                if ci == cluster {
-                    // Root cluster: no input resolution at all — lane
-                    // row indices are the committed ones, so probed
-                    // outputs are plain `rows[...]` lookups (sparse
-                    // patch or one scatter transpose).
-                    for (w, &delta) in dw[..bw].iter().enumerate() {
-                        let b = g0 + w;
-                        if delta == 0 {
-                            tally.cone_hits += 1;
-                            changed[ci * LANES + w] = 0;
-                            continue;
-                        }
-                        tally.cone_misses += 1;
-                        let cnt = delta.count_ones() as usize;
-                        let idxs = &self.row_idx[cluster * self.samples + b * 64..][..64];
-                        if cnt * (m + 2) < 448 {
-                            tally.lanes += cnt as u64;
-                            for (o, ow) in out[..m].iter_mut().enumerate() {
-                                *ow = self.values[(base + o) * blocks + b];
-                            }
-                            let mut lw = delta;
-                            while lw != 0 {
-                                let lane = lw.trailing_zeros() as usize;
-                                lw &= lw - 1;
-                                let row = rows[idxs[lane] as usize] as u64;
-                                for (o, ow) in out[..m].iter_mut().enumerate() {
-                                    *ow = (*ow & !(1u64 << lane)) | ((row >> o & 1) << lane);
-                                }
-                            }
-                        } else {
-                            tally.lanes += 64;
-                            let mut mm = [0u64; 64];
-                            for (lane, &ix) in idxs.iter().enumerate() {
-                                mm[lane] = rows[ix as usize] as u64;
-                            }
-                            transpose64(&mut mm);
-                            out[..m].copy_from_slice(&mm[..m]);
-                        }
-                        let mut ch = 0u64;
-                        for (o, &ov) in out[..m].iter().enumerate() {
-                            let off = (base + o) * blocks + b;
-                            overlay[off] = ov;
-                            ch |= ov ^ self.values[off];
-                        }
-                        changed[ci * LANES + w] = ch;
-                    }
-                    continue;
-                }
-                let ins = self.network.inputs_of(ci);
-                let use_rows: &[u16] = self.network.table(ci);
-                for (w, &delta) in dw[..bw].iter().enumerate() {
-                    let b = g0 + w;
-                    if delta == 0 {
-                        tally.cone_hits += 1;
-                        changed[ci * LANES + w] = 0;
-                        continue;
-                    }
-                    tally.cone_misses += 1;
-                    let cnt = delta.count_ones() as usize;
-                    if cnt * (nact + m + 2) < 448 {
-                        tally.lanes += cnt as u64;
-                        // Sparse update via cached committed row
-                        // indices: a lane's probed index is the
-                        // committed one with the active inputs' diff
-                        // bits XORed in, so no input gather and no
-                        // index rebuild — per lane cost is one table
-                        // lookup plus `nact + m` bit ops. Start from
-                        // the committed words and patch just the
-                        // changed lanes.
-                        for (o, ow) in out[..m].iter_mut().enumerate() {
-                            *ow = self.values[(base + o) * blocks + b];
-                        }
-                        let idxs = &self.row_idx[ci * self.samples + b * 64..][..64];
-                        let mut lw = delta;
-                        while lw != 0 {
-                            let lane = lw.trailing_zeros() as usize;
-                            lw &= lw - 1;
-                            let mut idx = idxs[lane] as usize;
-                            for (j, df) in dif4[..nact].iter().enumerate() {
-                                idx ^= ((df[w] >> lane & 1) as usize) << act[j];
-                            }
-                            let row = use_rows[idx] as u64;
-                            for (o, ow) in out[..m].iter_mut().enumerate() {
-                                *ow = (*ow & !(1u64 << lane)) | ((row >> o & 1) << lane);
-                            }
-                        }
-                    } else {
-                        tally.lanes += 64;
-                        // Dense block: gather this word's input words
-                        // (overlay only where the producer actually
-                        // changed) and run the two-transpose full eval.
-                        let mut mm = [0u64; 64];
-                        for (i, &sig) in ins.iter().enumerate() {
-                            mm[i] = match sig {
-                                Signal::Pi(p) => self.stimulus[p][b],
-                                Signal::ClusterOut { idx, out } => {
-                                    let off = (self.network.out_base_of(idx) + out) * blocks + b;
-                                    if valid[idx] == epoch && changed[idx * LANES + w] != 0 {
-                                        overlay[off]
-                                    } else {
-                                        self.values[off]
-                                    }
-                                }
-                                Signal::Const(false) => 0,
-                                Signal::Const(true) => !0u64,
-                            };
-                        }
-                        transpose64(&mut mm);
-                        for v in mm.iter_mut() {
-                            *v = use_rows[*v as usize] as u64;
-                        }
-                        transpose64(&mut mm);
-                        out[..m].copy_from_slice(&mm[..m]);
-                    }
-                    let mut ch = 0u64;
-                    for (o, &ov) in out[..m].iter().enumerate() {
-                        let off = (base + o) * blocks + b;
-                        overlay[off] = ov;
-                        ch |= ov ^ self.values[off];
-                    }
-                    changed[ci * LANES + w] = ch;
-                }
-            }
+            self.cone_group::<false>(state, cluster, rows, g0, bw, &mut tally);
+            let ProbeState {
+                overlay,
+                changed,
+                row_diff,
+                root_changed,
+                suffix,
+                ..
+            } = &mut *state;
             // Accumulate the group's blocks in ascending order —
             // exactly the reference push order: gather the cone POs'
             // patch words, find the lanes whose value differs from
             // golden (inherited out-of-cone mismatches ∪ fresh cone
             // mismatches), and batch-count the rest as correct.
             for b in g0..g0 + bw {
-                let mut mism = self.outside_mism[cluster * blocks + b];
+                let mut mism = outside[b];
                 let mut pw = [0u64; 64];
                 for (slot, &o) in cone_pos.iter().enumerate() {
                     let Signal::ClusterOut { idx, out } = self.network.po_sigs[o] else {
@@ -1385,6 +1247,265 @@ impl Evaluator {
         let report = acc.finish();
         debug_assert_eq!(report.samples, self.samples);
         Some(report)
+    }
+
+    /// Start a cone pass of `cluster` under candidate `rows`: bump the
+    /// epoch, start the root change mask, and mark the whole cone
+    /// valid. Marking it up front is sound: [`Evaluator::cone_group`]
+    /// writes a producer's group words before any consumer
+    /// (topological order) reads them, and nothing reads other groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was built for a different evaluator shape or
+    /// `rows` does not match the cluster's table shape.
+    fn cone_begin(&self, state: &mut ProbeState, cluster: usize, rows: &[u16]) {
+        assert_eq!(
+            state.valid.len(),
+            self.network.len(),
+            "probe state must be built by this evaluator"
+        );
+        assert_eq!(
+            rows.len(),
+            self.network.table(cluster).len(),
+            "table shape must match the cluster window"
+        );
+        state.epoch += 1;
+        self.start_root_changes(cluster, rows, &mut state.row_diff, &mut state.root_changed);
+        for &ci in self.network.downstream(cluster) {
+            state.valid[ci] = state.epoch;
+        }
+    }
+
+    /// One group of the cone pass shared by probe and commit: blocks
+    /// `g0..g0 + bw` (up to `LANES` words, 256 samples) of every cone
+    /// cluster of `cluster` under candidate `rows`, written to
+    /// `state.overlay` where they move, with `state.changed` holding
+    /// each cluster's per-word output change mask.
+    ///
+    /// The per-cluster `Signal` dispatch, change-mask derivation, and
+    /// input gathers run once per group instead of once per 64-sample
+    /// block; a ragged tail (`bw < LANES`) flows through the same code.
+    /// Change propagation: a cone cluster none of whose input words
+    /// changed holds exactly its committed values and is neither
+    /// copied nor re-evaluated — deep in the cone, cost tracks the
+    /// lanes the candidate actually flips. With `COMMIT`, the pass
+    /// also records every consumer's input-delta lanes (`moved`) and
+    /// their new row indices (`next_idx`) for
+    /// [`Evaluator::splice_group`].
+    #[inline]
+    fn cone_group<const COMMIT: bool>(
+        &self,
+        state: &mut ProbeState,
+        cluster: usize,
+        rows: &[u16],
+        g0: usize,
+        bw: usize,
+        tally: &mut ProbeTally,
+    ) {
+        let blocks = self.blocks;
+        let epoch = state.epoch;
+        let ProbeState {
+            valid,
+            overlay,
+            changed,
+            row_diff,
+            root_changed,
+            moved,
+            next_idx,
+            ..
+        } = state;
+        let mut out = [0u64; 16];
+        // Per-cluster active-input set for consumer clusters: input
+        // slot indices whose diff words are non-zero this group, and
+        // those diff words. At most 16 inputs per cluster (asserted by
+        // `TableNetwork::new`).
+        let mut nact = 0usize;
+        let mut act = [0usize; 16];
+        let mut dif4 = [[0u64; LANES]; 16];
+        for &ci in self.network.downstream(cluster) {
+            let m = self.network.num_outputs_of(ci);
+            let base = self.network.out_base_of(ci);
+            let mut dw = [0u64; LANES];
+            if ci == cluster {
+                self.extend_root_changes(cluster, row_diff, root_changed, g0 + bw);
+                dw[..bw].copy_from_slice(&root_changed[g0..g0 + bw]);
+            } else {
+                // Exact per-input diff words: only cone-internal
+                // producer outputs can move, and the consumed output's
+                // own diff is sharper than the producer's any-output
+                // `changed` rollup — lanes where only a sibling output
+                // flipped are not re-evaluated.
+                nact = 0;
+                for (i, &sig) in self.network.inputs_of(ci).iter().enumerate() {
+                    if let Signal::ClusterOut { idx, out } = sig {
+                        if valid[idx] == epoch {
+                            let off = (self.network.out_base_of(idx) + out) * blocks + g0;
+                            let mut dd = [0u64; LANES];
+                            let mut nonzero = 0u64;
+                            for (w, d) in dd[..bw].iter_mut().enumerate() {
+                                if changed[idx * LANES + w] != 0 {
+                                    *d = overlay[off + w] ^ self.values[off + w];
+                                    nonzero |= *d;
+                                }
+                            }
+                            if nonzero != 0 {
+                                act[nact] = i;
+                                dif4[nact] = dd;
+                                nact += 1;
+                            }
+                        }
+                    }
+                }
+                for (w, d) in dw[..bw].iter_mut().enumerate() {
+                    for df in &dif4[..nact] {
+                        *d |= df[w];
+                    }
+                }
+                if COMMIT {
+                    moved[ci * LANES..ci * LANES + bw].copy_from_slice(&dw[..bw]);
+                }
+            }
+            if dw[..bw].iter().all(|&d| d == 0) {
+                // Whole group unchanged: nothing is copied —
+                // `changed == 0` tells every consumer (and the
+                // accumulation) to read the committed words directly,
+                // which are bit-identical by definition.
+                tally.cone_hits += bw as u64;
+                changed[ci * LANES..ci * LANES + bw].fill(0);
+                continue;
+            }
+            if ci == cluster {
+                // Root cluster: no input resolution at all — lane row
+                // indices are the committed ones, so probed outputs are
+                // plain `rows[...]` lookups (sparse patch or one
+                // scatter transpose).
+                for (w, &delta) in dw[..bw].iter().enumerate() {
+                    let b = g0 + w;
+                    if delta == 0 {
+                        tally.cone_hits += 1;
+                        changed[ci * LANES + w] = 0;
+                        continue;
+                    }
+                    tally.cone_misses += 1;
+                    let cnt = delta.count_ones() as usize;
+                    let idxs = &self.row_idx[cluster * self.samples + b * 64..][..64];
+                    if cnt * (m + 2) < 448 {
+                        tally.lanes += cnt as u64;
+                        for (o, ow) in out[..m].iter_mut().enumerate() {
+                            *ow = self.values[(base + o) * blocks + b];
+                        }
+                        let mut lw = delta;
+                        while lw != 0 {
+                            let lane = lw.trailing_zeros() as usize;
+                            lw &= lw - 1;
+                            let row = rows[idxs[lane] as usize] as u64;
+                            for (o, ow) in out[..m].iter_mut().enumerate() {
+                                *ow = (*ow & !(1u64 << lane)) | ((row >> o & 1) << lane);
+                            }
+                        }
+                    } else {
+                        tally.lanes += 64;
+                        let mut mm = [0u64; 64];
+                        for (lane, &ix) in idxs.iter().enumerate() {
+                            mm[lane] = rows[ix as usize] as u64;
+                        }
+                        transpose64(&mut mm);
+                        out[..m].copy_from_slice(&mm[..m]);
+                    }
+                    let mut ch = 0u64;
+                    for (o, &ov) in out[..m].iter().enumerate() {
+                        let off = (base + o) * blocks + b;
+                        overlay[off] = ov;
+                        ch |= ov ^ self.values[off];
+                    }
+                    changed[ci * LANES + w] = ch;
+                }
+                continue;
+            }
+            let ins = self.network.inputs_of(ci);
+            let use_rows: &[u16] = self.network.table(ci);
+            for (w, &delta) in dw[..bw].iter().enumerate() {
+                let b = g0 + w;
+                if delta == 0 {
+                    tally.cone_hits += 1;
+                    changed[ci * LANES + w] = 0;
+                    continue;
+                }
+                tally.cone_misses += 1;
+                let cnt = delta.count_ones() as usize;
+                let idx_at = (ci * LANES + w) * 64;
+                if cnt * (nact + m + 2) < 448 {
+                    tally.lanes += cnt as u64;
+                    // Sparse update via cached committed row indices: a
+                    // lane's new index is the committed one with the
+                    // active inputs' diff bits XORed in, so no input
+                    // gather and no index rebuild — per lane cost is
+                    // one table lookup plus `nact + m` bit ops. Start
+                    // from the committed words and patch just the
+                    // changed lanes.
+                    for (o, ow) in out[..m].iter_mut().enumerate() {
+                        *ow = self.values[(base + o) * blocks + b];
+                    }
+                    let idxs = &self.row_idx[ci * self.samples + b * 64..][..64];
+                    let mut lw = delta;
+                    while lw != 0 {
+                        let lane = lw.trailing_zeros() as usize;
+                        lw &= lw - 1;
+                        let mut idx = idxs[lane] as usize;
+                        for (j, df) in dif4[..nact].iter().enumerate() {
+                            idx ^= ((df[w] >> lane & 1) as usize) << act[j];
+                        }
+                        if COMMIT {
+                            next_idx[idx_at + lane] = idx as u16;
+                        }
+                        let row = use_rows[idx] as u64;
+                        for (o, ow) in out[..m].iter_mut().enumerate() {
+                            *ow = (*ow & !(1u64 << lane)) | ((row >> o & 1) << lane);
+                        }
+                    }
+                } else {
+                    tally.lanes += 64;
+                    // Dense block: gather this word's input words
+                    // (overlay only where the producer actually
+                    // changed) and run the two-transpose full eval.
+                    let mut mm = [0u64; 64];
+                    for (i, &sig) in ins.iter().enumerate() {
+                        mm[i] = match sig {
+                            Signal::Pi(p) => self.stimulus[p][b],
+                            Signal::ClusterOut { idx, out } => {
+                                let off = (self.network.out_base_of(idx) + out) * blocks + b;
+                                if valid[idx] == epoch && changed[idx * LANES + w] != 0 {
+                                    overlay[off]
+                                } else {
+                                    self.values[off]
+                                }
+                            }
+                            Signal::Const(false) => 0,
+                            Signal::Const(true) => !0u64,
+                        };
+                    }
+                    transpose64(&mut mm);
+                    if COMMIT {
+                        for (ix, &v) in next_idx[idx_at..idx_at + 64].iter_mut().zip(&mm) {
+                            *ix = v as u16;
+                        }
+                    }
+                    for v in mm.iter_mut() {
+                        *v = use_rows[*v as usize] as u64;
+                    }
+                    transpose64(&mut mm);
+                    out[..m].copy_from_slice(&mm[..m]);
+                }
+                let mut ch = 0u64;
+                for (o, &ov) in out[..m].iter().enumerate() {
+                    let off = (base + o) * blocks + b;
+                    overlay[off] = ov;
+                    ch |= ov ^ self.values[off];
+                }
+                changed[ci * LANES + w] = ch;
+            }
+        }
     }
 
     /// Start a probe's root change mask: `row_diff` becomes the
@@ -1526,120 +1647,163 @@ impl Evaluator {
         self.qor_probe(&mut state, cluster, rows)
     }
 
-    /// Commit a table swap permanently (recomputes the committed
-    /// values of the downstream cone and splices the cone POs'
-    /// refreshed bits into the packed per-sample cache).
-    pub fn commit(&mut self, cluster: usize, rows: Vec<u16>) {
-        if let Some(c) = &self.counters {
-            c.commits.inc();
-        }
-        self.network.set_table(cluster, rows);
-        let affected: Vec<usize> = self.network.downstream(cluster).to_vec();
-        for ci in affected {
-            self.recompute_cluster(ci);
-        }
-        let pos: Vec<usize> = self.network.po_cone(cluster).to_vec();
+    /// Commit a table swap permanently, working in the caller's probe
+    /// overlay `state` (any state built for this evaluator's shape —
+    /// the explorers pass one of their per-worker states).
+    ///
+    /// The candidate goes through the same change-propagating cone
+    /// pass as a probe; instead of accumulating QoR, every group's
+    /// changed words are spliced into the committed values, the
+    /// consumers' moved row indices are rewritten, and the committed
+    /// per-sample PO cache is re-derived on the blocks where a cone
+    /// PO's driver changed (see the [module docs](self)). The result is
+    /// bit-identical to re-simulating the whole network with the new
+    /// table; a commit that changes no row touches nothing but the
+    /// counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was built for a different evaluator shape or
+    /// `rows` does not match the cluster's table shape.
+    pub fn commit(&mut self, state: &mut ProbeState, cluster: usize, rows: &[u16]) {
+        self.cone_begin(state, cluster, rows);
+        let n = self.network.len();
+        state.moved.resize(n * LANES, 0);
+        state.next_idx.resize(n * LANES * 64, 0);
+        let pos = self.network.po_cone(cluster).to_vec();
         let mask = self.network.po_cone_mask(cluster);
-        self.patch_committed_po(&pos, mask);
-    }
-
-    /// Recompute the committed packed values of the given POs, splice
-    /// them into `committed_po` (bits outside `mask` are kept), and
-    /// refresh the derived committed-vs-golden mismatch masks and
-    /// per-block error-term sums.
-    fn patch_committed_po(&mut self, pos: &[usize], mask: u64) {
-        let keep = !mask;
-        let blocks = self.blocks;
-        let Evaluator {
-            network,
-            stimulus,
-            values,
-            golden,
-            golden_words,
-            committed_po,
-            committed_diff,
-            committed_mism,
-            outside_mism,
-            committed_terms,
-            ..
-        } = self;
-        // Group pass (same LANES width as the probe path): each cone
-        // PO's signal is dispatched once per group, its words land in
-        // `pw[o]`, and the per-word transpose splices follow.
-        let mut pw = [[0u64; LANES]; 64];
+        let mut tally = ProbeTally::default();
         let mut g0 = 0usize;
-        while g0 < blocks {
-            let bw = (blocks - g0).min(LANES);
-            for &o in pos {
-                match network.po_sigs[o] {
-                    Signal::Pi(i) => pw[o][..bw].copy_from_slice(&stimulus[i][g0..g0 + bw]),
-                    Signal::ClusterOut { idx, out } => {
-                        let off = (network.out_base_of(idx) + out) * blocks + g0;
-                        pw[o][..bw].copy_from_slice(&values[off..off + bw]);
-                    }
-                    Signal::Const(false) => pw[o][..bw].fill(0),
-                    Signal::Const(true) => pw[o][..bw].fill(!0u64),
-                }
-                for (w, &v) in pw[o][..bw].iter().enumerate() {
-                    let b = g0 + w;
-                    committed_diff[o * blocks + b] = v ^ golden_words[o * blocks + b];
-                }
-            }
-            // (`w` indexes the inner dimension of `pw`; iterating `pw`
-            // itself would invert the o/w nesting.)
-            #[allow(clippy::needless_range_loop)]
+        while g0 < self.blocks {
+            let bw = (self.blocks - g0).min(LANES);
+            self.cone_group::<true>(state, cluster, rows, g0, bw, &mut tally);
+            let dirty = self.splice_group(state, cluster, &pos, g0, bw);
             for w in 0..bw {
-                let b = g0 + w;
-                let mut m = [0u64; 64];
-                for &o in pos {
-                    m[o] = pw[o][w];
-                }
-                transpose64(&mut m);
-                for (lane, &v) in m.iter().enumerate() {
-                    let s = b * 64 + lane;
-                    committed_po[s] = (committed_po[s] & keep) | v;
+                if dirty >> w & 1 == 1 {
+                    self.patch_block(g0 + w, &pos, mask);
                 }
             }
             g0 += bw;
         }
-        // Per-block mismatch rollups: over all POs (for the committed
-        // QoR fast path) and over each cluster's *out-of-cone* POs
-        // (the mismatches its probes inherit unchanged).
-        let num_pos = network.po_sigs.len();
-        for b in 0..blocks {
-            let mut all = 0u64;
-            for o in 0..num_pos {
-                all |= committed_diff[o * blocks + b];
-            }
-            committed_mism[b] = all;
-            let mut terms = [0.0f64; 3];
-            let mut w = all;
-            while w != 0 {
-                let s = b * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                for (t, metric) in terms.iter_mut().zip(QorMetric::ALL) {
-                    *t += metric.sample_term(golden[s], committed_po[s]);
-                }
-            }
-            committed_terms[b] = terms;
-        }
-        for ci in 0..network.len() {
-            let cone_mask = network.po_cone_mask(ci);
-            for b in 0..blocks {
-                let mut out = 0u64;
-                for o in 0..num_pos {
-                    if cone_mask >> o & 1 == 0 {
-                        out |= committed_diff[o * blocks + b];
-                    }
-                }
-                outside_mism[ci * blocks + b] = out;
-            }
-        }
+        self.network.set_table(cluster, rows);
+        tally.flush_commit(self.counters.as_deref());
     }
 
+    /// Commit consumer of one cone-pass group: copy every cone word
+    /// whose change mask is non-zero from the overlay into `values`
+    /// and every consumer lane's new row index into `row_idx`. Returns
+    /// the group's dirty words (bit `w` set ⇔ block `g0 + w` has a PO
+    /// of `pos` whose driver word changed).
+    fn splice_group(
+        &mut self,
+        state: &ProbeState,
+        cluster: usize,
+        pos: &[usize],
+        g0: usize,
+        bw: usize,
+    ) -> u32 {
+        let blocks = self.blocks;
+        let Evaluator {
+            network,
+            values,
+            row_idx,
+            samples,
+            ..
+        } = self;
+        for &ci in network.downstream(cluster) {
+            let base = network.out_base_of(ci);
+            let m = network.num_outputs_of(ci);
+            for w in 0..bw {
+                let b = g0 + w;
+                if state.changed[ci * LANES + w] != 0 {
+                    for o in 0..m {
+                        let off = (base + o) * blocks + b;
+                        values[off] = state.overlay[off];
+                    }
+                }
+                // The root's inputs do not move, so neither do its
+                // row indices.
+                if ci != cluster {
+                    let src = &state.next_idx[(ci * LANES + w) * 64..][..64];
+                    let dst = &mut row_idx[ci * *samples + b * 64..][..64];
+                    let mut lw = state.moved[ci * LANES + w];
+                    while lw != 0 {
+                        let lane = lw.trailing_zeros() as usize;
+                        lw &= lw - 1;
+                        dst[lane] = src[lane];
+                    }
+                }
+            }
+        }
+        let mut dirty = 0u32;
+        for &o in pos {
+            if let Signal::ClusterOut { idx, .. } = network.po_sigs[o] {
+                for w in 0..bw {
+                    if state.changed[idx * LANES + w] != 0 {
+                        dirty |= 1 << w;
+                    }
+                }
+            }
+        }
+        dirty
+    }
+
+    /// Re-derive block `b` of the committed PO cache from `values`:
+    /// splice the words of the POs in `pos` (bits `mask` of each
+    /// packed sample value) into `committed_po` and `committed_diff`,
+    /// then refresh the block's rollups — `committed_mism`, the
+    /// error-term sums `committed_terms` (over the block's mismatching
+    /// lanes in lane order, so the f64 bits do not depend on which
+    /// commit got here) and `outside_mism` once per distinct cone
+    /// mask.
+    fn patch_block(&mut self, b: usize, pos: &[usize], mask: u64) {
+        let blocks = self.blocks;
+        let mut m = [0u64; 64];
+        for &o in pos {
+            let w = self.committed_word(self.network.po_sigs[o], b);
+            m[o] = w;
+            self.committed_diff[o * blocks + b] = w ^ self.golden_words[o * blocks + b];
+        }
+        transpose64(&mut m);
+        let keep = !mask;
+        for (lane, &v) in m.iter().enumerate() {
+            let s = b * 64 + lane;
+            self.committed_po[s] = (self.committed_po[s] & keep) | v;
+        }
+        let num_pos = self.network.po_sigs.len();
+        let diff = &self.committed_diff;
+        let outside_of = |cone: u64| {
+            (0..num_pos)
+                .filter(|&o| cone >> o & 1 == 0)
+                .fold(0u64, |acc, o| acc | diff[o * blocks + b])
+        };
+        let all = outside_of(0);
+        for (k, &cone) in self.outside_masks.iter().enumerate() {
+            self.outside_mism[k * blocks + b] = outside_of(cone);
+        }
+        let mut terms = [0.0f64; 3];
+        let mut w = all;
+        while w != 0 {
+            let s = b * 64 + w.trailing_zeros() as usize;
+            w &= w - 1;
+            for (t, metric) in terms.iter_mut().zip(QorMetric::ALL) {
+                *t += metric.sample_term(self.golden[s], self.committed_po[s]);
+            }
+        }
+        self.committed_mism[b] = all;
+        self.committed_terms[b] = terms;
+    }
+
+    /// Simulate every cluster on every lane and derive the whole
+    /// committed PO cache from scratch: the construction path (and the
+    /// oracle the incremental commit is tested against).
     fn recompute_all(&mut self) {
         for ci in 0..self.network.len() {
             self.recompute_cluster(ci);
+        }
+        let all: Vec<usize> = (0..self.network.po_sigs.len()).collect();
+        for b in 0..self.blocks {
+            self.patch_block(b, &all, u64::MAX);
         }
     }
 
@@ -1788,7 +1952,7 @@ mod tests {
         // Commit a change, then keep probing with the same state: it
         // must pick up the new committed baseline.
         let zeros = vec![0u16; ev.network().table(0).len()];
-        ev.commit(0, zeros);
+        ev.commit(&mut reused, 0, &zeros);
         for cluster in 1..n {
             let zeros = vec![0u16; ev.network().table(cluster).len()];
             let with_reused = ev.qor_probe(&mut reused, cluster, &zeros);
@@ -1820,7 +1984,8 @@ mod tests {
         let mut ev = Evaluator::new(&nl, &part, &small_cfg());
         let zeros = vec![0u16; ev.network().table(0).len()];
         let probe = ev.qor_with(0, &zeros);
-        ev.commit(0, zeros);
+        let mut st = ev.probe_state();
+        ev.commit(&mut st, 0, &zeros);
         let now = ev.qor_current();
         assert_eq!(now, probe, "committed QoR must equal the probe");
     }
@@ -1894,7 +2059,7 @@ mod tests {
         assert_eq!(ev.qor_current(), ev.qor_current_reference());
         // Same after a commit perturbs the cached committed values.
         let zeros = vec![0u16; ev.network().table(0).len()];
-        ev.commit(0, zeros);
+        ev.commit(&mut st, 0, &zeros);
         assert_eq!(ev.qor_current(), ev.qor_current_reference());
         for cluster in 1..ev.network().len() {
             let zeros = vec![0u16; ev.network().table(cluster).len()];
@@ -1932,6 +2097,12 @@ mod tests {
 
     /// A random live netlist from a seeded script of two-input gates.
     fn random_netlist(seed: u64) -> Netlist {
+        random_netlist_with_dead_logic(seed).cleaned()
+    }
+
+    /// [`random_netlist`] before dead-logic removal: gates that reach no
+    /// output stay, so some windows have an empty PO cone.
+    fn random_netlist_with_dead_logic(seed: u64) -> Netlist {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut nl = Netlist::new("rand");
         let inputs = rng.gen_range(4usize..10);
@@ -1954,7 +2125,7 @@ mod tests {
             let n = nodes[nodes.len() - 1 - (o * 5) % nodes.len().min(40)];
             nl.mark_output(format!("z{o}"), n);
         }
-        nl.cleaned()
+        nl
     }
 
     /// `cluster`'s committed table with each row replaced, with
@@ -1979,7 +2150,8 @@ mod tests {
     /// with the candidate committed, pushed in block order.
     fn assert_suffix_bound_sound(ev: &Evaluator, cluster: usize, rows: &[u16], label: &str) {
         let mut probed = ev.clone();
-        probed.commit(cluster, rows.to_vec());
+        let mut st = probed.probe_state();
+        probed.commit(&mut st, cluster, rows);
         let (mut row_diff, mut root, mut suffix) = (Vec::new(), Vec::new(), Vec::new());
         ev.start_root_changes(cluster, rows, &mut row_diff, &mut root);
         let mut st = ev.probe_state();
@@ -2029,12 +2201,13 @@ mod tests {
             let exact = ev.clone();
             let n = ev.network().len();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xB0_0D);
+            let mut st = ev.probe_state();
             // Several commits into a walk, so the committed state errs
             // and its error terms feed the suffix.
             for _ in 0..4 {
                 let c = rng.gen_range(0..n);
                 let rows = perturbed_table(&ev, &mut rng, c, 0.3);
-                ev.commit(c, rows);
+                ev.commit(&mut st, c, &rows);
             }
             for c in 0..n {
                 for p in [0.0, 0.05, 0.3, 1.0] {
@@ -2047,12 +2220,123 @@ mod tests {
             // must not prune it.
             let c = rng.gen_range(0..n);
             let mut one = exact.clone();
-            one.commit(c, perturbed_table(&exact, &mut rng, c, 0.5));
+            one.commit(&mut st, c, &perturbed_table(&exact, &mut rng, c, 0.5));
             let restore = exact.network().table(c).to_vec();
             let label = format!("seed {seed} restore c{c}");
             assert_eq!(one.qor_with(c, &restore).avg_relative, 0.0, "{label}");
             assert_suffix_bound_sound(&one, c, &restore, &label);
         }
+    }
+
+    /// `ev`'s committed state rebuilt from scratch: every cache zeroed,
+    /// every cluster re-simulated on every lane, the full PO patch.
+    fn rebuilt(ev: &Evaluator) -> Evaluator {
+        let mut fresh = ev.clone();
+        fresh.values.fill(0);
+        fresh.row_idx.fill(0);
+        fresh.committed_po.fill(0);
+        fresh.committed_diff.fill(0);
+        fresh.committed_mism.fill(0);
+        fresh.outside_mism.fill(0);
+        fresh.committed_terms.fill([0.0; 3]);
+        fresh.recompute_all();
+        fresh
+    }
+
+    /// Every committed cache of `ev` equals a from-scratch rebuild of
+    /// the same tables, bit for bit.
+    fn assert_matches_rebuild(ev: &Evaluator, label: &str) {
+        let fresh = rebuilt(ev);
+        assert!(ev.values == fresh.values, "{label}: values");
+        assert!(ev.row_idx == fresh.row_idx, "{label}: row_idx");
+        assert!(
+            ev.committed_po == fresh.committed_po,
+            "{label}: committed_po"
+        );
+        assert!(
+            ev.committed_diff == fresh.committed_diff,
+            "{label}: committed_diff"
+        );
+        assert!(
+            ev.committed_mism == fresh.committed_mism,
+            "{label}: committed_mism"
+        );
+        assert!(
+            ev.outside_mism == fresh.outside_mism,
+            "{label}: outside_mism"
+        );
+        let bits = |e: &Evaluator| -> Vec<[u64; 3]> {
+            e.committed_terms
+                .iter()
+                .map(|t| t.map(f64::to_bits))
+                .collect()
+        };
+        assert!(bits(ev) == bits(&fresh), "{label}: committed_terms");
+    }
+
+    #[test]
+    fn commit_incremental_matches_rebuild() {
+        let mut empty_cone_commits = 0;
+        for seed in 0..12u64 {
+            // Dead logic kept, so some windows reach no output.
+            let nl = random_netlist_with_dead_logic(seed);
+            let part = decompose(&nl, &DecompConfig::default());
+            if part.is_empty() {
+                continue;
+            }
+            // 1..=8 blocks: every LANES tail shape, with and without a
+            // full group before it.
+            let blocks = 1 + seed as usize % 8;
+            let cfg = McConfig {
+                samples: 64 * blocks,
+                seed,
+            };
+            let mut ev = Evaluator::new(&nl, &part, &cfg);
+            let n = ev.network().len();
+            let exact: Vec<Vec<u16>> = (0..n).map(|c| ev.network().table(c).to_vec()).collect();
+            let empty_cone: Vec<usize> = (0..n)
+                .filter(|&c| ev.network().po_cone(c).is_empty())
+                .collect();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0_33);
+            let mut st = ev.probe_state();
+            let mut touched = Vec::new();
+            for step in 0..12 {
+                let (c, rows): (usize, Vec<u16>) = match step {
+                    // No-op: the committed table itself.
+                    3 => {
+                        let c = rng.gen_range(0..n);
+                        (c, ev.network().table(c).to_vec())
+                    }
+                    // Revert an earlier commit to the exact table.
+                    7 => {
+                        let c = touched[rng.gen_range(0..touched.len())];
+                        (c, exact[c].clone())
+                    }
+                    // A window whose PO cone is empty.
+                    9 if !empty_cone.is_empty() => {
+                        empty_cone_commits += 1;
+                        let c = empty_cone[rng.gen_range(0..empty_cone.len())];
+                        (c, perturbed_table(&ev, &mut rng, c, 0.5))
+                    }
+                    _ => {
+                        let c = rng.gen_range(0..n);
+                        let p = [0.02, 0.1, 0.3, 1.0][step % 4];
+                        (c, perturbed_table(&ev, &mut rng, c, p))
+                    }
+                };
+                // A probe in between leaves the shared state dirty, as
+                // in an exploration sweep.
+                let _ = ev.qor_probe(&mut st, (c + 1) % n, &exact[(c + 1) % n]);
+                ev.commit(&mut st, c, &rows);
+                touched.push(c);
+                assert_eq!(ev.network().table(c), &rows[..]);
+                assert_matches_rebuild(&ev, &format!("seed {seed} step {step} cluster {c}"));
+            }
+        }
+        assert!(
+            empty_cone_commits > 0,
+            "some walk must commit a window with an empty PO cone"
+        );
     }
 
     #[test]
@@ -2093,7 +2377,7 @@ mod tests {
             // A commit perturbs the cached committed values; the tail
             // groups must stay consistent afterwards.
             let zeros = vec![0u16; ev.network().table(0).len()];
-            ev.commit(0, zeros);
+            ev.commit(&mut st, 0, &zeros);
             assert_eq!(
                 ev.qor_current(),
                 ev.qor_current_reference(),

@@ -15,9 +15,9 @@
 //!
 //! # Counter determinism
 //!
-//! `qor.probes` and `qor.commits` are **deterministic**: bit-identical
-//! across worker counts and repeat runs with the same settings. The
-//! remaining engine counters (`qor.probes_pruned`,
+//! `qor.probes`, `qor.commits` and `qor.commit_lanes` are
+//! **deterministic**: bit-identical across worker counts and repeat
+//! runs with the same settings. The remaining engine counters (`qor.probes_pruned`,
 //! `qor.blocks_evaluated`, `qor.cone_cache.*`,
 //! `qor.lanes_reevaluated`) are deterministic
 //! whenever pruning decisions are — with pruning disabled (any worker
@@ -234,6 +234,10 @@ pub struct QorCounters {
     /// Winning candidates committed into the evaluator
     /// (`qor.commits`). Deterministic.
     pub commits: Arc<Counter>,
+    /// Cluster-lanes re-simulated by commits' cone passes
+    /// (`qor.commit_lanes`). Commits follow the trajectory, so this is
+    /// deterministic.
+    pub commit_lanes: Arc<Counter>,
 }
 
 impl QorCounters {
@@ -247,6 +251,7 @@ impl QorCounters {
             cone_misses: registry.counter("qor.cone_cache.misses"),
             lanes: registry.counter("qor.lanes_reevaluated"),
             commits: registry.counter("qor.commits"),
+            commit_lanes: registry.counter("qor.commit_lanes"),
         }
     }
 }

@@ -40,6 +40,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Instant;
 
 use blasys_obs::{Counter, Gauge, Registry};
 
@@ -118,10 +119,11 @@ pub fn in_worker() -> bool {
 /// [`Pool`], registered in a [`blasys_obs::Registry`].
 ///
 /// These are **wall-clock observations**, not flow data: how many
-/// tasks each worker executed, how many it obtained by stealing, and
-/// how often it drained the queues and went idle all depend on thread
-/// timing and vary run to run (unlike the flow's deterministic engine
-/// counters). Attach via [`Pool::new_with_metrics`].
+/// tasks each worker executed, how many it obtained by stealing, how
+/// often it drained the queues and went idle, and how long it spent
+/// inside tasks all depend on thread timing and vary run to run
+/// (unlike the flow's deterministic engine counters). Attach via
+/// [`Pool::new_with_metrics`].
 #[derive(Debug)]
 pub struct PoolMetrics {
     /// `tasks[w]`: tasks worker `w` executed.
@@ -131,13 +133,16 @@ pub struct PoolMetrics {
     /// `idle[w]`: times worker `w` found the queues empty and went
     /// idle for the rest of a job.
     idle: Vec<Arc<Counter>>,
+    /// `busy_ns[w]`: wall-clock nanoseconds worker `w` spent inside
+    /// tasks (summed per job, added once when the worker leaves it).
+    busy_ns: Vec<Arc<Counter>>,
     /// Task count of the job currently in flight (0 between jobs).
     queue_depth: Arc<Gauge>,
 }
 
 impl PoolMetrics {
-    /// Register `pool.worker<w>.{tasks,steals,idle}` counters for
-    /// `workers` workers plus the `pool.queue_depth` gauge.
+    /// Register `pool.worker<w>.{tasks,steals,idle,busy_ns}` counters
+    /// for `workers` workers plus the `pool.queue_depth` gauge.
     pub fn register(registry: &Registry, workers: usize) -> PoolMetrics {
         PoolMetrics {
             tasks: (0..workers)
@@ -148,6 +153,9 @@ impl PoolMetrics {
                 .collect(),
             idle: (0..workers)
                 .map(|w| registry.counter(&format!("pool.worker{w}.idle")))
+                .collect(),
+            busy_ns: (0..workers)
+                .map(|w| registry.counter(&format!("pool.worker{w}.busy_ns")))
                 .collect(),
             queue_depth: registry.gauge("pool.queue_depth"),
         }
@@ -221,6 +229,7 @@ where
         // and the submitter holds the `&mut [S]` borrow for the whole
         // job, so no other access exists.
         let state = &mut *ctx.states.add(w);
+        let mut busy_ns = 0u64;
         while !ctx.abort.load(Ordering::Relaxed) {
             let Some((task, stolen)) = next_task(ctx.queues, w) else {
                 if let Some(m) = ctx.metrics {
@@ -234,10 +243,17 @@ where
                     m.steals[w].inc();
                 }
             }
+            let start = ctx.metrics.map(|_| Instant::now());
             let r = (ctx.f)(state, task);
+            if let Some(start) = start {
+                busy_ns += start.elapsed().as_nanos() as u64;
+            }
             // SAFETY: the queues dispense each task index exactly once,
             // so this slot is written by exactly one worker.
             *ctx.results.add(task) = Some(r);
+        }
+        if let Some(m) = ctx.metrics {
+            m.busy_ns[w].add(busy_ns);
         }
     }));
     if let Err(e) = outcome {
@@ -784,6 +800,38 @@ mod tests {
             .find(|e| e.name == "pool.queue_depth")
             .unwrap();
         assert_eq!(depth.value, blasys_obs::SnapshotValue::Gauge(0));
+    }
+
+    #[test]
+    fn pool_metrics_busy_time_is_bounded_by_the_job() {
+        let registry = Registry::new();
+        let pool = Pool::new_with_metrics(2, Some(PoolMetrics::register(&registry, 2)));
+        let start = std::time::Instant::now();
+        pool.run(8, |i| {
+            let spin = std::time::Instant::now();
+            while spin.elapsed() < std::time::Duration::from_millis(2) {
+                std::hint::black_box(i);
+            }
+        });
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        let snap = registry.snapshot();
+        let mut ran = 0;
+        for w in 0..2 {
+            let tasks = snap.counter(&format!("pool.worker{w}.tasks")).unwrap();
+            let busy = snap.counter(&format!("pool.worker{w}.busy_ns")).unwrap();
+            if tasks > 0 {
+                ran += 1;
+                assert!(
+                    busy > 0,
+                    "worker {w} ran {tasks} tasks but reports no busy time"
+                );
+            }
+            assert!(
+                busy <= wall_ns,
+                "worker {w}: busy {busy} ns > job wall {wall_ns} ns"
+            );
+        }
+        assert!(ran > 0, "some worker ran the tasks");
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
                 evaluator.qor_probe_bounded(&mut probe, ci, &candidate_rows, cfg.metric, threshold);
             match report {
                 Some(report) if report.value(cfg.metric) <= threshold => {
-                    evaluator.commit(ci, candidate_rows.clone());
+                    evaluator.commit(&mut probe, ci, &candidate_rows);
                     rows_now[ci] = candidate_rows;
                     rung[ci][col] = next;
                     cost_now[ci] = cand_cost;

@@ -6,8 +6,9 @@
 //! * the chrome-trace export of a traced flow is structurally valid
 //!   JSON with balanced `B`/`E` phases on every thread;
 //! * the deterministic engine counters are bit-identical between a
-//!   serial and a 4-worker run (`qor.probes` / `qor.commits` always;
-//!   the whole `qor.*` family with pruning off);
+//!   serial and a 4-worker run (`qor.probes` / `qor.commits` /
+//!   `qor.commit_lanes` always; the whole `qor.*` family with pruning
+//!   off);
 //! * the metrics snapshot embeds into the `FlowReport` JSON.
 
 use std::collections::HashMap;
@@ -130,6 +131,7 @@ fn engine_counters_identical_serial_vs_threaded() {
         "qor.cone_cache.misses",
         "qor.lanes_reevaluated",
         "qor.commits",
+        "qor.commit_lanes",
         "flow.explore.probes",
         "bmf.candidates_scored",
         "profile.winner.nulling",
@@ -154,10 +156,12 @@ fn engine_counters_identical_serial_vs_threaded() {
     assert_eq!(serial.counter("qor.probes_pruned"), Some(0));
 
     // With pruning on, which probes are abandoned may depend on probe
-    // order, but the probe and commit counts stay deterministic.
+    // order, but the probe and commit counts — and the commits' cone
+    // work, which follows the trajectory — stay deterministic.
     let pruned_serial = metered_flow(Parallelism::Serial, true, None);
     let pruned_threaded = metered_flow(Parallelism::Threads(4), true, None);
-    for name in ["qor.probes", "qor.commits"] {
+    assert!(pruned_serial.counter("qor.commit_lanes").unwrap_or(0) > 0);
+    for name in ["qor.probes", "qor.commits", "qor.commit_lanes"] {
         assert_eq!(
             pruned_serial.counter(name),
             pruned_threaded.counter(name),

@@ -129,7 +129,7 @@ proptest! {
         // Commit a mutation, then re-check both paths against the new
         // committed baseline (exercises the incremental PO splice).
         let rows = mutated_rows(&ev, 0, seed.rotate_left(11));
-        ev.commit(0, rows);
+        ev.commit(&mut st, 0, &rows);
         prop_assert_eq!(ev.qor_current(), ev.qor_current_reference());
         for cluster in 0..n {
             let rows = mutated_rows(&ev, cluster, seed ^ (cluster as u64).rotate_left(7));
@@ -203,7 +203,7 @@ proptest! {
                 // Commit between passes: the splice and the row-index
                 // caches must stay coherent through ragged tails.
                 let rows = mutated_rows(&ev, 0, seed.rotate_left(23 + pass as u32));
-                ev.commit(0, rows);
+                ev.commit(&mut st, 0, &rows);
                 prop_assert_eq!(ev.qor_current(), ev.qor_current_reference());
             }
             // 4 workers share the evaluator; each must match the
