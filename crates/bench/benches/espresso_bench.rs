@@ -2,7 +2,7 @@
 //! window-sized functions (the inner loop of variant synthesis).
 
 use blasys_logic::TruthTable;
-use blasys_synth::espresso::{minimize_column, EspressoConfig};
+use blasys_synth::espresso::minimize_column;
 use blasys_synth::{shannon_columns, synthesize_tt};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -20,7 +20,6 @@ fn onset(k: usize, f: impl Fn(usize) -> bool) -> Vec<u64> {
 fn bench_espresso(c: &mut Criterion) {
     let mut g = c.benchmark_group("espresso");
     g.sample_size(10);
-    let cfg = EspressoConfig::default();
     for k in [8usize, 10] {
         let structured = onset(k, |r| {
             let a = r & ((1 << (k / 2)) - 1);
@@ -28,11 +27,11 @@ fn bench_espresso(c: &mut Criterion) {
             (a * b) & 0b100 != 0
         });
         g.bench_function(format!("minimize_structured_k{k}"), |b| {
-            b.iter(|| minimize_column(k, &structured, &cfg))
+            b.iter(|| minimize_column(k, &structured))
         });
         let noisy = onset(k, |r| (r.wrapping_mul(2654435761)) >> 13 & 1 == 1);
         g.bench_function(format!("minimize_noisy_k{k}"), |b| {
-            b.iter(|| minimize_column(k, &noisy, &cfg))
+            b.iter(|| minimize_column(k, &noisy))
         });
     }
     let tt = TruthTable::from_fn(10, 6, |row| {
@@ -41,7 +40,7 @@ fn bench_espresso(c: &mut Criterion) {
         (a * b) & 0x3F
     });
     g.bench_function("synthesize_tt_k10_m6", |b| {
-        b.iter(|| synthesize_tt(&tt, "w", &cfg))
+        b.iter(|| synthesize_tt(&tt, "w"))
     });
     g.bench_function("shannon_k10_m6", |b| {
         b.iter(|| {

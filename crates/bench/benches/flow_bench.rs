@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use blasys_bmf::Algebra;
 use blasys_circuits::multiplier;
-use blasys_core::{run, BlasysResult, ExploreSpec, FlowConfig, Parallelism, Pool};
+use blasys_core::{run, BlasysResult, ExploreSpec, FlowConfig, Parallelism};
 use blasys_logic::Netlist;
 use blasys_obs::Registry;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -82,18 +82,16 @@ fn bench_flow(c: &mut Criterion) {
     g.finish();
 }
 
-/// Profile-stage wall time in isolation: the BMF degree ladder per
-/// window, serial vs parallel. `mult4` has more windows than workers
-/// (window-level parallelism); the `threads8` row forces more workers
-/// than windows, pushing the parallelism inside each window's ASSO
-/// candidate scans. Profiles are bit-identical across all rows.
+/// Profile-stage wall time without exploration: open (decompose and
+/// worker pool) plus the BMF degree ladder per window, serial vs
+/// parallel. `mult4` has more windows than workers (window-level
+/// parallelism); the `threads8` row forces more workers than windows,
+/// pushing the parallelism inside each window's ASSO candidate scans.
+/// Profiles are bit-identical across all rows.
 fn bench_profile_stage(c: &mut Criterion) {
-    use blasys_core::profile::{profile_partition_on, ProfileConfig};
-    use blasys_decomp::{decompose, DecompConfig};
+    use blasys_core::FlowSession;
 
     let nl = multiplier(4);
-    let part = decompose(&nl, &DecompConfig::default());
-    let cfg = ProfileConfig::default();
     let mut g = c.benchmark_group("profile");
     g.sample_size(10);
     for (name, threads) in [
@@ -102,9 +100,9 @@ fn bench_profile_stage(c: &mut Criterion) {
         ("mult4_threads4", 4),
         ("mult4_threads8", 8),
     ] {
-        let pool = Pool::new(threads);
+        let cfg = FlowConfig::new().threads(threads);
         g.bench_function(name, |b| {
-            b.iter(|| profile_partition_on(&nl, &part, &cfg, &pool))
+            b.iter(|| FlowSession::open(&nl, cfg.clone()).and_then(|s| s.profile()))
         });
     }
     g.finish();

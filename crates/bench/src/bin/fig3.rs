@@ -9,18 +9,15 @@ use blasys_bmf::Factorizer;
 use blasys_circuits::fig3_truth_table;
 use blasys_core::approx::{factorization_netlist, factorization_rows};
 use blasys_core::profile::table_to_matrix;
-use blasys_synth::estimate::{estimate, EstimateConfig};
-use blasys_synth::{synthesize_tt, CellLibrary, EspressoConfig};
+use blasys_synth::{estimate, synthesize_tt, CellLibrary};
 
 fn main() {
     let tt = fig3_truth_table();
     let matrix = table_to_matrix(&tt);
     let lib = CellLibrary::typical_65nm();
-    let est = EstimateConfig::default();
-    let espresso = EspressoConfig::default();
 
-    let exact = synthesize_tt(&tt, "fig3_exact", &espresso);
-    let exact_area = estimate(&exact, &lib, &est).area_um2;
+    let exact = synthesize_tt(&tt, "fig3_exact");
+    let exact_area = estimate(&exact, &lib).area_um2;
 
     let mut rows = vec![vec![
         "exact".to_string(),
@@ -38,8 +35,8 @@ fn main() {
             .enumerate()
             .map(|(r, &v)| (v as u64 ^ tt.row_value(r)).count_ones() as usize)
             .sum();
-        let nl = factorization_netlist(4, &fac, &format!("fig3_f{f}"), &espresso);
-        let area = estimate(&nl, &lib, &est).area_um2;
+        let nl = factorization_netlist(4, &fac, &format!("fig3_f{f}"));
+        let area = estimate(&nl, &lib).area_um2;
         rows.push(vec![
             format!("f = {f}"),
             hamming.to_string(),

@@ -30,19 +30,31 @@
 use std::time::Instant;
 
 use blasys_bench::sample_count;
-use blasys_core::explore::explore_on;
 use blasys_core::montecarlo::{Evaluator, McConfig};
-use blasys_core::profile::{profile_partition_on, ProfileConfig};
 use blasys_core::qor::QorMetric;
-use blasys_core::{ExploreSpec, Json, Pool, TrajectoryPoint};
-use blasys_decomp::{decompose, DecompConfig};
+use blasys_core::session::Profiled;
+use blasys_core::{ExploreSpec, FlowConfig, FlowSession, Json, TrajectoryPoint};
 use blasys_logic::blif::from_blif;
 use blasys_logic::Netlist;
+
+/// Monte-Carlo stimulus seed of every measurement.
+const SEED: u64 = 0xB1A5_1234;
 
 fn load(path: &str) -> Netlist {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("read {path}: {e} (run from the repository root)"));
     from_blif(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
+}
+
+/// A profiled session on `workers` threads (1 = serial).
+fn session(nl: &Netlist, samples: usize, workers: usize) -> FlowSession<Profiled> {
+    let cfg = FlowConfig::new()
+        .samples(samples)
+        .seed(SEED)
+        .threads(workers);
+    FlowSession::open(nl, cfg)
+        .and_then(FlowSession::profile)
+        .unwrap_or_else(|e| panic!("{}: {e}", nl.name()))
 }
 
 fn time<R>(mut f: impl FnMut() -> R) -> (f64, R) {
@@ -68,15 +80,17 @@ fn assert_identical(a: &[TrajectoryPoint], b: &[TrajectoryPoint], what: &str) {
 /// plus a JSON record of every measurement for `--json`.
 fn bench_circuit(path: &str, samples: usize, reps: usize) -> (f64, Json) {
     let nl = load(path);
-    let part = decompose(&nl, &DecompConfig::default());
-    let mc = McConfig {
-        samples,
-        seed: 0xB1A5_1234,
-    };
+    let serial = session(&nl, samples, 1);
     let metric = QorMetric::AvgRelative;
-    let profiles = profile_partition_on(&nl, &part, &ProfileConfig::default(), Pool::serial())
-        .expect("no cancel token or deadline");
-    let ev = Evaluator::new(&nl, &part, &mc);
+    let profiles = serial.profiles();
+    let ev = Evaluator::new(
+        &nl,
+        serial.partition(),
+        &McConfig {
+            samples,
+            seed: SEED,
+        },
+    );
     let n = ev.network().len();
     // The step-1 exploration candidates: each cluster at degree m−1
     // (clusters already at one output keep their exact table — a
@@ -187,12 +201,14 @@ fn bench_circuit(path: &str, samples: usize, reps: usize) -> (f64, Json) {
     // trajectories throughout (same committed tables, same QoR).
     let mut results: Vec<(String, Vec<TrajectoryPoint>)> = Vec::new();
     let mut t_explore_serial = 0.0f64;
-    for (workers, par_name) in [(1u64, "serial"), (4, "4 threads")] {
-        let pool = Pool::new(workers as usize);
+    let four = session(&nl, samples, 4);
+    for (workers, par_name, session) in [(1u64, "serial", &serial), (4, "4 threads", &four)] {
+        // Build the session's evaluator before timing: every
+        // exploration starts from a clone of it.
+        session.samples();
         for prune in [false, true] {
-            let mut ev = Evaluator::new(&nl, &part, &mc);
             let spec = ExploreSpec::new().exhaust().prune(prune);
-            let (t, traj) = time(|| explore_on(&mut ev, &profiles, &spec, &pool).into_trajectory());
+            let (t, traj) = time(|| session.explore(&spec).into_trajectory());
             println!(
                 "  explore ({par_name:<9} prune {}) {:>9.1} ms  {} steps",
                 if prune { "on " } else { "off" },

@@ -4,16 +4,14 @@
 //! Run: `cargo run -p blasys-bench --bin table1 --release`
 
 use blasys_bench::{f1, f2, paper, print_table, selected_benchmarks};
-use blasys_synth::estimate::{estimate, EstimateConfig};
-use blasys_synth::CellLibrary;
+use blasys_synth::{estimate, CellLibrary};
 
 fn main() {
     let lib = CellLibrary::typical_65nm();
-    let est = EstimateConfig::default();
     let mut rows = Vec::new();
     for b in selected_benchmarks() {
         let nl = b.build();
-        let m = estimate(&nl, &lib, &est);
+        let m = estimate(&nl, &lib);
         let p = paper::TABLE1.iter().find(|(n, ..)| *n == b.name);
         let (pa, pp, pd) = p
             .map(|&(_, _, a, pw, d)| (a, pw, d))

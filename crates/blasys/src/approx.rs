@@ -11,9 +11,7 @@
 
 use blasys_bmf::{Algebra, Factorization};
 use blasys_logic::{Netlist, NodeId, TruthTable};
-use blasys_synth::{
-    gate_cost, or_tree, shannon_columns, synthesize_columns, xor_tree, EspressoConfig,
-};
+use blasys_synth::{gate_cost, or_tree, shannon_columns, synthesize_columns, xor_tree};
 
 /// Build the k-input, m-output approximate subcircuit netlist realizing
 /// a factorization.
@@ -24,12 +22,7 @@ use blasys_synth::{
 /// # Panics
 ///
 /// Panics if `fac.b()` does not have `2^k` rows.
-pub fn factorization_netlist(
-    k: usize,
-    fac: &Factorization,
-    name: &str,
-    cfg: &EspressoConfig,
-) -> Netlist {
+pub fn factorization_netlist(k: usize, fac: &Factorization, name: &str) -> Netlist {
     let b = fac.b();
     assert_eq!(b.num_rows(), 1usize << k, "B must be a k-input truth table");
     let f = fac.degree();
@@ -38,12 +31,8 @@ pub fn factorization_netlist(
     // The compressor truth table maps well to two-level logic for
     // AND/OR-shaped columns and to Shannon decomposition for XOR-rich
     // ones; build both and keep the cheaper realization.
-    let sop = build_variant(k, fac, name, &b_tt, |nl, inputs, tt| {
-        synthesize_columns(nl, inputs, tt, cfg)
-    });
-    let shannon = build_variant(k, fac, name, &b_tt, |nl, inputs, tt| {
-        shannon_columns(nl, inputs, tt)
-    });
+    let sop = build_variant(k, fac, name, &b_tt, synthesize_columns);
+    let shannon = build_variant(k, fac, name, &b_tt, shannon_columns);
     if gate_cost(&shannon) < gate_cost(&sop) {
         shannon
     } else {
@@ -103,7 +92,7 @@ mod tests {
         let m = BoolMatrix::from_fn(16, 3, |i, j| (i >> j) & 1 == 1 && i % 3 != 0);
         for f in 1..=3 {
             let fac = Factorizer::new().factorize(&m, f);
-            let nl = factorization_netlist(4, &fac, "t", &EspressoConfig::default());
+            let nl = factorization_netlist(4, &fac, "t");
             assert_eq!(nl.num_inputs(), 4);
             assert_eq!(nl.num_outputs(), 3);
             let tt = table_of(&nl);
@@ -127,7 +116,7 @@ mod tests {
     fn field_algebra_uses_xor_semantics() {
         let m = BoolMatrix::from_fn(8, 3, |i, j| (i + j) % 2 == 0);
         let fac = Factorizer::new().algebra(Algebra::Field).factorize(&m, 2);
-        let nl = factorization_netlist(3, &fac, "x", &EspressoConfig::default());
+        let nl = factorization_netlist(3, &fac, "x");
         let tt = table_of(&nl);
         let product = fac.product();
         for row in 0..8 {
@@ -139,7 +128,7 @@ mod tests {
     fn full_degree_factorization_is_exact_hardware() {
         let m = BoolMatrix::from_fn(16, 4, |i, j| (i * 5 + j * j) % 3 == 1);
         let fac = Factorizer::new().factorize(&m, 4);
-        let nl = factorization_netlist(4, &fac, "exact", &EspressoConfig::default());
+        let nl = factorization_netlist(4, &fac, "exact");
         let tt = table_of(&nl);
         for row in 0..16 {
             assert_eq!(tt.row_value(row), m.row(row));
@@ -151,7 +140,7 @@ mod tests {
         // A factorization where some output never appears in C.
         let m = BoolMatrix::zeroed(8, 2);
         let fac = Factorizer::new().factorize(&m, 1);
-        let nl = factorization_netlist(3, &fac, "z", &EspressoConfig::default());
+        let nl = factorization_netlist(3, &fac, "z");
         let tt = table_of(&nl);
         for row in 0..8 {
             assert_eq!(tt.row_value(row), 0);

@@ -96,7 +96,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 use blasys_par::Pool;
 use rand::rngs::SmallRng;
@@ -210,29 +209,7 @@ fn model_depth(profiles: &[SubcircuitProfile], network: &TableNetwork, degrees: 
     network.model_depth_ns(&delays)
 }
 
-/// Run one exploration on `pool` with no observer or metrics registry:
-/// the [`FlowSession::explore`](crate::session::FlowSession::explore)
-/// core for tests and benchmarks that drive an [`Evaluator`] directly.
-/// `evaluator` must be freshly built (exact tables installed) and
-/// `profiles` must come from the same partition. The spec's budget and
-/// cancel token apply; an [`Explorer::Anneal`] schedule without a seed
-/// uses seed 0.
-#[doc(hidden)]
-pub fn explore_on(
-    evaluator: &mut Evaluator,
-    profiles: &[SubcircuitProfile],
-    spec: &ExploreSpec,
-    pool: &Pool,
-) -> Exploration {
-    let ctx = FlowContext {
-        cancel: spec.cancel.as_ref(),
-        deadline: spec.budget.max_wall.map(|d| Instant::now() + d),
-        ..FlowContext::NONE
-    };
-    explore_ctx(evaluator, profiles, spec, pool, &ctx)
-}
-
-/// The exploration core behind [`explore_on`] and
+/// The exploration core behind
 /// [`FlowSession::explore`](crate::session::FlowSession::explore):
 /// dispatches to the configured [`Explorer`] engine, runs candidate
 /// sweeps on `pool` (one probe state per worker), streams committed
@@ -480,7 +457,7 @@ fn beam_ctx(
     // Probe overlays are shape-compatible across branches (every
     // branch evaluator clones the same network layout), so one set
     // serves the whole frontier's pooled sweep.
-    let max_expansions = width * n;
+    let max_expansions = width.saturating_mul(n);
     let mut probe_states: Vec<_> = (0..pool.threads().min(max_expansions).max(1))
         .map(|_| evaluator.probe_state())
         .collect();
@@ -544,7 +521,10 @@ fn beam_ctx(
         // only strict losers are pruned (see the module docs). At
         // width == 1 this is greedy's running minimum.
         let bound = AtomicU64::new(threshold.to_bits());
-        let best_designs: Mutex<Vec<(f64, usize)>> = Mutex::new(Vec::with_capacity(width + 1));
+        // Buffers are sized by the expansions, never by `width` alone:
+        // a width past the design count keeps every feasible child.
+        let best_designs: Mutex<Vec<(f64, usize)>> =
+            Mutex::new(Vec::with_capacity(width.min(expansions.len()) + 1));
         let frontier_ref = &frontier;
         let probes: Vec<Option<(f64, QorReport)>> =
             pool.run_states(expansions.len(), &mut probe_states, |state, i| {
@@ -602,7 +582,8 @@ fn beam_ctx(
         // vectors (two branches can converge on the same design; the
         // better-ranked lineage wins).
         let mut seen: HashSet<usize> = HashSet::new();
-        let mut kept: Vec<(f64, usize, usize, QorReport)> = Vec::with_capacity(width);
+        let mut kept: Vec<(f64, usize, usize, QorReport)> =
+            Vec::with_capacity(width.min(scored.len()));
         for (err, design, b, ci, report) in scored {
             if err > threshold || kept.len() == width {
                 break;
@@ -821,7 +802,7 @@ pub fn best_under_threshold(
 mod tests {
     use super::*;
     use crate::montecarlo::McConfig;
-    use crate::profile::{profile_partition_on, ProfileConfig};
+    use crate::profile::{profile_partition_ctx, ProfileConfig};
     use blasys_decomp::{decompose, DecompConfig};
     use blasys_logic::builder::{add, input_bus, mark_output_bus};
     use blasys_logic::Netlist;
@@ -834,7 +815,8 @@ mod tests {
         spec: &ExploreSpec,
         parallelism: Parallelism,
     ) -> Vec<TrajectoryPoint> {
-        explore_on(ev, profiles, spec, &Pool::with_parallelism(parallelism)).into_trajectory()
+        let pool = Pool::with_parallelism(parallelism);
+        explore_ctx(ev, profiles, spec, &pool, &FlowContext::NONE).into_trajectory()
     }
 
     /// [`explore_with`], plus the `explore.branches` and
@@ -882,8 +864,14 @@ mod tests {
         decomp: &DecompConfig,
     ) -> (Netlist, Vec<SubcircuitProfile>, Evaluator) {
         let part = decompose(&nl, decomp);
-        let profiles = profile_partition_on(&nl, &part, &ProfileConfig::default(), Pool::serial())
-            .expect("no cancel token or deadline");
+        let profiles = profile_partition_ctx(
+            &nl,
+            &part,
+            &ProfileConfig::default(),
+            Pool::serial(),
+            &FlowContext::NONE,
+        )
+        .expect("no cancel token or deadline");
         let ev = Evaluator::new(
             &nl,
             &part,
@@ -1133,6 +1121,42 @@ mod tests {
     }
 
     #[test]
+    fn beam_wider_than_the_degree_lattice_matches_lattice_width() {
+        // A width of at least the number of designs (the product of
+        // the ladder lengths) never truncates the frontier, so every
+        // such width walks the same trajectory and keeps the same
+        // children. Huge widths must not size a buffer by the width.
+        let small_windows = DecompConfig {
+            max_inputs: 4,
+            max_outputs: 4,
+            ..DecompConfig::default()
+        };
+        let (_nl, profiles, pristine) = setup_netlist(blasys_circuits::adder(5), &small_windows);
+        let lattice: usize = profiles.iter().map(|p| p.num_outputs.max(1)).product();
+        assert!(profiles.len() >= 2 && lattice <= 64, "lattice {lattice}");
+        let spec = |width| ExploreSpec::new().explorer(Explorer::Beam { width });
+        let reference = explore_counted(
+            &mut pristine.clone(),
+            &profiles,
+            &spec(lattice),
+            Parallelism::Serial,
+        );
+        let steps = reference.0.len() as u64 - 1;
+        assert!(
+            reference.1[0] > Some(steps),
+            "some step keeps several children"
+        );
+        for width in [1 << 40, usize::MAX] {
+            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+                let got =
+                    explore_counted(&mut pristine.clone(), &profiles, &spec(width), parallelism);
+                assert_same_trajectory(&reference.0, &got.0);
+                assert_eq!(reference.1, got.1, "width {width} {parallelism:?}");
+            }
+        }
+    }
+
+    #[test]
     fn anneal_is_seed_deterministic() {
         let schedule = AnnealSchedule {
             steps: 64,
@@ -1158,11 +1182,12 @@ mod tests {
         let (_nl, profiles, mut ev_greedy) = setup(8);
         let (_n2, _p2, mut ev_p3) = setup(8);
         let greedy = explore(&mut ev_greedy, &profiles, &ExploreSpec::new());
-        let p3 = explore_on(
+        let p3 = explore_ctx(
             &mut ev_p3,
             &profiles,
             &ExploreSpec::new().explorer(Explorer::Pareto3),
             Pool::serial(),
+            &FlowContext::NONE,
         );
         assert_same_trajectory(&greedy, p3.trajectory());
         let surface = p3.pareto_surface().expect("pareto3 emits a surface");

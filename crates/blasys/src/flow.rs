@@ -3,8 +3,7 @@
 use blasys_decomp::{substitute, ClusterImpl, DecompConfig, Partition};
 use blasys_lint::Diagnostic;
 use blasys_logic::Netlist;
-use blasys_synth::estimate::{estimate, EstimateConfig};
-use blasys_synth::{CellLibrary, DesignMetrics};
+use blasys_synth::{estimate, CellLibrary, DesignMetrics};
 
 use crate::certify::{prove_exact, CertifiedPoint};
 use crate::explore::TrajectoryPoint;
@@ -193,10 +192,6 @@ pub struct BlasysResult {
     profiles: Vec<SubcircuitProfile>,
     trajectory: Vec<TrajectoryPoint>,
     library: CellLibrary,
-    estimate: EstimateConfig,
-    /// Release-mode opt-in for the interface verifier on synthesized
-    /// steps (debug builds always verify).
-    verify_ir: bool,
 }
 
 impl BlasysResult {
@@ -208,8 +203,6 @@ impl BlasysResult {
         profiles: Vec<SubcircuitProfile>,
         trajectory: Vec<TrajectoryPoint>,
         library: CellLibrary,
-        estimate: EstimateConfig,
-        verify_ir: bool,
     ) -> BlasysResult {
         BlasysResult {
             original,
@@ -217,8 +210,6 @@ impl BlasysResult {
             profiles,
             trajectory,
             library,
-            estimate,
-            verify_ir,
         }
     }
 
@@ -247,11 +238,6 @@ impl BlasysResult {
         &self.library
     }
 
-    /// The estimator configuration all metrics were estimated with.
-    pub fn estimate_config(&self) -> &EstimateConfig {
-        &self.estimate
-    }
-
     /// Synthesize the netlist of one trajectory point: every cluster is
     /// replaced by its active variant's compressor/decompressor (the
     /// exact resynthesis for clusters still at full degree).
@@ -268,7 +254,7 @@ impl BlasysResult {
             .map(|(p, &f)| ClusterImpl::Replace(p.variant(f).netlist.clone()))
             .collect();
         let synthesized = substitute(&self.original, &self.partition, &impls).cleaned();
-        if cfg!(debug_assertions) || self.verify_ir {
+        if cfg!(debug_assertions) {
             // Any violation here is a bug in substitute/cleaned, not
             // in the caller's input — assert, don't return.
             if let Err(diags) = blasys_lint::verify_interface(&self.original, &synthesized) {
@@ -281,7 +267,7 @@ impl BlasysResult {
     /// Area / power / delay of one trajectory point's synthesized
     /// netlist.
     pub fn metrics_step(&self, step: usize) -> DesignMetrics {
-        estimate(&self.synthesize_step(step), &self.library, &self.estimate)
+        estimate(&self.synthesize_step(step), &self.library)
     }
 
     /// The accurate baseline: every cluster resynthesized exactly

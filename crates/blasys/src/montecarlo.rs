@@ -375,8 +375,8 @@ impl TableNetwork {
     /// on: consistent offset tables, `2^k` rows per cluster, strictly
     /// topological cone order, and every referenced signal in range.
     /// Called at the session's pristine-evaluator boundary in debug
-    /// builds (and under `verify_ir`); a violation is a constructor or
-    /// `set_table` bug, so this panics rather than returning.
+    /// builds; a violation is a constructor or `set_table` bug, so this
+    /// panics rather than returning.
     pub(crate) fn debug_verify(&self) {
         let n = self.n;
         let csr = [

@@ -14,8 +14,7 @@ use blasys_decomp::{cluster_truth_table, extract_cluster_netlist, Partition};
 use blasys_logic::{Netlist, TruthTable};
 use blasys_obs::{Counter, Registry};
 use blasys_par::Pool;
-use blasys_synth::estimate::{estimate, EstimateConfig};
-use blasys_synth::{synthesize_tt, CellLibrary, EspressoConfig};
+use blasys_synth::{estimate, synthesize_tt, CellLibrary};
 
 use crate::flow::FlowError;
 use crate::session::FlowContext;
@@ -34,7 +33,7 @@ pub struct Variant {
     /// Estimated area of the variant, µm².
     pub area_um2: f64,
     /// Estimated critical-path delay of the variant, ns (the same
-    /// [`estimate`] call that prices the area; exploration's depth
+    /// [`estimate()`] call that prices the area; exploration's depth
     /// axis sums these along the cluster DAG's longest path).
     pub delay_ns: f64,
     /// Local truth-table Hamming distance to the exact window.
@@ -77,20 +76,18 @@ impl SubcircuitProfile {
     }
 }
 
-/// Options controlling profiling.
+/// Options controlling profiling, derived from the session's
+/// [`FlowConfig`](crate::session::FlowConfig) by
+/// [`FlowSession::profile`](crate::session::FlowSession::profile).
 #[derive(Debug, Clone)]
-pub struct ProfileConfig {
+pub(crate) struct ProfileConfig {
     /// The factorizer (algorithm, algebra, weighting) to profile with.
-    pub factorizer: Factorizer,
-    /// Two-level minimization settings for variant synthesis.
-    pub espresso: EspressoConfig,
+    pub(crate) factorizer: Factorizer,
     /// Cell library for area estimation.
-    pub library: CellLibrary,
-    /// Estimator settings.
-    pub estimate: EstimateConfig,
+    pub(crate) library: CellLibrary,
     /// Per-cluster output weights for weighted-QoR factorization
     /// (`None` = uniform). Outer index: cluster.
-    pub output_weights: Option<Vec<Vec<f64>>>,
+    pub(crate) output_weights: Option<Vec<Vec<f64>>>,
     /// Also factorize each degree with the GreConD concept cover and
     /// keep whichever variant actually saves hardware.
     ///
@@ -103,39 +100,18 @@ pub struct ProfileConfig {
     /// so among the candidate factorizations those smaller than exact
     /// are kept and the lowest-error one wins (falling back to the
     /// smallest one when none saves area).
-    pub hybrid: bool,
+    pub(crate) hybrid: bool,
 }
 
 impl Default for ProfileConfig {
     fn default() -> ProfileConfig {
         ProfileConfig {
             factorizer: Factorizer::new(),
-            espresso: EspressoConfig::default(),
             library: CellLibrary::typical_65nm(),
-            estimate: EstimateConfig::default(),
             output_weights: None,
             hybrid: true,
         }
     }
-}
-
-/// Profile every cluster of a partition on `pool` with no observer or
-/// metrics registry: the
-/// [`FlowSession::profile`](crate::session::FlowSession::profile) core
-/// for tests and benchmarks that need profiles without a session.
-///
-/// # Errors
-///
-/// Never in practice: profiling stops early only for a cancel token or
-/// a deadline, and this entry point sets neither.
-#[doc(hidden)]
-pub fn profile_partition_on(
-    nl: &Netlist,
-    partition: &Partition,
-    cfg: &ProfileConfig,
-    pool: &Pool,
-) -> Result<Vec<SubcircuitProfile>, FlowError> {
-    profile_partition_ctx(nl, partition, cfg, pool, &FlowContext::NONE)
 }
 
 /// Profile every cluster of a partition (Algorithm 1, lines 3–10).
@@ -274,7 +250,7 @@ pub(crate) fn profile_window_counted(
     // Exact variant first: its area gates the hybrid selection rule.
     // Prefer the original cluster gates over a from-scratch resynthesis
     // when they are cheaper (they almost always are).
-    let resynth = synthesize_tt(tt, &format!("s{cluster}_exact"), &cfg.espresso);
+    let resynth = synthesize_tt(tt, &format!("s{cluster}_exact"));
     let exact_netlist = match reference {
         Some(reference)
             if blasys_synth::gate_cost(&reference) < blasys_synth::gate_cost(&resynth) =>
@@ -283,13 +259,13 @@ pub(crate) fn profile_window_counted(
         }
         _ => resynth,
     };
-    let exact_metrics = estimate(&exact_netlist, &cfg.library, &cfg.estimate);
+    let exact_metrics = estimate(&exact_netlist, &cfg.library);
     let exact_area = exact_metrics.area_um2;
 
     // The configured factorizer, plus a GreConD concept cover under the
     // hybrid rule.
     let primary = match factorizer.algorithm_kind() {
-        Algorithm::Asso { .. } => Family::Asso,
+        Algorithm::Asso => Family::Asso,
         Algorithm::GreConD => Family::GreConD,
     };
     let grecond = (cfg.hybrid
@@ -358,14 +334,11 @@ pub(crate) fn profile_window_counted(
         let build = |c: &Candidate| -> (Netlist, f64, f64) {
             let netlist = match c.nulled {
                 Some(kept) => with_nulled_outputs(&exact_netlist, kept),
-                None => crate::approx::factorization_netlist(
-                    k,
-                    &c.fac,
-                    &format!("s{cluster}_f{f}"),
-                    &cfg.espresso,
-                ),
+                None => {
+                    crate::approx::factorization_netlist(k, &c.fac, &format!("s{cluster}_f{f}"))
+                }
             };
-            let met = estimate(&netlist, &cfg.library, &cfg.estimate);
+            let met = estimate(&netlist, &cfg.library);
             (netlist, met.area_um2, met.delay_ns)
         };
         let mut order: Vec<usize> = (0..cands.len()).collect();
@@ -485,7 +458,8 @@ mod tests {
         cfg: &ProfileConfig,
     ) -> Vec<SubcircuitProfile> {
         let pool = Pool::with_parallelism(Parallelism::default());
-        profile_partition_on(nl, part, cfg, &pool).expect("no cancel token or deadline")
+        profile_partition_ctx(nl, part, cfg, &pool, &FlowContext::NONE)
+            .expect("no cancel token or deadline")
     }
 
     /// Test oracle for [`profile_window_counted`]: the eager
@@ -516,7 +490,7 @@ mod tests {
         // Exact variant first: its area gates the hybrid selection rule.
         // Prefer the original cluster gates over a from-scratch resynthesis
         // when they are cheaper (they almost always are).
-        let resynth = synthesize_tt(tt, &format!("s{cluster}_exact"), &cfg.espresso);
+        let resynth = synthesize_tt(tt, &format!("s{cluster}_exact"));
         let exact_netlist = match reference {
             Some(reference)
                 if blasys_synth::gate_cost(&reference) < blasys_synth::gate_cost(&resynth) =>
@@ -525,7 +499,7 @@ mod tests {
             }
             _ => resynth,
         };
-        let exact_metrics = estimate(&exact_netlist, &cfg.library, &cfg.estimate);
+        let exact_metrics = estimate(&exact_netlist, &cfg.library);
         let exact_area = exact_metrics.area_um2;
 
         // Candidate factorizers for approximate degrees.
@@ -563,7 +537,7 @@ mod tests {
             if chain_fac.c().iter_rows().all(|r| r.count_ones() <= 1) {
                 let kept: u64 = (0..f).fold(0u64, |acc, l| acc | chain_fac.c().row(l));
                 let netlist = with_nulled_outputs(&exact_netlist, kept);
-                let met = estimate(&netlist, &cfg.library, &cfg.estimate);
+                let met = estimate(&netlist, &cfg.library);
                 let local_hamming = metrics::hamming(&chain_fac.product(), &matrix);
                 built.push((
                     Variant {
@@ -591,13 +565,9 @@ mod tests {
             }
             built.extend(facs.into_iter().map(|fac| {
                 let rows = crate::approx::factorization_rows(&fac);
-                let netlist = crate::approx::factorization_netlist(
-                    k,
-                    &fac,
-                    &format!("s{cluster}_f{f}"),
-                    &cfg.espresso,
-                );
-                let met = estimate(&netlist, &cfg.library, &cfg.estimate);
+                let netlist =
+                    crate::approx::factorization_netlist(k, &fac, &format!("s{cluster}_f{f}"));
+                let met = estimate(&netlist, &cfg.library);
                 let local_hamming = metrics::hamming(&fac.product(), &matrix);
                 (
                     Variant {
@@ -718,9 +688,12 @@ mod tests {
         for nl in [adder(5), mult8] {
             let part = decompose(&nl, &DecompConfig::default());
             let cfg = ProfileConfig::default();
-            let serial = profile_partition_on(&nl, &part, &cfg, Pool::serial()).unwrap();
+            let profile = |pool: &Pool| {
+                profile_partition_ctx(&nl, &part, &cfg, pool, &FlowContext::NONE).unwrap()
+            };
+            let serial = profile(Pool::serial());
             for threads in [2, part.len() + 3] {
-                let par = profile_partition_on(&nl, &part, &cfg, &Pool::new(threads)).unwrap();
+                let par = profile(&Pool::new(threads));
                 assert_eq!(serial.len(), par.len());
                 for (s, p) in serial.iter().zip(&par) {
                     let label = format!("{} threads={threads}", nl.name());
@@ -870,7 +843,6 @@ mod tests {
 
     #[test]
     fn winner_counters_tally_every_rung_deterministically() {
-        use crate::session::FlowContext;
         let nl = adder(6);
         let part = decompose(&nl, &DecompConfig::default());
         let tally = |threads: usize| {

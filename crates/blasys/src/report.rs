@@ -318,7 +318,7 @@ impl FlowReport {
         step: usize,
         synthesized: &blasys_logic::Netlist,
     ) -> FlowReport {
-        let chosen = estimate(synthesized, result.library(), result.estimate_config());
+        let chosen = estimate(synthesized, result.library());
         FlowReport::build(result, step, chosen)
     }
 
@@ -469,6 +469,20 @@ pub fn stop_reason_name(reason: StopReason) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_json_is_stable_and_parseable_shaped() {
+        let r = blasys_obs::Registry::new();
+        r.counter("b.count").add(2);
+        r.gauge("a.level").set(-3);
+        r.histogram("c.hist", &[1, 2]).observe(2);
+        assert_eq!(
+            snapshot_json(&r.snapshot()).to_string(),
+            "{\"a.level\": -3,\"b.count\": 2,\"c.hist\": {\"count\": 1,\"sum\": 2,\
+             \"buckets\": [{\"le\": 1,\"count\": 0},{\"le\": 2,\"count\": 1},\
+             {\"le\": null,\"count\": 0}]}}"
+        );
+    }
 
     #[test]
     fn stop_reason_names_are_stable() {

@@ -72,8 +72,7 @@ use blasys_decomp::{decompose, DecompConfig, Partition};
 use blasys_logic::Netlist;
 use blasys_obs::Registry;
 use blasys_par::{Parallelism, Pool, PoolMetrics};
-use blasys_synth::estimate::EstimateConfig;
-use blasys_synth::{CellLibrary, EspressoConfig};
+use blasys_synth::CellLibrary;
 
 use crate::explore::{explore_ctx, Explorer, StopCriterion, TrajectoryPoint};
 use crate::flow::{influence_weights, BlasysResult, FlowError, OutputWeighting};
@@ -384,8 +383,7 @@ impl Exploration {
 /// Shared per-stage context threaded through the pipeline internals:
 /// the optional observer, the cancellation token, the wall-clock
 /// deadline, and the metrics registry (for the explorers'
-/// `explore.*` counters). Everything `None` means "run like the
-/// pre-session code".
+/// `explore.*` counters).
 pub(crate) struct FlowContext<'a> {
     pub(crate) observer: Option<&'a dyn FlowObserver>,
     pub(crate) cancel: Option<&'a CancelToken>,
@@ -394,6 +392,9 @@ pub(crate) struct FlowContext<'a> {
 }
 
 impl FlowContext<'_> {
+    /// No observer, token, deadline or registry: the context unit
+    /// tests drive the pipeline internals with.
+    #[cfg(test)]
     pub(crate) const NONE: FlowContext<'static> = FlowContext {
         observer: None,
         cancel: None,
@@ -444,9 +445,7 @@ impl FlowContext<'_> {
 pub struct FlowConfig {
     pub(crate) decomp: DecompConfig,
     pub(crate) factorizer: Factorizer,
-    pub(crate) espresso: EspressoConfig,
     pub(crate) library: CellLibrary,
-    pub(crate) estimate: EstimateConfig,
     pub(crate) mc: McConfig,
     pub(crate) weighting: OutputWeighting,
     pub(crate) hybrid: bool,
@@ -456,7 +455,6 @@ pub struct FlowConfig {
     pub(crate) metrics: Option<Arc<Registry>>,
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) wall_budget: Option<Duration>,
-    pub(crate) verify_ir: bool,
 }
 
 impl std::fmt::Debug for FlowConfig {
@@ -472,7 +470,6 @@ impl std::fmt::Debug for FlowConfig {
             .field("metrics", &self.metrics.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("wall_budget", &self.wall_budget)
-            .field("verify_ir", &self.verify_ir)
             .finish_non_exhaustive()
     }
 }
@@ -492,9 +489,7 @@ impl FlowConfig {
         FlowConfig {
             decomp: DecompConfig::default(),
             factorizer: Factorizer::new(),
-            espresso: EspressoConfig::default(),
             library: CellLibrary::typical_65nm(),
-            estimate: EstimateConfig::default(),
             mc: McConfig::default(),
             weighting: OutputWeighting::Uniform,
             hybrid: true,
@@ -504,7 +499,6 @@ impl FlowConfig {
             metrics: None,
             cancel: None,
             wall_budget: None,
-            verify_ir: false,
         }
     }
 
@@ -554,18 +548,6 @@ impl FlowConfig {
     /// OR-semi-ring vs XOR-field decompressors.
     pub fn algebra(mut self, algebra: Algebra) -> FlowConfig {
         self.factorizer = self.factorizer.algebra(algebra);
-        self
-    }
-
-    /// Replace the factorizer wholesale.
-    pub fn factorizer(mut self, factorizer: Factorizer) -> FlowConfig {
-        self.factorizer = factorizer;
-        self
-    }
-
-    /// Replace the cell library used for all estimation.
-    pub fn library(mut self, library: CellLibrary) -> FlowConfig {
-        self.library = library;
         self
     }
 
@@ -637,16 +619,6 @@ impl FlowConfig {
         self
     }
 
-    /// Assert the flow's internal IR invariants at every stage
-    /// boundary (partition consistency after decompose, table-network
-    /// CSR layout before exploration, PI/PO interface preservation on
-    /// every synthesized step) even in release builds. Debug builds
-    /// always assert; the default release build pays nothing.
-    pub fn verify_ir(mut self, verify: bool) -> FlowConfig {
-        self.verify_ir = verify;
-        self
-    }
-
     fn observe(&self, f: impl FnOnce(&dyn FlowObserver)) {
         if let Some(o) = &self.observer {
             f(o.as_ref());
@@ -693,11 +665,6 @@ impl<Stage> FlowSession<Stage> {
     pub fn partition(&self) -> &Partition {
         &self.partition
     }
-
-    /// The session configuration.
-    pub fn config(&self) -> &FlowConfig {
-        &self.cfg
-    }
 }
 
 impl FlowSession<Decomposed> {
@@ -738,7 +705,7 @@ impl FlowSession<Decomposed> {
         if partition.is_empty() {
             return Err(FlowError::NoGates);
         }
-        if cfg!(debug_assertions) || cfg.verify_ir {
+        if cfg!(debug_assertions) {
             // A bad partition from a valid netlist is a decomposer
             // bug, not an input problem — assert, don't return.
             if let Err(diags) = blasys_lint::verify_partition(nl, &partition) {
@@ -797,9 +764,7 @@ impl FlowSession<Decomposed> {
         };
         let profile_cfg = ProfileConfig {
             factorizer,
-            espresso: cfg.espresso,
             library: cfg.library.clone(),
-            estimate: cfg.estimate,
             output_weights,
             hybrid: cfg.hybrid,
         };
@@ -868,7 +833,7 @@ impl FlowSession<Profiled> {
             if let Some(r) = &self.cfg.metrics {
                 evaluator.set_counters(Arc::new(QorCounters::register(r)));
             }
-            if cfg!(debug_assertions) || self.cfg.verify_ir {
+            if cfg!(debug_assertions) {
                 evaluator.network().debug_verify();
             }
             evaluator
@@ -944,8 +909,6 @@ impl FlowSession<Profiled> {
             self.stage.profiles.clone(),
             exploration.trajectory.clone(),
             self.cfg.library.clone(),
-            self.cfg.estimate,
-            self.cfg.verify_ir,
         )
     }
 
@@ -958,8 +921,6 @@ impl FlowSession<Profiled> {
             self.stage.profiles,
             exploration.trajectory,
             self.cfg.library,
-            self.cfg.estimate,
-            self.cfg.verify_ir,
         )
     }
 }

@@ -9,8 +9,8 @@
 //!    `conf(i ⇒ j) = |col_i ∧ col_j| / |col_i|` is at least a threshold
 //!    `τ`;
 //! 2. greedily pick `f` (candidate, usage-column) pairs maximizing a
-//!    cover function that rewards newly covered 1s (`w⁺`) and penalizes
-//!    erroneously covered 0s (`w⁻`).
+//!    cover function that rewards newly covered 1s and penalizes
+//!    erroneously covered 0s (unit weights `w⁺ = w⁻ = 1`).
 //!
 //! BLASYS modifies the cover function so every cell of column `j` is
 //! additionally scaled by a per-column weight — powers of two for
@@ -32,16 +32,9 @@ pub struct AssoParams {
     pub threshold: f64,
     /// Per-column cell weights; `None` means uniform (standard ASSO).
     pub weights: Option<Vec<f64>>,
-    /// Reward for covering a 1 (`w⁺` in the ASSO literature).
-    pub bonus: f64,
-    /// Penalty for covering a 0 (`w⁻`).
-    pub penalty: f64,
     /// Alternating refinement rounds applied after the greedy phase
     /// (0 reproduces plain ASSO).
     pub refine_rounds: usize,
-    /// Also consider the distinct rows of `M` as candidate basis
-    /// vectors (a cheap quality extension useful for truth tables).
-    pub row_candidates: bool,
 }
 
 impl Default for AssoParams {
@@ -49,10 +42,7 @@ impl Default for AssoParams {
         AssoParams {
             threshold: 1.0,
             weights: None,
-            bonus: 1.0,
-            penalty: 1.0,
             refine_rounds: 1,
-            row_candidates: true,
         }
     }
 }
@@ -170,8 +160,7 @@ pub(crate) fn asso_counted(
                 for (i, &cov) in covered.iter().enumerate() {
                     let newly = cand & !cov;
                     let row = m.row(i);
-                    let gain =
-                        params.bonus * t.get(newly & row) - params.penalty * t.get(newly & !row);
+                    let gain = t.get(newly & row) - t.get(newly & !row);
                     if gain > 0.0 {
                         score += gain;
                     }
@@ -181,8 +170,7 @@ pub(crate) fn asso_counted(
                 for (i, &cov) in covered.iter().enumerate() {
                     let newly = cand & !cov;
                     let row = m.row(i);
-                    let gain = params.bonus * wsum(newly & row, weights)
-                        - params.penalty * wsum(newly & !row, weights);
+                    let gain = wsum(newly & row, weights) - wsum(newly & !row, weights);
                     if gain > 0.0 {
                         score += gain;
                     }
@@ -241,8 +229,7 @@ pub(crate) fn asso_counted(
                     let newly = cand & !*cov;
                     let good = newly & m.row(i);
                     let bad = newly & !m.row(i);
-                    let gain =
-                        params.bonus * wsum(good, weights) - params.penalty * wsum(bad, weights);
+                    let gain = wsum(good, weights) - wsum(bad, weights);
                     if gain > 0.0 {
                         b.set(i, l, true);
                         *cov |= cand;
@@ -256,13 +243,14 @@ pub(crate) fn asso_counted(
     for _ in 0..params.refine_rounds {
         let improved_b = refine_usage(m, &b, &c, weights);
         b = improved_b;
-        refine_basis(m, &mut b, &mut c, params, weights);
+        refine_basis(m, &mut b, &mut c, weights);
     }
     (b, c)
 }
 
 /// Build the candidate basis-vector set: association-matrix rows at
-/// threshold `τ`, optionally extended with the distinct rows of `M`.
+/// threshold `τ`, extended with the distinct rows of `M` (a cheap
+/// quality extension useful for truth tables).
 fn candidate_basis(m: &BoolMatrix, params: &AssoParams) -> Vec<u64> {
     let cols = m.num_cols();
     // Column bitsets for pairwise dot products.
@@ -286,12 +274,10 @@ fn candidate_basis(m: &BoolMatrix, params: &AssoParams) -> Vec<u64> {
         }
         cands.push(row);
     }
-    if params.row_candidates {
-        let mut rows: Vec<u64> = m.iter_rows().filter(|&r| r != 0).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        cands.extend(rows);
-    }
+    let mut rows: Vec<u64> = m.iter_rows().filter(|&r| r != 0).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    cands.extend(rows);
     cands.sort_unstable();
     cands.dedup();
     cands
@@ -361,13 +347,7 @@ fn refine_usage(m: &BoolMatrix, b: &BoolMatrix, c: &BoolMatrix, weights: &[f64])
 
 /// Coordinate-descent basis update: for every basis row `l` and column
 /// `j`, re-decide entry `c[l][j]` optimally given everything else.
-fn refine_basis(
-    m: &BoolMatrix,
-    b: &mut BoolMatrix,
-    c: &mut BoolMatrix,
-    params: &AssoParams,
-    weights: &[f64],
-) {
+fn refine_basis(m: &BoolMatrix, b: &mut BoolMatrix, c: &mut BoolMatrix, weights: &[f64]) {
     let f = c.num_rows();
     let cols = m.num_cols();
     let n = m.num_rows();
@@ -387,9 +367,9 @@ fn refine_basis(
                     continue; // this entry cannot change cell (i, j)
                 }
                 if m.get(i, j) {
-                    gain_on += params.bonus * weights[j];
+                    gain_on += weights[j];
                 } else {
-                    gain_on -= params.penalty * weights[j];
+                    gain_on -= weights[j];
                 }
             }
             c.set(l, j, gain_on > 0.0);
@@ -406,23 +386,14 @@ pub fn asso_sweep(
     thresholds: &[f64],
     base: &AssoParams,
 ) -> (BoolMatrix, BoolMatrix) {
-    asso_sweep_on(m, f, thresholds, base, Pool::serial())
+    asso_sweep_counted(m, f, thresholds, base, Pool::serial(), None)
 }
 
-/// [`asso_sweep`] with an explicit execution context, passed down to
-/// each per-threshold [`asso_on`] run. The threshold loop itself stays
-/// serial (the per-round candidate scans inside it are the hot part),
-/// so the winning factorization is the serial one verbatim.
-pub fn asso_sweep_on(
-    m: &BoolMatrix,
-    f: usize,
-    thresholds: &[f64],
-    base: &AssoParams,
-    pool: &Pool,
-) -> (BoolMatrix, BoolMatrix) {
-    asso_sweep_counted(m, f, thresholds, base, pool, None)
-}
-
+/// [`asso_sweep`] with an execution context, passed down to each
+/// per-threshold [`asso_on`] run, and optional counters. The threshold
+/// loop itself stays serial (the per-round candidate scans inside it
+/// are the hot part), so the winning factorization is the serial one
+/// verbatim.
 pub(crate) fn asso_sweep_counted(
     m: &BoolMatrix,
     f: usize,

@@ -29,24 +29,19 @@ pub enum Algebra {
 }
 
 /// Which factorization heuristic to run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Algorithm {
-    /// ASSO with a sweep over association thresholds (paper default).
-    Asso {
-        /// Candidate thresholds; the best-scoring one wins.
-        thresholds: Vec<f64>,
-    },
+    /// ASSO with a sweep over six association thresholds, keeping the
+    /// best-scoring one (paper default).
+    #[default]
+    Asso,
     /// GreConD-style greedy concept cover (never covers 0s).
     GreConD,
 }
 
-impl Default for Algorithm {
-    fn default() -> Algorithm {
-        Algorithm::Asso {
-            thresholds: vec![0.3, 0.5, 0.7, 0.85, 0.95, 1.0],
-        }
-    }
-}
+/// Association thresholds [`Algorithm::Asso`] sweeps; the best-scoring
+/// one wins.
+const ASSO_THRESHOLDS: [f64; 6] = [0.3, 0.5, 0.7, 0.85, 0.95, 1.0];
 
 /// Result of a factorization: `M ≈ B ∘ C`.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,18 +138,18 @@ pub struct Factorizer {
     algorithm: Algorithm,
     algebra: Algebra,
     weights: Option<Vec<f64>>,
-    refine_rounds: usize,
     counters: Option<Arc<FactorizeCounters>>,
 }
+
+/// Alternating refinement rounds after the greedy phase (ASSO), which
+/// also sets the XOR solver's round cap.
+const REFINE_ROUNDS: usize = 1;
 
 impl Factorizer {
     /// A factorizer with the paper defaults: ASSO + threshold sweep,
     /// OR semi-ring, uniform weights, one refinement round.
     pub fn new() -> Factorizer {
-        Factorizer {
-            refine_rounds: 1,
-            ..Factorizer::default()
-        }
+        Factorizer::default()
     }
 
     /// Select the factorization algorithm.
@@ -172,18 +167,6 @@ impl Factorizer {
     /// Set per-column QoR weights (the paper's weighted-QoR mode).
     pub fn weights(mut self, weights: Vec<f64>) -> Factorizer {
         self.weights = Some(weights);
-        self
-    }
-
-    /// Clear weights (uniform / standard L2 behaviour).
-    pub fn uniform(mut self) -> Factorizer {
-        self.weights = None;
-        self
-    }
-
-    /// Number of alternating refinement rounds after the greedy phase.
-    pub fn refine_rounds(mut self, rounds: usize) -> Factorizer {
-        self.refine_rounds = rounds;
         self
     }
 
@@ -277,13 +260,14 @@ impl Factorizer {
         match self.algebra {
             Algebra::SemiRing => {
                 let (b, c) = match &self.algorithm {
-                    Algorithm::Asso { thresholds } => {
+                    Algorithm::Asso => {
                         let base = AssoParams {
                             weights: self.weights.clone(),
-                            refine_rounds: self.refine_rounds,
+                            refine_rounds: REFINE_ROUNDS,
                             ..AssoParams::default()
                         };
-                        asso_sweep_counted(m, f, thresholds, &base, pool, self.counters.as_deref())
+                        let counters = self.counters.as_deref();
+                        asso_sweep_counted(m, f, &ASSO_THRESHOLDS, &base, pool, counters)
                     }
                     Algorithm::GreConD => grecond(m, f),
                 };
@@ -292,7 +276,7 @@ impl Factorizer {
             Algebra::Field => {
                 let params = XorParams {
                     weights: self.weights.clone(),
-                    max_rounds: 4 + 2 * self.refine_rounds,
+                    max_rounds: 4 + 2 * REFINE_ROUNDS,
                 };
                 let (b, c) = factorize_xor(m, f, &params);
                 Factorization::new(b, c, Algebra::Field)

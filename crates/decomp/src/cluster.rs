@@ -172,14 +172,6 @@ impl Partition {
         Ok(())
     }
 
-    /// Recompute all cluster interfaces from the current placement
-    /// (used after refinement moves).
-    pub fn recompute_interfaces(&mut self, nl: &Netlist) {
-        for ci in 0..self.clusters.len() {
-            self.recompute_one(nl, ci);
-        }
-    }
-
     /// Recompute a single cluster's interface.
     pub fn recompute_one(&mut self, nl: &Netlist, ci: usize) {
         let nodes = std::mem::take(&mut self.clusters[ci]).nodes;

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 
 use blasys_logic::blif::{BlifDoc, NamesBlock};
 use blasys_logic::{GateKind, Netlist, NodeId, Simulator, TruthTable};
-use blasys_synth::estimate::{estimate, EstimateConfig};
+use blasys_synth::estimate::estimate;
 use blasys_synth::CellLibrary;
 
 use crate::{Diagnostic, Lint, LintTarget, Severity};
@@ -640,7 +640,7 @@ impl Lint for DuplicateCone {
                 if roots.len() < 2 {
                     continue;
                 }
-                let area = estimate(&cone, lib, &EstimateConfig::default()).area_um2;
+                let area = estimate(&cone, lib).area_um2;
                 let redundant = area * (roots.len() - 1) as f64;
                 let names: Vec<String> = roots.iter().map(|r| r.to_string()).collect();
                 out.push(

@@ -4,9 +4,8 @@
 //! verifiers judge *well-formedness*: each checks an invariant the
 //! approximation flow assumes at a stage boundary and returns every
 //! violation as a [`Diagnostic`]. `blasys-core` asserts them between
-//! stages in debug builds (and in release when `verify_ir` is set),
-//! and runs [`verify_netlist`] on every netlist admitted into a flow
-//! session.
+//! stages in debug builds, and runs [`verify_netlist`] on every
+//! netlist admitted into a flow session in every build.
 
 use blasys_decomp::Partition;
 use blasys_logic::{GateKind, Netlist};

@@ -9,8 +9,6 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::escape_json;
-
 /// A monotonically increasing `u64`.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -285,43 +283,6 @@ impl Snapshot {
             }
         })
     }
-
-    /// Compact JSON object keyed by metric name: counters and gauges
-    /// as numbers, histograms as
-    /// `{"count":..,"sum":..,"buckets":[{"le":bound|null,"count":..}]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_json(&e.name, &mut out);
-            out.push_str("\":");
-            match &e.value {
-                SnapshotValue::Counter(v) => out.push_str(&v.to_string()),
-                SnapshotValue::Gauge(v) => out.push_str(&v.to_string()),
-                SnapshotValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"count\":{},\"sum\":{},\"buckets\":[",
-                        h.count, h.sum
-                    ));
-                    for (j, (bound, count)) in h.buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        match bound {
-                            Some(b) => out.push_str(&format!("{{\"le\":{b},\"count\":{count}}}")),
-                            None => out.push_str(&format!("{{\"le\":null,\"count\":{count}}}")),
-                        }
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -387,20 +348,6 @@ mod tests {
         let r = Registry::new();
         let _ = r.gauge("x");
         let _ = r.counter("x");
-    }
-
-    #[test]
-    fn snapshot_json_is_stable_and_parseable_shaped() {
-        let r = Registry::new();
-        r.counter("b.count").add(2);
-        r.gauge("a.level").set(-3);
-        r.histogram("c.hist", &[1, 2]).observe(2);
-        let json = r.snapshot().to_json();
-        assert_eq!(
-            json,
-            "{\"a.level\":-3,\"b.count\":2,\"c.hist\":{\"count\":1,\"sum\":2,\
-             \"buckets\":[{\"le\":1,\"count\":0},{\"le\":2,\"count\":1},{\"le\":null,\"count\":0}]}}"
-        );
     }
 
     #[test]

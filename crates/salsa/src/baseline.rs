@@ -9,33 +9,21 @@ use blasys_decomp::{
 };
 use blasys_logic::{Netlist, NodeId, TruthTable};
 use blasys_par::{Parallelism, Pool};
-use blasys_synth::estimate::{estimate, EstimateConfig};
 use blasys_synth::{
-    gate_cost, map_sop, minimize_column, shannon_columns, CellLibrary, DesignMetrics,
-    EspressoConfig,
+    estimate, gate_cost, map_sop, minimize_column, shannon_columns, CellLibrary, DesignMetrics,
 };
 
 use crate::ladder::{column_ladder, ColumnVariant};
 
 /// Configuration of the SALSA-style baseline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SalsaConfig {
     /// Decomposition limits (use the same as the BLASYS run being
     /// compared against).
     pub decomp: DecompConfig,
-    /// Two-level minimization settings.
-    pub espresso: EspressoConfig,
-    /// Cell library for estimation.
-    pub library: CellLibrary,
-    /// Estimator settings.
-    pub estimate: EstimateConfig,
     /// Monte-Carlo settings (same seed as BLASYS for a paired
     /// comparison).
     pub mc: McConfig,
-    /// Metric the threshold applies to.
-    pub metric: QorMetric,
-    /// Intermediate ladder rungs per column.
-    pub ladder_steps: usize,
     /// Explicit Monte-Carlo stimulus (`[input][block]`); `None` means
     /// uniform random from `mc`. Pass the same stimulus as the BLASYS
     /// run for a paired comparison.
@@ -47,21 +35,11 @@ pub struct SalsaConfig {
     pub parallelism: Parallelism,
 }
 
-impl Default for SalsaConfig {
-    fn default() -> SalsaConfig {
-        SalsaConfig {
-            decomp: DecompConfig::default(),
-            espresso: EspressoConfig::default(),
-            library: CellLibrary::typical_65nm(),
-            estimate: EstimateConfig::default(),
-            mc: McConfig::default(),
-            metric: QorMetric::AvgRelative,
-            ladder_steps: 5,
-            stimulus: None,
-            parallelism: Parallelism::default(),
-        }
-    }
-}
+/// Metric the threshold applies to.
+const METRIC: QorMetric = QorMetric::AvgRelative;
+
+/// Intermediate ladder rungs per column.
+const LADDER_STEPS: usize = 5;
 
 /// Outcome of a SALSA-style run.
 #[derive(Debug, Clone)]
@@ -107,7 +85,7 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
     let ladders: Vec<Vec<Vec<ColumnVariant>>> = pool.run(tables.len(), |ci| {
         let tt = &tables[ci];
         (0..tt.num_outputs())
-            .map(|col| column_ladder(tt, col, cfg.ladder_steps, &cfg.espresso))
+            .map(|col| column_ladder(tt, col, LADDER_STEPS))
             .collect()
     });
 
@@ -139,7 +117,6 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
             &tables[ci],
             &ladders[ci],
             &rung[ci],
-            &cfg.espresso,
         ))
     });
 
@@ -154,15 +131,8 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
         for next in rung[ci][col] + 1..ladders[ci][col].len() {
             let mut cand_rung = rung[ci].clone();
             cand_rung[col] = next;
-            let cand_impl = build_cluster_impl(
-                nl,
-                &partition,
-                ci,
-                &tables[ci],
-                &ladders[ci],
-                &cand_rung,
-                &cfg.espresso,
-            );
+            let cand_impl =
+                build_cluster_impl(nl, &partition, ci, &tables[ci], &ladders[ci], &cand_rung);
             let cand_cost = gate_cost(&cand_impl);
             if cand_cost >= cost_now[ci] {
                 continue;
@@ -172,9 +142,9 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
             // candidate's error provably exceeds the threshold, so
             // `None` takes the same branch a full probe would have.
             let report =
-                evaluator.qor_probe_bounded(&mut probe, ci, &candidate_rows, cfg.metric, threshold);
+                evaluator.qor_probe_bounded(&mut probe, ci, &candidate_rows, METRIC, threshold);
             match report {
-                Some(report) if report.value(cfg.metric) <= threshold => {
+                Some(report) if report.value(METRIC) <= threshold => {
                     evaluator.commit(&mut probe, ci, &candidate_rows);
                     rows_now[ci] = candidate_rows;
                     rung[ci][col] = next;
@@ -195,7 +165,8 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
         .map(|(ci, c)| ClusterImpl::Replace(extract_cluster_netlist(nl, c, &format!("s{ci}_ref"))))
         .collect();
     let baseline_nl = substitute(nl, &partition, &baseline_impls).cleaned();
-    let baseline = estimate(&baseline_nl, &cfg.library, &cfg.estimate);
+    let library = CellLibrary::typical_65nm();
+    let baseline = estimate(&baseline_nl, &library);
 
     // Approximate design: committed rungs materialized per cluster.
     let approx_impls: Vec<ClusterImpl> = (0..partition.len())
@@ -207,12 +178,11 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
                 &tables[ci],
                 &ladders[ci],
                 &rung[ci],
-                &cfg.espresso,
             ))
         })
         .collect();
     let approx_nl = substitute(nl, &partition, &approx_impls).cleaned();
-    let approx = estimate(&approx_nl, &cfg.library, &cfg.estimate);
+    let approx = estimate(&approx_nl, &library);
 
     SalsaResult {
         baseline,
@@ -233,7 +203,6 @@ fn build_cluster_impl(
     tt: &TruthTable,
     ladders: &[Vec<ColumnVariant>],
     rungs: &[usize],
-    espresso: &EspressoConfig,
 ) -> Netlist {
     let cluster = &partition.clusters()[ci];
     let k = tt.num_inputs();
@@ -271,7 +240,7 @@ fn build_cluster_impl(
         let node = if rungs[col] == 0 {
             map[original.outputs()[col].node().index()].unwrap()
         } else {
-            synthesize_column_best(&mut sub, &inputs, k, &ladders[col][rungs[col]], espresso)
+            synthesize_column_best(&mut sub, &inputs, k, &ladders[col][rungs[col]])
         };
         sub.mark_output(format!("y{col}"), node);
     }
@@ -319,7 +288,6 @@ fn synthesize_column_best(
     inputs: &[NodeId],
     k: usize,
     variant: &ColumnVariant,
-    espresso: &EspressoConfig,
 ) -> NodeId {
     // Compare both mappings in scratch netlists, then instantiate the
     // winner in the real one.
@@ -330,7 +298,7 @@ fn synthesize_column_best(
         let node = if use_shannon {
             shannon_columns(&mut scratch, &ins, &tt)[0]
         } else {
-            let sop = minimize_column(k, tt.column(0), espresso);
+            let sop = minimize_column(k, tt.column(0));
             map_sop(&mut scratch, &ins, &sop)
         };
         scratch.mark_output("y", node);
@@ -340,7 +308,7 @@ fn synthesize_column_best(
     if use_shannon {
         shannon_columns(nl, inputs, &tt)[0]
     } else {
-        let sop = minimize_column(k, tt.column(0), espresso);
+        let sop = minimize_column(k, tt.column(0));
         map_sop(nl, inputs, &sop)
     }
 }
@@ -356,7 +324,6 @@ mod tests {
                 samples: 2048,
                 seed: 5,
             },
-            ladder_steps: 3,
             ..SalsaConfig::default()
         }
     }

@@ -8,7 +8,7 @@
 
 use blasys_logic::TruthTable;
 use blasys_synth::cube::input_masks;
-use blasys_synth::{minimize_column, EspressoConfig};
+use blasys_synth::minimize_column;
 
 /// One rung of a column's simplification ladder.
 #[derive(Debug, Clone)]
@@ -24,12 +24,7 @@ pub struct ColumnVariant {
 /// Build the ladder for one column of a window truth table, from exact
 /// (first) to a constant (last). `steps` bounds the number of
 /// intermediate rungs.
-pub fn column_ladder(
-    tt: &TruthTable,
-    column: usize,
-    steps: usize,
-    espresso: &EspressoConfig,
-) -> Vec<ColumnVariant> {
+pub fn column_ladder(tt: &TruthTable, column: usize, steps: usize) -> Vec<ColumnVariant> {
     let k = tt.num_inputs();
     let rows = tt.rows();
     let words = rows.div_ceil(64);
@@ -49,7 +44,7 @@ pub fn column_ladder(
         exact.clone()
     };
 
-    let cover = minimize_column(k, &side, espresso);
+    let cover = minimize_column(k, &side);
     let masks = input_masks(k);
     let covs: Vec<Vec<u64>> = cover
         .cubes()
@@ -168,7 +163,7 @@ mod tests {
     fn ladder_starts_exact_ends_constant() {
         let tt = sample_tt();
         for col in 0..3 {
-            let ladder = column_ladder(&tt, col, 4, &EspressoConfig::default());
+            let ladder = column_ladder(&tt, col, 4);
             assert!(ladder.len() >= 2);
             assert_eq!(ladder[0].flips, 0, "first rung must be exact");
             let last = ladder.last().unwrap();
@@ -182,7 +177,7 @@ mod tests {
     #[test]
     fn flips_monotone_nondecreasing() {
         let tt = sample_tt();
-        let ladder = column_ladder(&tt, 1, 5, &EspressoConfig::default());
+        let ladder = column_ladder(&tt, 1, 5);
         for w in ladder.windows(2) {
             assert!(w[1].kept_cubes <= w[0].kept_cubes);
         }
@@ -197,7 +192,7 @@ mod tests {
         // A column that is 1 almost everywhere must converge to
         // constant 1, not constant 0.
         let tt = TruthTable::from_fn(5, 1, |row| u64::from(row != 3));
-        let ladder = column_ladder(&tt, 0, 3, &EspressoConfig::default());
+        let ladder = column_ladder(&tt, 0, 3);
         let last = ladder.last().unwrap();
         let ones: usize = last.bits.iter().map(|w| w.count_ones() as usize).sum();
         assert_eq!(ones, tt.rows(), "dense column should end at constant 1");
@@ -207,7 +202,7 @@ mod tests {
     #[test]
     fn variant_table_roundtrip() {
         let tt = sample_tt();
-        let ladder = column_ladder(&tt, 0, 3, &EspressoConfig::default());
+        let ladder = column_ladder(&tt, 0, 3);
         let vt = variant_table(6, &ladder[0]);
         for row in 0..tt.rows() {
             assert_eq!(vt.get(row, 0), tt.get(row, 0));

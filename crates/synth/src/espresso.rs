@@ -44,23 +44,13 @@ pub struct MinimizeSpec<'a> {
     pub dcset: &'a [u64],
 }
 
-/// Configuration of the minimization loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EspressoConfig {
-    /// Number of REDUCE / re-EXPAND refinement iterations.
-    pub iterations: usize,
-    /// Try the reverse literal order in addition to the forward one.
-    pub multi_order: bool,
-}
+/// REDUCE / re-EXPAND refinement iterations after the first
+/// EXPAND → IRREDUNDANT pass.
+const ITERATIONS: usize = 1;
 
-impl Default for EspressoConfig {
-    fn default() -> EspressoConfig {
-        EspressoConfig {
-            iterations: 1,
-            multi_order: true,
-        }
-    }
-}
+/// Literal orders EXPAND tries, from forward then reverse (2 = both);
+/// the better cover wins.
+const ORDERS: usize = 2;
 
 /// Minimize a single-output function given as onset/dcset bitsets.
 ///
@@ -70,7 +60,7 @@ impl Default for EspressoConfig {
 /// # Panics
 ///
 /// Panics if `num_inputs > 26` or the bitsets have the wrong length.
-pub fn minimize(spec: &MinimizeSpec<'_>, cfg: &EspressoConfig) -> Sop {
+pub fn minimize(spec: &MinimizeSpec<'_>) -> Sop {
     let k = spec.num_inputs;
     assert!(k <= 26, "row-space minimizer limited to 26 inputs");
     let words = (1usize << k).div_ceil(64);
@@ -92,15 +82,11 @@ pub fn minimize(spec: &MinimizeSpec<'_>, cfg: &EspressoConfig) -> Sop {
         return Sop::constant_true(k);
     }
 
-    let orders: Vec<Vec<usize>> = if cfg.multi_order {
-        vec![(0..k).collect(), (0..k).rev().collect()]
-    } else {
-        vec![(0..k).collect()]
-    };
+    let orders: [Vec<usize>; 2] = [(0..k).collect(), (0..k).rev().collect()];
 
     let mut best: Option<Sop> = None;
-    for order in &orders {
-        let sop = run_loop(spec, &care, &masks, order, cfg.iterations);
+    for order in orders.iter().take(ORDERS) {
+        let sop = run_loop(spec, &care, &masks, order);
         let better = match &best {
             None => true,
             Some(b) => {
@@ -129,13 +115,7 @@ fn bs_or(a: &[u64], b: &[u64]) -> Vec<u64> {
     a.iter().zip(b).map(|(x, y)| x | y).collect()
 }
 
-fn run_loop(
-    spec: &MinimizeSpec<'_>,
-    care: &[u64],
-    masks: &[Vec<u64>],
-    order: &[usize],
-    iterations: usize,
-) -> Sop {
+fn run_loop(spec: &MinimizeSpec<'_>, care: &[u64], masks: &[Vec<u64>], order: &[usize]) -> Sop {
     let k = spec.num_inputs;
     // Seed: one cube per onset minterm.
     let mut cubes: Vec<Cube> = rows_of(spec.onset)
@@ -148,7 +128,7 @@ fn run_loop(
         masks,
         k,
     );
-    for _ in 0..iterations {
+    for _ in 0..ITERATIONS {
         cubes = reduce(&cover, spec.onset, masks, k);
         // Alternate expansion direction between iterations.
         let rev: Vec<usize> = order.iter().rev().copied().collect();
@@ -302,17 +282,14 @@ fn reduce(cover: &Sop, onset: &[u64], masks: &[Vec<u64>], k: usize) -> Vec<Cube>
 }
 
 /// Minimize a function given by a truth-table column (fully specified).
-pub fn minimize_column(k: usize, onset: &[u64], cfg: &EspressoConfig) -> Sop {
+pub fn minimize_column(k: usize, onset: &[u64]) -> Sop {
     let words = (1usize << k).div_ceil(64);
     let dc = vec![0u64; words];
-    minimize(
-        &MinimizeSpec {
-            num_inputs: k,
-            onset,
-            dcset: &dc,
-        },
-        cfg,
-    )
+    minimize(&MinimizeSpec {
+        num_inputs: k,
+        onset,
+        dcset: &dc,
+    })
 }
 
 #[cfg(test)]
@@ -340,7 +317,7 @@ mod tests {
     fn and_function_single_cube() {
         let k = 4;
         let f = |r: usize| r == 0b1111;
-        let sop = minimize_column(k, &onset_from_fn(k, f), &EspressoConfig::default());
+        let sop = minimize_column(k, &onset_from_fn(k, f));
         check_equivalent(k, &sop, f);
         assert_eq!(sop.cube_count(), 1);
         assert_eq!(sop.literal_count(), 4);
@@ -350,7 +327,7 @@ mod tests {
     fn or_function_minimal() {
         let k = 3;
         let f = |r: usize| r != 0;
-        let sop = minimize_column(k, &onset_from_fn(k, f), &EspressoConfig::default());
+        let sop = minimize_column(k, &onset_from_fn(k, f));
         check_equivalent(k, &sop, f);
         assert_eq!(sop.cube_count(), 3); // x0 | x1 | x2
         assert_eq!(sop.literal_count(), 3);
@@ -360,7 +337,7 @@ mod tests {
     fn xor_needs_2_pow_k_minus_1_cubes() {
         let k = 3;
         let f = |r: usize| (r.count_ones() & 1) == 1;
-        let sop = minimize_column(k, &onset_from_fn(k, f), &EspressoConfig::default());
+        let sop = minimize_column(k, &onset_from_fn(k, f));
         check_equivalent(k, &sop, f);
         assert_eq!(sop.cube_count(), 4); // parity is incompressible
     }
@@ -368,10 +345,10 @@ mod tests {
     #[test]
     fn constant_functions() {
         let k = 4;
-        let t = minimize_column(k, &onset_from_fn(k, |_| true), &EspressoConfig::default());
+        let t = minimize_column(k, &onset_from_fn(k, |_| true));
         check_equivalent(k, &t, |_| true);
         assert_eq!(t.literal_count(), 0);
-        let f = minimize_column(k, &onset_from_fn(k, |_| false), &EspressoConfig::default());
+        let f = minimize_column(k, &onset_from_fn(k, |_| false));
         check_equivalent(k, &f, |_| false);
         assert_eq!(f.cube_count(), 0);
     }
@@ -382,7 +359,7 @@ mod tests {
         // known minimal: 2 cubes.
         let k = 3;
         let f = |r: usize| (r & 0b11 == 0b00) || (r & 0b11 == 0b11);
-        let sop = minimize_column(k, &onset_from_fn(k, f), &EspressoConfig::default());
+        let sop = minimize_column(k, &onset_from_fn(k, f));
         check_equivalent(k, &sop, f);
         assert_eq!(sop.cube_count(), 2);
         assert_eq!(sop.literal_count(), 4); // third var eliminated
@@ -395,14 +372,11 @@ mod tests {
         let k = 2;
         let onset = onset_from_fn(k, |r| r == 3);
         let dc = onset_from_fn(k, |r| r == 1 || r == 2);
-        let sop = minimize(
-            &MinimizeSpec {
-                num_inputs: k,
-                onset: &onset,
-                dcset: &dc,
-            },
-            &EspressoConfig::default(),
-        );
+        let sop = minimize(&MinimizeSpec {
+            num_inputs: k,
+            onset: &onset,
+            dcset: &dc,
+        });
         // Must be 1 on row 3, 0 on row 0; rows 1,2 free.
         assert!(sop.eval_row(3));
         assert!(!sop.eval_row(0));
@@ -414,7 +388,7 @@ mod tests {
     fn majority_function() {
         let k = 3;
         let f = |r: usize| (r as u32).count_ones() >= 2;
-        let sop = minimize_column(k, &onset_from_fn(k, f), &EspressoConfig::default());
+        let sop = minimize_column(k, &onset_from_fn(k, f));
         check_equivalent(k, &sop, f);
         assert_eq!(sop.cube_count(), 3); // ab + bc + ac
         assert_eq!(sop.literal_count(), 6);
@@ -430,7 +404,7 @@ mod tests {
                     (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed.wrapping_mul(0xDEAD_BEEF);
                 (x >> 17) & 1 == 1
             };
-            let sop = minimize_column(k, &onset_from_fn(k, f), &EspressoConfig::default());
+            let sop = minimize_column(k, &onset_from_fn(k, f));
             check_equivalent(k, &sop, f);
         }
     }
@@ -446,7 +420,7 @@ mod tests {
             let b = (r >> 2) & 0b11;
             (a + b) & 0b100 != 0
         };
-        let sop = minimize_column(k, &onset_from_fn(k, f), &EspressoConfig::default());
+        let sop = minimize_column(k, &onset_from_fn(k, f));
         check_equivalent(k, &sop, f);
         assert!(sop.cube_count() <= 6, "got {}", sop.cube_count());
     }
@@ -456,7 +430,7 @@ mod tests {
         // The paper's window size: k = 10. A structured function.
         let k = 10;
         let f = |r: usize| ((r * 37) ^ (r >> 3)) & 0b1001 == 0b1001;
-        let sop = minimize_column(k, &onset_from_fn(k, f), &EspressoConfig::default());
+        let sop = minimize_column(k, &onset_from_fn(k, f));
         check_equivalent(k, &sop, f);
     }
 }

@@ -60,35 +60,19 @@ pub struct MetricSavings {
     pub delay_pct: f64,
 }
 
-/// Configuration of the estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimateConfig {
-    /// Random 64-sample blocks used for activity extraction.
-    pub activity_blocks: usize,
-    /// RNG seed for activity extraction.
-    pub seed: u64,
-    /// Supply voltage, V.
-    pub voltage: f64,
-    /// Clock frequency the dynamic power is reported at, MHz.
-    pub clock_mhz: f64,
-    /// Wire load per fanout, fF.
-    pub wire_cap_ff: f64,
-}
-
-impl Default for EstimateConfig {
-    fn default() -> EstimateConfig {
-        EstimateConfig {
-            activity_blocks: 16,
-            seed: 0x0DDB_1A5E,
-            voltage: 1.2,
-            clock_mhz: 250.0,
-            wire_cap_ff: 0.8,
-        }
-    }
-}
+/// Random 64-sample blocks simulated for activity extraction.
+const ACTIVITY_BLOCKS: usize = 16;
+/// RNG seed of the activity-extraction stimulus.
+const ACTIVITY_SEED: u64 = 0x0DDB_1A5E;
+/// Supply voltage, V.
+const VOLTAGE_V: f64 = 1.2;
+/// Clock frequency the dynamic power is reported at, MHz.
+const CLOCK_MHZ: f64 = 250.0;
+/// Wire load per fanout, fF.
+const WIRE_CAP_FF: f64 = 0.8;
 
 /// Estimate area, power and delay of a netlist mapped onto `lib`.
-pub fn estimate(nl: &Netlist, lib: &CellLibrary, cfg: &EstimateConfig) -> DesignMetrics {
+pub fn estimate(nl: &Netlist, lib: &CellLibrary) -> DesignMetrics {
     let mut area = 0.0;
     let mut leakage_nw = 0.0;
     let mut gate_count = 0usize;
@@ -123,7 +107,7 @@ pub fn estimate(nl: &Netlist, lib: &CellLibrary, cfg: &EstimateConfig) -> Design
         / 1000.0;
 
     // --- Power: activity-weighted dynamic + leakage. ---
-    let probs = signal_probabilities(nl, cfg);
+    let probs = signal_probabilities(nl);
     let mut dynamic_w = 0.0f64;
     for (id, node) in nl.iter() {
         // Load each node drives: input caps of fanout cells + wire.
@@ -137,10 +121,10 @@ pub fn estimate(nl: &Netlist, lib: &CellLibrary, cfg: &EstimateConfig) -> Design
         // Approximate: each fanout pin contributes the average mappable
         // input cap; plus wire cap per fanout.
         let pin_cap = 1.4e-15;
-        let cap = fo * (pin_cap + cfg.wire_cap_ff * 1e-15);
+        let cap = fo * (pin_cap + WIRE_CAP_FF * 1e-15);
         let p = probs[id.index()];
         let alpha = 2.0 * p * (1.0 - p);
-        dynamic_w += alpha * cap * cfg.voltage * cfg.voltage * cfg.clock_mhz * 1e6;
+        dynamic_w += alpha * cap * VOLTAGE_V * VOLTAGE_V * CLOCK_MHZ * 1e6;
     }
     let power_uw = dynamic_w * 1e6 + leakage_nw * 1e-3;
 
@@ -153,14 +137,13 @@ pub fn estimate(nl: &Netlist, lib: &CellLibrary, cfg: &EstimateConfig) -> Design
 }
 
 /// Per-node signal probabilities from random simulation.
-fn signal_probabilities(nl: &Netlist, cfg: &EstimateConfig) -> Vec<f64> {
-    let blocks = cfg.activity_blocks.max(1);
-    let stim = random_stimulus(nl, blocks, cfg.seed);
+fn signal_probabilities(nl: &Netlist) -> Vec<f64> {
+    let stim = random_stimulus(nl, ACTIVITY_BLOCKS, ACTIVITY_SEED);
     let mut ones = vec![0u64; nl.len()];
     let mut sim = Simulator::new(nl);
     let mut words = vec![0u64; nl.num_inputs()];
     #[allow(clippy::needless_range_loop)]
-    for b in 0..blocks {
+    for b in 0..ACTIVITY_BLOCKS {
         for (i, w) in words.iter_mut().enumerate() {
             *w = stim[i][b];
         }
@@ -169,7 +152,7 @@ fn signal_probabilities(nl: &Netlist, cfg: &EstimateConfig) -> Vec<f64> {
             *o += sim.value(blasys_logic::NodeId::from_index(i)).count_ones() as u64;
         }
     }
-    let total = (blocks * 64) as f64;
+    let total = (ACTIVITY_BLOCKS * 64) as f64;
     ones.into_iter().map(|c| c as f64 / total).collect()
 }
 
@@ -190,9 +173,8 @@ mod tests {
     #[test]
     fn bigger_circuits_cost_more() {
         let lib = CellLibrary::typical_65nm();
-        let cfg = EstimateConfig::default();
-        let m4 = estimate(&adder(4), &lib, &cfg);
-        let m16 = estimate(&adder(16), &lib, &cfg);
+        let m4 = estimate(&adder(4), &lib);
+        let m16 = estimate(&adder(16), &lib);
         assert!(m16.area_um2 > 2.0 * m4.area_um2);
         assert!(m16.power_uw > m4.power_uw);
         assert!(m16.delay_ns > m4.delay_ns);
@@ -204,11 +186,7 @@ mod tests {
         let mut nl = Netlist::new("empty");
         let a = nl.add_input("a");
         nl.mark_output("z", a);
-        let m = estimate(
-            &nl,
-            &CellLibrary::typical_65nm(),
-            &EstimateConfig::default(),
-        );
+        let m = estimate(&nl, &CellLibrary::typical_65nm());
         assert_eq!(m.gate_count, 0);
         assert_eq!(m.area_um2, 0.0);
         assert_eq!(m.delay_ns, 0.0);
@@ -238,9 +216,8 @@ mod tests {
     fn estimator_is_deterministic() {
         let nl = adder(8);
         let lib = CellLibrary::typical_65nm();
-        let cfg = EstimateConfig::default();
-        let a = estimate(&nl, &lib, &cfg);
-        let b = estimate(&nl, &lib, &cfg);
+        let a = estimate(&nl, &lib);
+        let b = estimate(&nl, &lib);
         assert_eq!(a, b);
     }
 
@@ -249,11 +226,7 @@ mod tests {
         // A 32-bit ripple adder should land within an order of magnitude
         // of the paper's Table 1 entry (320.8 µm², 81.1 µW, 3.23 ns).
         let nl = adder(32);
-        let m = estimate(
-            &nl,
-            &CellLibrary::typical_65nm(),
-            &EstimateConfig::default(),
-        );
+        let m = estimate(&nl, &CellLibrary::typical_65nm());
         assert!(m.area_um2 > 100.0 && m.area_um2 < 3000.0, "{}", m.area_um2);
         assert!(m.power_uw > 5.0 && m.power_uw < 1000.0, "{}", m.power_uw);
         assert!(m.delay_ns > 0.5 && m.delay_ns < 30.0, "{}", m.delay_ns);

@@ -143,7 +143,7 @@ fn prime_implicants(k: usize, on: &[usize]) -> Vec<Cube> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::espresso::{minimize_column, EspressoConfig};
+    use crate::espresso::minimize_column;
 
     fn onset_from_fn(k: usize, f: impl Fn(usize) -> bool) -> Vec<u64> {
         let rows = 1usize << k;
@@ -186,7 +186,7 @@ mod tests {
             };
             let onset = onset_from_fn(k, f);
             let exact = minimize_exact(k, &onset);
-            let heur = minimize_column(k, &onset, &EspressoConfig::default());
+            let heur = minimize_column(k, &onset);
             for row in 0..1usize << k {
                 assert_eq!(heur.eval_row(row), f(row), "equivalence seed={seed}");
             }

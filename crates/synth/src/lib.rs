@@ -15,14 +15,12 @@
 //!
 //! ```
 //! use blasys_logic::TruthTable;
-//! use blasys_synth::{synthesize_tt, CellLibrary, EspressoConfig};
-//! use blasys_synth::estimate::{estimate, EstimateConfig};
+//! use blasys_synth::{estimate, synthesize_tt, CellLibrary};
 //!
 //! // A 4-input, 2-output function.
 //! let tt = TruthTable::from_fn(4, 2, |row| (row % 3) as u64);
-//! let netlist = synthesize_tt(&tt, "demo", &EspressoConfig::default());
-//! let metrics = estimate(&netlist, &CellLibrary::typical_65nm(),
-//!                        &EstimateConfig::default());
+//! let netlist = synthesize_tt(&tt, "demo");
+//! let metrics = estimate(&netlist, &CellLibrary::typical_65nm());
 //! assert!(metrics.area_um2 > 0.0);
 //! ```
 
@@ -35,8 +33,8 @@ pub mod shannon;
 pub mod techmap;
 
 pub use cube::{Cube, Sop};
-pub use espresso::{minimize, minimize_column, EspressoConfig, MinimizeSpec};
-pub use estimate::{estimate, DesignMetrics, EstimateConfig, MetricSavings};
+pub use espresso::{minimize, minimize_column, MinimizeSpec};
+pub use estimate::{estimate, DesignMetrics, MetricSavings};
 pub use library::{Cell, CellLibrary};
 pub use shannon::shannon_columns;
 pub use techmap::{gate_cost, map_sop, or_tree, synthesize_columns, synthesize_tt, xor_tree};

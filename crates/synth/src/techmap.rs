@@ -9,7 +9,7 @@
 use blasys_logic::{Netlist, NodeId, TruthTable};
 
 use crate::cube::Sop;
-use crate::espresso::{minimize_column, EspressoConfig};
+use crate::espresso::minimize_column;
 
 /// Build the literal nodes of a cube and AND them together; literals
 /// are ordered by input index so structural hashing can share prefixes.
@@ -97,16 +97,11 @@ pub fn xor_tree(nl: &mut Netlist, terms: &[NodeId]) -> NodeId {
 /// # Panics
 ///
 /// Panics if `inputs.len() != tt.num_inputs()`.
-pub fn synthesize_columns(
-    nl: &mut Netlist,
-    inputs: &[NodeId],
-    tt: &TruthTable,
-    cfg: &EspressoConfig,
-) -> Vec<NodeId> {
+pub fn synthesize_columns(nl: &mut Netlist, inputs: &[NodeId], tt: &TruthTable) -> Vec<NodeId> {
     assert_eq!(inputs.len(), tt.num_inputs(), "one node per input");
     (0..tt.num_outputs())
         .map(|o| {
-            let sop = minimize_column(tt.num_inputs(), tt.column(o), cfg);
+            let sop = minimize_column(tt.num_inputs(), tt.column(o));
             map_sop(nl, inputs, &sop)
         })
         .collect()
@@ -131,10 +126,8 @@ pub fn gate_cost(nl: &Netlist) -> usize {
 /// Builds both a two-level (espresso + SOP mapping) and a multi-level
 /// (Shannon decomposition) implementation and returns the cheaper one,
 /// so AND/OR-shaped logic and XOR-rich arithmetic both map compactly.
-pub fn synthesize_tt(tt: &TruthTable, name: &str, cfg: &EspressoConfig) -> Netlist {
-    let sop = build_tt(tt, name, |nl, inputs, tt| {
-        synthesize_columns(nl, inputs, tt, cfg)
-    });
+pub fn synthesize_tt(tt: &TruthTable, name: &str) -> Netlist {
+    let sop = build_tt(tt, name, synthesize_columns);
     let shannon = build_tt(tt, name, |nl, inputs, tt| {
         crate::shannon::shannon_columns(nl, inputs, tt)
     });
@@ -174,7 +167,7 @@ mod tests {
             let b = (row >> 2) & 0b111;
             ((a * b) & 0b111) as u64
         });
-        let nl = synthesize_tt(&tt, "t", &EspressoConfig::default());
+        let nl = synthesize_tt(&tt, "t");
         assert_eq!(nl.num_inputs(), 5);
         assert_eq!(nl.num_outputs(), 3);
         assert!(matches_truth_table(&nl, &tt));
@@ -190,7 +183,7 @@ mod tests {
             let o1 = base && (row >> 5) & 1 == 1;
             (o0 as u64) | (o1 as u64) << 1
         });
-        let nl = synthesize_tt(&tt, "share", &EspressoConfig::default());
+        let nl = synthesize_tt(&tt, "share");
         assert!(matches_truth_table(&nl, &tt));
         // Independent mapping would need ~2*(4+1) AND2; sharing the
         // 4-literal prefix saves at least 3 gates.
@@ -200,7 +193,7 @@ mod tests {
     #[test]
     fn constant_columns() {
         let tt = TruthTable::from_fn(3, 2, |_| 0b01);
-        let nl = synthesize_tt(&tt, "c", &EspressoConfig::default());
+        let nl = synthesize_tt(&tt, "c");
         assert!(matches_truth_table(&nl, &tt));
         assert_eq!(nl.gate_count(), 0); // both outputs constant
     }
@@ -237,7 +230,7 @@ mod tests {
     fn wide_window_roundtrip() {
         // k = 10, m = 4 — the paper's window size.
         let tt = TruthTable::from_fn(10, 4, |row| (((row * 2654435761usize) >> 7) & 0xF) as u64);
-        let nl = synthesize_tt(&tt, "k10", &EspressoConfig::default());
+        let nl = synthesize_tt(&tt, "k10");
         assert!(matches_truth_table(&nl, &tt));
     }
 }

@@ -15,15 +15,12 @@
 //! Same discipline (and netlist generator family) as
 //! `tests/qor_differential.rs`, which pinned the packed QoR engine.
 
-use blasys_repro::blasys::explore::{
-    explore_on, AnnealSchedule, Explorer, StopCriterion, TrajectoryPoint,
-};
-use blasys_repro::blasys::montecarlo::{Evaluator, McConfig};
-use blasys_repro::blasys::profile::{profile_partition_on, ProfileConfig, SubcircuitProfile};
-use blasys_repro::blasys::{Exploration, ExploreSpec};
-use blasys_repro::decomp::{decompose, DecompConfig};
+use blasys_repro::blasys::explore::{AnnealSchedule, Explorer, StopCriterion, TrajectoryPoint};
+use blasys_repro::blasys::session::Profiled;
+use blasys_repro::blasys::{ExploreSpec, FlowConfig, FlowError, FlowSession};
+use blasys_repro::decomp::DecompConfig;
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::{Parallelism, Pool};
+use blasys_repro::par::Parallelism;
 use proptest::prelude::*;
 
 /// Small decomposition windows so random netlists split into several
@@ -72,37 +69,29 @@ fn arb_netlist() -> impl Strategy<Value = Netlist> {
         })
 }
 
-/// Profiles + a pristine evaluator for one random netlist (`None` when
-/// the netlist cleaned down to nothing decomposable).
-fn setup(nl: &Netlist, seed: u64) -> Option<(Vec<SubcircuitProfile>, Evaluator)> {
-    let part = decompose(nl, &small_windows());
-    if part.is_empty() {
-        return None;
-    }
-    let profiles =
-        profile_partition_on(nl, &part, &ProfileConfig::default(), Pool::serial()).unwrap();
-    let ev = Evaluator::new(nl, &part, &McConfig { samples: 512, seed });
-    Some((profiles, ev))
+/// The worker counts every property runs at, one session each.
+const WORKERS: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Threads(4)];
+
+/// Profiled sessions for one random netlist, one per entry of
+/// [`WORKERS`], with the same profile and stimulus settings (`None`
+/// when the netlist cleaned down to nothing decomposable).
+fn setup(nl: &Netlist, seed: u64) -> Option<[FlowSession<Profiled>; 2]> {
+    let session = |parallelism| {
+        let cfg = FlowConfig::new()
+            .decomposition(small_windows())
+            .samples(512)
+            .seed(seed)
+            .parallelism(parallelism);
+        match FlowSession::open(nl, cfg) {
+            Err(FlowError::NoGates) => None,
+            opened => Some(opened.unwrap().profile().unwrap()),
+        }
+    };
+    Some([session(WORKERS[0])?, session(WORKERS[1])?])
 }
 
-/// One exploration of a fresh clone of `base` on `pool`.
-fn explore(
-    base: &Evaluator,
-    profiles: &[SubcircuitProfile],
-    spec: &ExploreSpec,
-    pool: &Pool,
-) -> Exploration {
-    let mut ev = base.clone();
-    explore_on(&mut ev, profiles, spec, pool)
-}
-
-fn run(
-    base: &Evaluator,
-    profiles: &[SubcircuitProfile],
-    spec: &ExploreSpec,
-    pool: &Pool,
-) -> Vec<TrajectoryPoint> {
-    explore(base, profiles, spec, pool).into_trajectory()
+fn run(session: &FlowSession<Profiled>, spec: &ExploreSpec) -> Vec<TrajectoryPoint> {
+    session.explore(spec).into_trajectory()
 }
 
 /// Full bit-identity over every trajectory field, float fields
@@ -147,20 +136,14 @@ proptest! {
     /// and exhaustive.
     #[test]
     fn beam_width_one_is_bit_identical_to_greedy(nl in arb_netlist(), seed in any::<u64>()) {
-        let Some((profiles, base)) = setup(&nl, seed) else { return; };
-        let four = Pool::new(4);
+        let Some(sessions) = setup(&nl, seed) else { return; };
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
-            for pool in [Pool::serial(), &four] {
+            for (session, parallelism) in sessions.iter().zip(WORKERS) {
                 for prune in [true, false] {
                     let common = ExploreSpec { stop, prune, ..ExploreSpec::new() };
-                    let greedy = run(&base, &profiles, &common, pool);
-                    let beam = run(
-                        &base,
-                        &profiles,
-                        &common.explorer(Explorer::Beam { width: 1 }),
-                        pool,
-                    );
-                    let label = format!("{stop:?}/{pool:?}/prune={prune}");
+                    let greedy = run(session, &common);
+                    let beam = run(session, &common.explorer(Explorer::Beam { width: 1 }));
+                    let label = format!("{stop:?}/{parallelism:?}/prune={prune}");
                     same_trajectory!(&label, &greedy, &beam);
                 }
             }
@@ -171,16 +154,15 @@ proptest! {
     /// worker count and the prune flag change nothing.
     #[test]
     fn anneal_is_bit_identical_across_worker_counts(nl in arb_netlist(), seed in any::<u64>()) {
-        let Some((profiles, base)) = setup(&nl, seed) else { return; };
+        let Some(sessions) = setup(&nl, seed) else { return; };
         let schedule = AnnealSchedule { steps: 48, seed: Some(seed ^ 0xA11C), ..AnnealSchedule::default() };
         let spec = ExploreSpec::new()
             .threshold(0.08)
             .explorer(Explorer::Anneal(schedule));
-        let reference = run(&base, &profiles, &spec, Pool::serial());
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let pool = Pool::with_parallelism(parallelism);
+        let reference = run(&sessions[0], &spec);
+        for (session, parallelism) in sessions.iter().zip(WORKERS) {
             for prune in [true, false] {
-                let other = run(&base, &profiles, &spec.clone().prune(prune), &pool);
+                let other = run(session, &spec.clone().prune(prune));
                 let label = format!("anneal {parallelism:?}/prune={prune}");
                 same_trajectory!(&label, &reference, &other);
             }
@@ -192,36 +174,32 @@ proptest! {
     /// non-empty and internally non-dominated.
     #[test]
     fn pareto3_error_axis_never_worse_than_greedy(nl in arb_netlist(), seed in any::<u64>()) {
-        let Some((profiles, base)) = setup(&nl, seed) else { return; };
-        let pool = Pool::with_parallelism(Parallelism::default());
-        let greedy = run(&base, &profiles, &ExploreSpec::new(), &pool);
-        let exploration = explore(
-            &base,
-            &profiles,
-            &ExploreSpec::new().explorer(Explorer::Pareto3),
-            &pool,
-        );
-        let p3 = exploration.trajectory();
-        prop_assert_eq!(p3.len(), greedy.len());
-        for (g, p) in greedy.iter().zip(p3) {
-            prop_assert!(
-                p.qor.avg_relative <= g.qor.avg_relative,
-                "step {}: pareto3 {} vs greedy {}",
-                g.step, p.qor.avg_relative, g.qor.avg_relative
-            );
-        }
-        let surface = exploration.pareto_surface().expect("pareto3 emits a surface");
-        prop_assert!(!surface.is_empty());
-        for (i, a) in surface.iter().enumerate() {
-            for (j, b) in surface.iter().enumerate() {
-                if i == j {
-                    continue;
+        let Some(sessions) = setup(&nl, seed) else { return; };
+        for session in &sessions {
+            let greedy = run(session, &ExploreSpec::new());
+            let exploration = session.explore(&ExploreSpec::new().explorer(Explorer::Pareto3));
+            let p3 = exploration.trajectory();
+            prop_assert_eq!(p3.len(), greedy.len());
+            for (g, p) in greedy.iter().zip(p3) {
+                prop_assert!(
+                    p.qor.avg_relative <= g.qor.avg_relative,
+                    "step {}: pareto3 {} vs greedy {}",
+                    g.step, p.qor.avg_relative, g.qor.avg_relative
+                );
+            }
+            let surface = exploration.pareto_surface().expect("pareto3 emits a surface");
+            prop_assert!(!surface.is_empty());
+            for (i, a) in surface.iter().enumerate() {
+                for (j, b) in surface.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    let dominates = a.error <= b.error
+                        && a.area_um2 <= b.area_um2
+                        && a.depth_ns <= b.depth_ns
+                        && (a.error < b.error || a.area_um2 < b.area_um2 || a.depth_ns < b.depth_ns);
+                    prop_assert!(!dominates, "surface point {j} dominated by {i}");
                 }
-                let dominates = a.error <= b.error
-                    && a.area_um2 <= b.area_um2
-                    && a.depth_ns <= b.depth_ns
-                    && (a.error < b.error || a.area_um2 < b.area_um2 || a.depth_ns < b.depth_ns);
-                prop_assert!(!dominates, "surface point {j} dominated by {i}");
             }
         }
     }

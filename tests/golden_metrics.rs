@@ -13,15 +13,15 @@ use blasys_repro::synth::{
 };
 
 fn metrics(nl: &Netlist) -> DesignMetrics {
-    estimate(nl, &CellLibrary::typical_65nm(), &Default::default())
+    estimate(nl, &CellLibrary::typical_65nm())
 }
 
 fn cover(k: usize, column: &[u64]) -> Sop {
-    minimize_column(k, column, &Default::default())
+    minimize_column(k, column)
 }
 
 fn synth(tt: &TruthTable) -> Netlist {
-    synthesize_tt(tt, "golden", &Default::default())
+    synthesize_tt(tt, "golden")
 }
 
 fn bits(m: &DesignMetrics) -> (u64, u64, u64, usize) {

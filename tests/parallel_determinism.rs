@@ -5,13 +5,10 @@
 //! committed trajectory (clusters, degrees, QoR reports, modeled
 //! area) — on randomized netlists and stimulus seeds.
 
-use blasys_repro::blasys::explore::explore_on;
-use blasys_repro::blasys::montecarlo::{Evaluator, McConfig};
-use blasys_repro::blasys::profile::{profile_partition_on, ProfileConfig};
-use blasys_repro::blasys::{run, ExploreSpec, FlowConfig};
-use blasys_repro::decomp::{decompose, DecompConfig};
+use blasys_repro::blasys::session::Profiled;
+use blasys_repro::blasys::{run, ExploreSpec, FlowConfig, FlowError, FlowSession};
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::{Parallelism, Pool};
+use blasys_repro::par::Parallelism;
 use proptest::prelude::*;
 
 /// Random small netlist built from a script of gate operations (same
@@ -52,6 +49,19 @@ fn arb_netlist() -> impl Strategy<Value = Netlist> {
         })
 }
 
+/// A profiled session on `parallelism` (`None` when the netlist cleaned
+/// down to nothing decomposable).
+fn session(nl: &Netlist, seed: u64, parallelism: Parallelism) -> Option<FlowSession<Profiled>> {
+    let cfg = FlowConfig::new()
+        .samples(1024)
+        .seed(seed)
+        .parallelism(parallelism);
+    match FlowSession::open(nl, cfg) {
+        Err(FlowError::NoGates) => None,
+        opened => Some(opened.unwrap().profile().unwrap()),
+    }
+}
+
 fn assert_trajectories_identical(
     serial: &[blasys_repro::blasys::TrajectoryPoint],
     threaded: &[blasys_repro::blasys::TrajectoryPoint],
@@ -74,24 +84,15 @@ fn assert_trajectories_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Exploring on a 4-worker pool walks a bit-identical trajectory
-    /// to the serial pool on random netlists/seeds.
+    /// Exploring on a 4-worker session walks a bit-identical
+    /// trajectory to the serial session on random netlists/seeds.
     #[test]
     fn explore_threads4_is_bit_identical_to_serial(nl in arb_netlist(), seed in any::<u64>()) {
-        let part = decompose(&nl, &DecompConfig::default());
-        if part.is_empty() {
-            return;
-        }
-        let mc = McConfig { samples: 1024, seed };
-        // Profiles once (shared); the parallel claim under test here is
-        // the explore sweep.
-        let profiles =
-            profile_partition_on(&nl, &part, &ProfileConfig::default(), Pool::serial()).unwrap();
+        let Some(serial) = session(&nl, seed, Parallelism::Serial) else { return; };
+        let Some(threaded) = session(&nl, seed, Parallelism::Threads(4)) else { return; };
         let spec = ExploreSpec::new();
-        let mut ev_serial = Evaluator::new(&nl, &part, &mc);
-        let mut ev_threaded = Evaluator::new(&nl, &part, &mc);
-        let serial = explore_on(&mut ev_serial, &profiles, &spec, Pool::serial());
-        let threaded = explore_on(&mut ev_threaded, &profiles, &spec, &Pool::new(4));
+        let serial = serial.explore(&spec);
+        let threaded = threaded.explore(&spec);
         assert_trajectories_identical(serial.trajectory(), threaded.trajectory());
     }
 
@@ -99,15 +100,11 @@ proptest! {
     /// local error, and approximate tables per degree all match.
     #[test]
     fn profile_threads4_matches_serial(nl in arb_netlist()) {
-        let part = decompose(&nl, &DecompConfig::default());
-        if part.is_empty() {
-            return;
-        }
-        let cfg = ProfileConfig::default();
-        let serial = profile_partition_on(&nl, &part, &cfg, Pool::serial()).unwrap();
-        let threaded = profile_partition_on(&nl, &part, &cfg, &Pool::new(4)).unwrap();
+        let Some(serial) = session(&nl, 0, Parallelism::Serial) else { return; };
+        let Some(threaded) = session(&nl, 0, Parallelism::Threads(4)) else { return; };
+        let (serial, threaded) = (serial.profiles(), threaded.profiles());
         prop_assert_eq!(serial.len(), threaded.len());
-        for (s, t) in serial.iter().zip(&threaded) {
+        for (s, t) in serial.iter().zip(threaded) {
             prop_assert_eq!(s.cluster, t.cluster);
             prop_assert_eq!(s.variants.len(), t.variants.len());
             for (sv, tv) in s.variants.iter().zip(&t.variants) {

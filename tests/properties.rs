@@ -8,7 +8,7 @@ use blasys_repro::bmf::{hamming, BoolMatrix, Factorizer};
 use blasys_repro::decomp::{cluster_truth_table, decompose, substitute, ClusterImpl, DecompConfig};
 use blasys_repro::logic::equiv::{check_equiv, EquivConfig};
 use blasys_repro::logic::{Netlist, TruthTable};
-use blasys_repro::synth::{synthesize_tt, EspressoConfig};
+use blasys_repro::synth::synthesize_tt;
 use proptest::prelude::*;
 
 /// Random truth-table generator (small shapes).
@@ -76,7 +76,7 @@ proptest! {
     /// Espresso + techmap resynthesis is always exactly equivalent.
     #[test]
     fn resynthesis_preserves_function(tt in arb_table()) {
-        let nl = synthesize_tt(&tt, "prop", &EspressoConfig::default());
+        let nl = synthesize_tt(&tt, "prop");
         let got = TruthTable::from_netlist(&nl);
         prop_assert_eq!(got, tt);
     }
@@ -126,7 +126,7 @@ proptest! {
             prop_assert_eq!(tt.num_inputs(), cluster.inputs().len());
             prop_assert_eq!(tt.num_outputs(), cluster.outputs().len());
             // Exact-resynthesized window must equal the table.
-            let sub = synthesize_tt(&tt, "w", &EspressoConfig::default());
+            let sub = synthesize_tt(&tt, "w");
             prop_assert_eq!(TruthTable::from_netlist(&sub), tt);
         }
     }

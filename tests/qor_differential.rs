@@ -6,14 +6,13 @@
 //! sample count), committed and probed, serial and at 4 threads.
 //! Extends the PR-2 trajectory-identity suite with the pruned sweep.
 
-use blasys_repro::blasys::explore::{explore_on, StopCriterion};
+use blasys_repro::blasys::explore::StopCriterion;
 use blasys_repro::blasys::montecarlo::{Evaluator, McConfig};
-use blasys_repro::blasys::profile::{profile_partition_on, ProfileConfig};
 use blasys_repro::blasys::qor::{QorMetric, QorReport};
-use blasys_repro::blasys::ExploreSpec;
+use blasys_repro::blasys::{ExploreSpec, FlowConfig, FlowError, FlowSession};
 use blasys_repro::decomp::{decompose, DecompConfig};
 use blasys_repro::logic::Netlist;
-use blasys_repro::par::Pool;
+use blasys_repro::par::{Parallelism, Pool};
 use proptest::prelude::*;
 
 /// Small decomposition windows so the random netlists split into
@@ -223,28 +222,25 @@ proptest! {
     /// both stop modes (extends the PR-2 trajectory-identity suite).
     #[test]
     fn pruned_explore_is_bit_identical_to_unpruned(nl in arb_netlist(), seed in any::<u64>()) {
-        let part = decompose(&nl, &small_windows());
-        if part.is_empty() {
-            return;
-        }
-        let mc = McConfig { samples: 1024, seed };
-        let profiles = profile_partition_on(&nl, &part, &ProfileConfig::default(), Pool::serial())
-            .unwrap();
-        for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
-            for pool in [Pool::serial(), &Pool::new(4)] {
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let cfg = FlowConfig::new()
+                .decomposition(small_windows())
+                .samples(1024)
+                .seed(seed)
+                .parallelism(parallelism);
+            let session = match FlowSession::open(&nl, cfg) {
+                Err(FlowError::NoGates) => return,
+                opened => opened.unwrap().profile().unwrap(),
+            };
+            for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
                 let spec = ExploreSpec { stop, ..ExploreSpec::new() };
-                let mut ev_pruned = Evaluator::new(&nl, &part, &mc);
-                let mut ev_plain = Evaluator::new(&nl, &part, &mc);
-                let pruned =
-                    explore_on(&mut ev_pruned, &profiles, &spec.clone().prune(true), pool)
-                        .into_trajectory();
-                let plain = explore_on(&mut ev_plain, &profiles, &spec.prune(false), pool)
-                    .into_trajectory();
+                let pruned = session.explore(&spec.clone().prune(true)).into_trajectory();
+                let plain = session.explore(&spec.prune(false)).into_trajectory();
                 prop_assert_eq!(pruned.len(), plain.len());
                 for (s, p) in pruned.iter().zip(&plain) {
                     prop_assert_eq!(s.changed_cluster, p.changed_cluster);
                     prop_assert_eq!(&s.degrees, &p.degrees);
-                    prop_assert_eq!(s.qor, p.qor, "step {} ({:?}, {:?})", s.step, stop, pool);
+                    prop_assert_eq!(s.qor, p.qor, "step {} ({:?}, {:?})", s.step, stop, parallelism);
                     prop_assert_eq!(s.model_area_um2.to_bits(), p.model_area_um2.to_bits());
                 }
             }

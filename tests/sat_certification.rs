@@ -12,7 +12,7 @@ use blasys_repro::logic::equiv::{check_equiv, Backend, EquivConfig, Equivalence}
 use blasys_repro::logic::sim::eval_scalar_with;
 use blasys_repro::logic::Simulator;
 use blasys_repro::sat::{brute_force_worst_absolute, certify_worst_absolute, check_equiv_sat};
-use blasys_repro::synth::{synthesize_tt, EspressoConfig};
+use blasys_repro::synth::synthesize_tt;
 
 #[test]
 fn sat_proves_exact_resynthesis_beyond_exhaustive_limit() {
@@ -81,15 +81,10 @@ fn fig3_certified_bound_dominates_sampled_worst() {
     // certificate. Sampling a strict subset of the 16 rows can miss the
     // true worst case; the certificate never does.
     let tt = fig3_truth_table();
-    let exact = synthesize_tt(&tt, "fig3", &EspressoConfig::default());
+    let exact = synthesize_tt(&tt, "fig3");
     let matrix = blasys_repro::blasys::profile::table_to_matrix(&tt);
     let fac = Factorizer::new().factorize(&matrix, 2);
-    let approx = blasys_repro::blasys::approx::factorization_netlist(
-        4,
-        &fac,
-        "fig3_f2",
-        &EspressoConfig::default(),
-    );
+    let approx = blasys_repro::blasys::approx::factorization_netlist(4, &fac, "fig3_f2");
 
     // Sampled worst over a handful of rows (seeded, deliberately few).
     let mut acc = QorAccumulator::new(tt.num_outputs());

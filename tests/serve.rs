@@ -10,7 +10,9 @@
 //! * malformed BLIF → 400 with lint diagnostics; oversized body →
 //!   413; a stalled sender → 408; the cache never exceeds its bound
 //!   (LRU eviction counted); graceful shutdown drains in-flight work;
-//!   a closed-loop client is never refused for a finished request.
+//!   a closed-loop client is never refused for a finished request;
+//! * a beam explore with an absurd width is answered, and the server
+//!   keeps serving afterwards.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -381,6 +383,38 @@ fn unknown_routes_fields_and_hashes_are_clean_errors() {
     );
     assert_eq!(resp.status, 400, "typo fields must be rejected");
     assert!(resp.body.contains("thresold"), "{}", resp.body);
+
+    shutdown(addr, handle);
+}
+
+#[test]
+fn huge_beam_width_is_answered_and_the_server_survives() {
+    let (addr, _registry, handle) = start(test_config());
+    let blif = to_blif(&adder(4));
+    let ingest = request(addr, "POST", "/circuits", &blif);
+    assert_eq!(ingest.status, 201, "{}", ingest.body);
+    let hash = ingest
+        .json()
+        .get("hash")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+
+    // Widths far past the design count keep every feasible child; no
+    // buffer may be sized by the width itself.
+    for width in ["1000000000000", "18446744073709551615"] {
+        let resp = request(
+            addr,
+            "POST",
+            &format!("/circuits/{hash}/explore"),
+            &format!(r#"{{"threshold": 0.05, "explorer": "beam:{width}"}}"#),
+        );
+        assert_eq!(resp.status, 200, "beam:{width}: {}", resp.body);
+        assert!(resp.json().get("report").is_some(), "{}", resp.body);
+    }
+    let metrics = request(addr, "GET", "/metrics", "");
+    assert_eq!(metrics.status, 200, "{}", metrics.body);
 
     shutdown(addr, handle);
 }
