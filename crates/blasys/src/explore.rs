@@ -65,8 +65,14 @@
 //! moment a lower bound on its final error exceeds it
 //! ([`Evaluator::qor_probe_bounded`]). That lower bound counts the
 //! error the committed design already has on the lanes the candidate
-//! cannot change, so a candidate is judged on the error it *adds*, not
-//! just on the prefix it has accumulated. This is a pure wall-clock
+//! cannot change, plus the exact error of the lanes it still has cached
+//! from earlier steps (see the cross-step reuse section of
+//! [`crate::montecarlo`]), so a candidate is judged on the error it
+//! *adds*, not just on the prefix it has accumulated. Each sweep probes
+//! the candidates with the lowest error at the last step first, and
+//! starts every worker on one of them, so the bound tightens early.
+//! Greedy, pareto3 and beam sweeps reuse cached lanes whether or not
+//! they prune. This is a pure wall-clock
 //! optimization — the committed trajectory is **bit-identical** with
 //! pruning on or off, at any worker count, because:
 //!
@@ -101,7 +107,7 @@ use blasys_par::Pool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::montecarlo::{Evaluator, TableNetwork};
+use crate::montecarlo::{Evaluator, ProbeCache, TableNetwork};
 use crate::pareto::{pareto_front3, TradeoffPoint};
 use crate::profile::SubcircuitProfile;
 use crate::qor::{QorMetric, QorReport};
@@ -209,6 +215,52 @@ fn model_depth(profiles: &[SubcircuitProfile], network: &TableNetwork, degrees: 
     network.model_depth_ns(&delays)
 }
 
+/// Task order of a sweep over candidates whose errors are guessed as
+/// `guess` (task `t` probes candidate `order[t]`): the candidates are
+/// ranked by guess, ties by index, and dealt round-robin into the
+/// contiguous task ranges the pool seeds its workers with, so every
+/// worker starts on one of the best guesses and the shared prune bound
+/// tightens early. Results are put back in candidate order, so the
+/// order decides only which losers get pruned, never the outcome.
+fn sweep_order(guess: &[f64], workers: usize) -> Vec<usize> {
+    let len = guess.len();
+    let mut ranked: Vec<usize> = (0..len).collect();
+    ranked.sort_by(|&a, &b| guess[a].total_cmp(&guess[b]));
+    let workers = workers.clamp(1, len.max(1));
+    let end = |w: usize| len * (w + 1) / workers;
+    let mut next: Vec<usize> = (0..workers).map(|w| len * w / workers).collect();
+    let mut order = vec![0; len];
+    let mut w = 0;
+    for c in ranked {
+        while next[w] == end(w) {
+            w = (w + 1) % workers;
+        }
+        order[next[w]] = c;
+        next[w] += 1;
+        w = (w + 1) % workers;
+    }
+    order
+}
+
+/// Run `probe(state, i)` for every candidate `i` in `0..guess.len()`
+/// on `pool`, in [`sweep_order`], and return the results in candidate
+/// order.
+fn sweep<S: Send, R: Send>(
+    pool: &Pool,
+    states: &mut [S],
+    guess: &[f64],
+    probe: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    let order = sweep_order(guess, pool.threads());
+    let mut results: Vec<(usize, R)> = order
+        .iter()
+        .copied()
+        .zip(pool.run_states(order.len(), states, |state, t| probe(state, order[t])))
+        .collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
 /// The exploration core behind
 /// [`FlowSession::explore`](crate::session::FlowSession::explore):
 /// dispatches to the configured [`Explorer`] engine, runs candidate
@@ -290,6 +342,13 @@ fn greedy_ctx(
     let mut probe_states: Vec<_> = (0..pool.threads().min(n).max(1))
         .map(|_| evaluator.probe_state())
         .collect();
+    // What every window's candidate showed at earlier steps, kept
+    // across steps and invalidated by each commit.
+    let mut cache = ProbeCache::new(evaluator);
+    // Each window's candidate error at the last sweep that finished it
+    // (+∞ when unknown or pruned): the sweep order's guess at the next
+    // winner.
+    let mut last_err = vec![f64::INFINITY; n];
 
     let mut step = 0usize;
     let mut probes_done = 0u64;
@@ -326,31 +385,31 @@ fn greedy_ctx(
         // *losers* get pruned early — never who wins. In archive
         // (pareto3) mode the bound stays at the threshold so the set
         // of completed probes is timing-independent.
-        let tighten = archive.is_none();
-        let bound = AtomicU64::new(threshold.to_bits());
+        // With pruning off the bound stays at +∞.
+        let tighten = spec.prune && archive.is_none();
+        let bound = AtomicU64::new(if spec.prune { threshold } else { f64::INFINITY }.to_bits());
+        let guess: Vec<f64> = candidates.iter().map(|&ci| last_err[ci]).collect();
         let probes: Vec<Option<(f64, usize, QorReport)>> =
-            pool.run_states(candidates.len(), &mut probe_states, |state, i| {
+            sweep(pool, &mut probe_states, &guess, |state, i| {
                 let ci = candidates[i];
                 let rows = &profiles[ci].variant(degrees[ci] - 1).table_rows;
-                if spec.prune {
-                    // The bound is re-read before every block's prune
-                    // check, so in-flight probes see tightening from
-                    // peers that completed after they launched.
-                    let report =
-                        evaluator.qor_probe_bounded_by(state, ci, rows, spec.metric, || {
-                            f64::from_bits(bound.load(Ordering::Relaxed))
-                        })?;
-                    let err = report.value(spec.metric);
-                    if tighten {
-                        bound.fetch_min(err.to_bits(), Ordering::Relaxed);
-                    }
-                    Some((err, ci, report))
-                } else {
-                    let report = evaluator.qor_probe(state, ci, rows);
-                    Some((report.value(spec.metric), ci, report))
+                // The bound is re-read before every block's prune
+                // check, so in-flight probes see tightening from peers
+                // that completed after they launched.
+                let report =
+                    evaluator.qor_probe_reusing(state, &cache, ci, rows, spec.metric, || {
+                        f64::from_bits(bound.load(Ordering::Relaxed))
+                    })?;
+                let err = report.value(spec.metric);
+                if tighten {
+                    bound.fetch_min(err.to_bits(), Ordering::Relaxed);
                 }
+                Some((err, ci, report))
             });
         probes_done += candidates.len() as u64;
+        for (&ci, probe) in candidates.iter().zip(&probes) {
+            last_err[ci] = probe.as_ref().map_or(f64::INFINITY, |p| p.0);
+        }
         if let Some(archive) = archive.as_deref_mut() {
             // Deterministic archive order: candidate index order, with
             // probes that ran past the threshold (pruned or completed)
@@ -384,11 +443,13 @@ fn greedy_ctx(
             break StopReason::ThresholdReached; // next step would cross it
         }
         degrees[ci] -= 1;
-        evaluator.commit(
+        evaluator.commit_reusing(
             &mut probe_states[0],
+            &mut cache,
             ci,
             &profiles[ci].variant(degrees[ci]).table_rows,
         );
+        last_err[ci] = f64::INFINITY;
         step += 1;
         ctx.count("explore.branches", 1);
         ctx.count("explore.frontier_size", 1);
@@ -413,11 +474,15 @@ fn greedy_ctx(
 
 /// One committed frontier of the beam engine: a branch evaluator
 /// (sharing the pristine evaluator's sampled model, owning only its
-/// committed values) plus its degree vector.
+/// committed values) plus its degree vector, its lane cache and its
+/// candidates' last probed errors (see `greedy_ctx`). A child starts
+/// from a copy of its parent's.
 #[derive(Clone)]
 struct Branch {
     evaluator: Evaluator,
     degrees: Vec<usize>,
+    cache: ProbeCache,
+    last_err: Vec<f64>,
 }
 
 /// The `Explorer::Beam` engine: k committed frontiers advance in
@@ -463,8 +528,10 @@ fn beam_ctx(
         .collect();
 
     let mut frontier: Vec<Branch> = vec![Branch {
+        cache: ProbeCache::new(evaluator),
         evaluator: evaluator.clone(),
         degrees: exact,
+        last_err: vec![f64::INFINITY; n],
     }];
 
     let mut step = 0usize;
@@ -519,46 +586,50 @@ fn beam_ctx(
         // expansion strictly worse than `width` distinct finished
         // children ranks behind all of them and cannot be kept, so
         // only strict losers are pruned (see the module docs). At
-        // width == 1 this is greedy's running minimum.
-        let bound = AtomicU64::new(threshold.to_bits());
+        // width == 1 this is greedy's running minimum. With pruning
+        // off it stays at +∞.
+        let bound = AtomicU64::new(if spec.prune { threshold } else { f64::INFINITY }.to_bits());
         // Buffers are sized by the expansions, never by `width` alone:
         // a width past the design count keeps every feasible child.
         let best_designs: Mutex<Vec<(f64, usize)>> =
             Mutex::new(Vec::with_capacity(width.min(expansions.len()) + 1));
         let frontier_ref = &frontier;
+        let guess: Vec<f64> = expansions
+            .iter()
+            .map(|&(b, ci)| frontier[b].last_err[ci])
+            .collect();
         let probes: Vec<Option<(f64, QorReport)>> =
-            pool.run_states(expansions.len(), &mut probe_states, |state, i| {
+            sweep(pool, &mut probe_states, &guess, |state, i| {
                 let (b, ci) = expansions[i];
                 let branch = &frontier_ref[b];
                 let rows = &profiles[ci].variant(branch.degrees[ci] - 1).table_rows;
-                if spec.prune {
-                    let report = branch.evaluator.qor_probe_bounded_by(
-                        state,
-                        ci,
-                        rows,
-                        spec.metric,
-                        || f64::from_bits(bound.load(Ordering::Relaxed)),
-                    )?;
-                    let err = report.value(spec.metric);
-                    if err <= threshold {
-                        let mut best = best_designs.lock().unwrap_or_else(PoisonError::into_inner);
-                        match best.iter_mut().find(|(_, d)| *d == designs[i]) {
-                            Some(entry) => entry.0 = entry.0.min(err),
-                            None => best.push((err, designs[i])),
-                        }
-                        best.sort_by(|a, b| a.0.total_cmp(&b.0));
-                        best.truncate(width);
-                        if best.len() == width {
-                            bound.fetch_min(best[width - 1].0.to_bits(), Ordering::Relaxed);
-                        }
+                let report = branch.evaluator.qor_probe_reusing(
+                    state,
+                    &branch.cache,
+                    ci,
+                    rows,
+                    spec.metric,
+                    || f64::from_bits(bound.load(Ordering::Relaxed)),
+                )?;
+                let err = report.value(spec.metric);
+                if spec.prune && err <= threshold {
+                    let mut best = best_designs.lock().unwrap_or_else(PoisonError::into_inner);
+                    match best.iter_mut().find(|(_, d)| *d == designs[i]) {
+                        Some(entry) => entry.0 = entry.0.min(err),
+                        None => best.push((err, designs[i])),
                     }
-                    Some((err, report))
-                } else {
-                    let report = branch.evaluator.qor_probe(state, ci, rows);
-                    Some((report.value(spec.metric), report))
+                    best.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    best.truncate(width);
+                    if best.len() == width {
+                        bound.fetch_min(best[width - 1].0.to_bits(), Ordering::Relaxed);
+                    }
                 }
+                Some((err, report))
             });
         probes_done += expansions.len() as u64;
+        for (&(b, ci), probe) in expansions.iter().zip(&probes) {
+            frontier[b].last_err[ci] = probe.as_ref().map_or(f64::INFINITY, |p| p.0);
+        }
         // Deterministic ranking: (error, branch index, cluster index).
         // Expansions are already in (branch, cluster) order, so a
         // stable sort by error alone realizes exactly that — and at
@@ -600,7 +671,14 @@ fn beam_ctx(
         for &(_, b, _, _) in &kept {
             remaining[b] += 1;
         }
-        let mut parents: Vec<Option<Branch>> = frontier.into_iter().map(Some).collect();
+        // A parent with no kept child is dropped before any child is
+        // built, so its evaluator and lane cache do not add to the
+        // peak.
+        let mut parents: Vec<Option<Branch>> = frontier
+            .into_iter()
+            .zip(&remaining)
+            .map(|(branch, &r)| (r > 0).then_some(branch))
+            .collect();
         let mut next: Vec<Branch> = Vec::with_capacity(kept.len());
         let mut leader_point: Option<(usize, QorReport)> = None;
         for (rank, (_, b, ci, report)) in kept.into_iter().enumerate() {
@@ -611,11 +689,13 @@ fn beam_ctx(
                 parents[b].as_ref().expect("parent still present").clone()
             };
             branch.degrees[ci] -= 1;
-            branch.evaluator.commit(
+            branch.evaluator.commit_reusing(
                 &mut probe_states[0],
+                &mut branch.cache,
                 ci,
                 &profiles[ci].variant(branch.degrees[ci]).table_rows,
             );
+            branch.last_err[ci] = f64::INFINITY;
             if rank == 0 {
                 leader_point = Some((ci, report));
             }

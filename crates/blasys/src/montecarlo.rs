@@ -88,6 +88,55 @@
 //! lanes the winner flips, like a probe's; only [`Evaluator::new`]
 //! simulates every cluster on every lane.
 //!
+//! # Cross-step reuse
+//!
+//! Algorithm 1 probes every remaining candidate again at every step,
+//! yet one commit moves only a fraction of the lanes. The exploration
+//! sweeps therefore keep a lane cache (`ProbeCache`, one per
+//! exploration or beam branch) with one entry per window, for the
+//! candidate rows that window was last probed with. It covers the
+//! root-changed lanes (where the candidate row differs from the
+//! committed row) of the blocks its probes evaluated. Per block it
+//! keeps which of those lanes are still valid, the packed output the
+//! probe pushed on each lane that differs from golden (in 16-bit
+//! chunks; a lane matching golden needs no value), the error terms of
+//! those lanes, and for each lane on which the probe moved the inputs
+//! of some position of `downstream(d)` a *touched mask* of those
+//! positions (16 bits, positions from 15 up sharing bit 15, which is
+//! conservative). A lane that touched no position and matches golden
+//! costs only its bits in the block's masks.
+//!
+//! A probe re-simulates only the root-changed lanes that are not
+//! cached: the root's change words are masked before the cone pass,
+//! and a group with nothing left skips the cone walk. The block loop
+//! then settles only these fresh lanes: it stores their values in the
+//! rebuilt entry and bounds the final error from below by their exact
+//! terms plus the known ones — the committed terms off the
+//! root-changed lanes and the cached lanes' terms, all counted from
+//! block 0. A pruned probe's report is never needed, so it pushes
+//! nothing into a `QorAccumulator`; a probe that survives every block
+//! replays the accumulation in sample order from the rebuilt entry and
+//! the committed outputs, which are the same values in the same order
+//! as without the cache, so its report is bit-identical. The entry is
+//! rebuilt for every block the probe evaluates; a pruned probe keeps
+//! its older entries past the prune point.
+//!
+//! Committing window `w` ([`Evaluator::commit`] through the sweeps'
+//! reusing commit) invalidates:
+//!
+//! * every cached lane on which any committed cluster value changed
+//!   (the OR of the commit's per-cluster change masks);
+//! * for every candidate `d ≠ w` whose cone holds `w`, the lanes whose
+//!   touched mask has `w`'s position;
+//! * `w`'s own entry, since its next candidate is another variant.
+//!
+//! Tracking committed-value changes alone is **unsound**: the commit
+//! also swaps `w`'s table. On a lane where `d`'s probe moved `w`'s
+//! inputs, `w` looks up a different row than the committed lane does,
+//! and that row may have changed even though no committed value moved.
+//! Every other cached lane is a function of unchanged committed values
+//! and unchanged tables, so it still holds.
+//!
 //! The pre-incremental scalar path is retained verbatim as
 //! [`Evaluator::qor_probe_reference`] /
 //! [`Evaluator::qor_current_reference`]: it is the differential-
@@ -102,7 +151,7 @@ use rand::{Rng, SeedableRng};
 use blasys_decomp::{cluster_truth_table, Partition};
 use blasys_logic::{Netlist, NodeId, Simulator};
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::obs::QorCounters;
 use crate::qor::{QorAccumulator, QorMetric, QorReport};
@@ -599,6 +648,251 @@ pub struct ProbeState {
     /// Commit pass only: `next_idx[(ci * LANES + w) * 64 + lane]` =
     /// consumer `ci`'s new row index on a lane of `moved`.
     next_idx: Vec<u16>,
+    /// Reusing probes only: `touch[w]` = the lanes of word `w` of the
+    /// current group on which the probe moved the inputs of some cone
+    /// position, and `lane_touch[w * 64 + lane]` = those positions
+    /// (bit `p` for `downstream(cluster)[p]`, positions from 15 up
+    /// sharing bit 15).
+    touch: [u64; LANES],
+    lane_touch: [u16; LANES * 64],
+    /// Reusing probes only: the lane cache entry being rebuilt.
+    next_blocks: Vec<CachedBlock>,
+    next_payload: Vec<u16>,
+    /// Commit pass only: `delta[block]` = lanes where the last commit
+    /// changed some committed cluster value.
+    delta: Vec<u64>,
+}
+
+/// A 64-bit FNV-1a fingerprint of a candidate table, so a lane cache
+/// entry can tell the rows it was probed with from others without
+/// keeping a copy of them.
+fn rows_key(rows: &[u16]) -> u64 {
+    rows.iter().fold(0xCBF2_9CE4_8422_2325, |h, &r| {
+        (h ^ u64::from(r)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The value of `chunks` little-endian 16-bit chunks at `payload[at..]`.
+#[inline]
+fn chunk_value(payload: &[u16], at: usize, chunks: usize) -> u64 {
+    if chunks == 1 {
+        return u64::from(payload[at]);
+    }
+    payload[at..at + chunks]
+        .iter()
+        .rev()
+        .fold(0, |v, &c| v << 16 | u64::from(c))
+}
+
+/// Append `v` to `payload` as `chunks` little-endian 16-bit chunks.
+#[inline]
+fn push_value(payload: &mut Vec<u16>, v: u64, chunks: usize) {
+    for k in 0..chunks {
+        payload.push((v >> (16 * k)) as u16);
+    }
+}
+
+/// One cached block of a [`LaneCache`] entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct CachedBlock {
+    /// Root-changed lanes whose cached output still holds.
+    valid: u64,
+    /// Lanes whose cached packed output differs from golden: only
+    /// these carry a stored value (a lane matching golden needs none).
+    wrong: u64,
+    /// The lanes on which the probe moved the inputs of some cone
+    /// position: these carry a touched mask.
+    touched: u64,
+    /// The entry metric's error terms summed over `valid & wrong`: what
+    /// the cached lanes add to the prune bound's suffix.
+    terms: f64,
+}
+
+impl CachedBlock {
+    /// Payload length of the block, in 16-bit words.
+    fn payload_len(&self, chunks: usize) -> usize {
+        self.wrong.count_ones() as usize * chunks + self.touched.count_ones() as usize
+    }
+
+    /// Offset, within the block's payload, of `lane`'s value (a lane of
+    /// `wrong`).
+    fn value_at(&self, lane: usize, chunks: usize) -> usize {
+        (self.wrong & ((1u64 << lane) - 1)).count_ones() as usize * chunks
+    }
+
+    /// Offset, within the block's payload, of `lane`'s touched mask (a
+    /// lane of `touched`).
+    fn touch_at(&self, lane: usize, chunks: usize) -> usize {
+        self.wrong.count_ones() as usize * chunks
+            + (self.touched & ((1u64 << lane) - 1)).count_ones() as usize
+    }
+}
+
+/// One candidate's entry of a [`ProbeCache`]: what its last probes saw
+/// on the root-changed lanes of the first `blocks.len()` blocks (the
+/// blocks they evaluated).
+///
+/// `payload` holds, block by block, the packed outputs of the `wrong`
+/// lanes in lane order, each as `chunks` little-endian 16-bit chunks
+/// ([`Evaluator::value_chunks`]; a 16-bit output costs two bytes per
+/// erring lane), then the touched mask of each `touched` lane in lane
+/// order: bit `p` set ⇔ the probe moved the inputs of cone position
+/// `p` on that lane, positions from 15 up sharing bit 15. An entry is
+/// only read during a probe; the probe writes its rebuilt blocks to
+/// scratch and [`LaneCache::finish`] installs them.
+#[derive(Debug, Clone, Default)]
+struct LaneCache {
+    /// Fingerprint of the candidate rows of the last probe
+    /// ([`rows_key`]) and the metric its block terms are in; `None`
+    /// when nothing is cached.
+    key: Option<(u64, QorMetric)>,
+    blocks: Vec<CachedBlock>,
+    payload: Vec<u16>,
+}
+
+impl LaneCache {
+    /// Drop everything cached.
+    fn clear(&mut self) {
+        *self = LaneCache::default();
+    }
+
+    /// Get ready for a probe of `rows` under `metric`: an entry cached
+    /// for other rows or another metric (or none) starts empty.
+    fn start(&mut self, rows: &[u16], metric: QorMetric) {
+        let key = Some((rows_key(rows), metric));
+        if self.key != key {
+            self.clear();
+            self.key = key;
+        }
+    }
+
+    /// Drop the lanes of `delta` and, when `swapped` is a cone
+    /// position's touched-mask bit, the lanes on which the probe moved
+    /// that position's inputs; re-sum the terms of a block that loses
+    /// an erring lane.
+    fn invalidate(&mut self, golden: &[u64], chunks: usize, delta: &[u64], swapped: Option<u16>) {
+        let Some((_, metric)) = self.key else { return };
+        let mut off = 0usize;
+        for (b, c) in self.blocks.iter_mut().enumerate() {
+            let payload = &self.payload[off..off + c.payload_len(chunks)];
+            let mut valid = c.valid & !delta[b];
+            if let Some(mask) = swapped {
+                let mut lw = valid & c.touched;
+                while lw != 0 {
+                    let lane = lw.trailing_zeros() as usize;
+                    lw &= lw - 1;
+                    if payload[c.touch_at(lane, chunks)] & mask != 0 {
+                        valid &= !(1u64 << lane);
+                    }
+                }
+            }
+            if (c.valid & !valid) & c.wrong != 0 {
+                let mut terms = 0.0f64;
+                let mut lw = valid & c.wrong;
+                while lw != 0 {
+                    let lane = lw.trailing_zeros() as usize;
+                    lw &= lw - 1;
+                    let v = chunk_value(payload, c.value_at(lane, chunks), chunks);
+                    terms += metric.sample_term(golden[b * 64 + lane], v);
+                }
+                c.terms = terms;
+            }
+            c.valid = valid;
+            off += c.payload_len(chunks);
+        }
+    }
+
+    /// Block `b`, or an empty block past the covered ones.
+    fn block(&self, b: usize) -> CachedBlock {
+        self.blocks.get(b).copied().unwrap_or_default()
+    }
+
+    /// Whether some valid cached lane carries an error term.
+    fn has_errors(&self) -> bool {
+        self.blocks.iter().any(|c| c.valid & c.wrong != 0)
+    }
+
+    /// Install a probe's rebuilt blocks `..new_blocks.len()` (payload in
+    /// `new_payload`), keeping the older blocks past them, whose payload
+    /// starts at `payload[tail..]`.
+    fn finish(
+        &mut self,
+        new_blocks: &mut Vec<CachedBlock>,
+        new_payload: &mut Vec<u16>,
+        tail: usize,
+    ) {
+        if let Some(old) = self.blocks.get(new_blocks.len()..) {
+            new_blocks.extend_from_slice(old);
+            new_payload.extend_from_slice(&self.payload[tail..]);
+        }
+        // Copied rather than swapped, so every entry keeps buffers
+        // sized by its own payload, not by the largest one.
+        self.blocks.clear();
+        self.blocks.reserve_exact(new_blocks.len());
+        self.blocks.extend_from_slice(new_blocks);
+        self.payload.clear();
+        self.payload.reserve_exact(new_payload.len());
+        self.payload.extend_from_slice(new_payload);
+    }
+}
+
+/// Cross-step lane cache of one exploration (or one beam branch): one
+/// [`LaneCache`] entry per window, for the candidate rows that window
+/// was last probed with. Probes through
+/// [`Evaluator::qor_probe_reusing`] read and refresh it, and
+/// [`Evaluator::commit_reusing`] invalidates it (see the [module
+/// docs](self#cross-step-reuse)). Every entry sits behind its own
+/// `Mutex`: in a candidate sweep each entry is locked by its own task
+/// only, so the locks are never contended.
+#[derive(Debug)]
+pub(crate) struct ProbeCache {
+    slots: Vec<Mutex<LaneCache>>,
+}
+
+impl Clone for ProbeCache {
+    fn clone(&self) -> ProbeCache {
+        ProbeCache {
+            slots: self
+                .slots
+                .iter()
+                .map(|s| Mutex::new(s.lock().unwrap_or_else(PoisonError::into_inner).clone()))
+                .collect(),
+        }
+    }
+}
+
+impl ProbeCache {
+    /// An empty cache for `evaluator`'s windows.
+    pub(crate) fn new(evaluator: &Evaluator) -> ProbeCache {
+        ProbeCache {
+            slots: (0..evaluator.network.len())
+                .map(|_| Mutex::new(LaneCache::default()))
+                .collect(),
+        }
+    }
+
+    /// Invalidate after committing window `w`, whose commit changed
+    /// committed values on the lanes of `delta`.
+    fn invalidate(&mut self, ev: &Evaluator, w: usize, delta: &[u64]) {
+        let chunks = ev.value_chunks();
+        for (d, slot) in self.slots.iter_mut().enumerate() {
+            let entry = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            if d == w {
+                entry.clear();
+                continue;
+            }
+            // `w`'s table changed: on a lane where `d`'s probe moved
+            // `w`'s inputs, `w` reads a row that may have changed even
+            // where no committed value did.
+            let swapped = ev
+                .network
+                .downstream(d)
+                .binary_search(&w)
+                .ok()
+                .map(|p| 1u16 << p.min(15));
+            entry.invalidate(&ev.golden, chunks, delta, swapped);
+        }
+    }
 }
 
 /// A reusable QoR evaluator: fixed stimulus, golden outputs from the
@@ -687,6 +981,7 @@ struct ProbeTally {
     cone_hits: u64,
     cone_misses: u64,
     lanes: u64,
+    reused: u64,
 }
 
 impl ProbeTally {
@@ -701,6 +996,7 @@ impl ProbeTally {
         c.cone_hits.add(self.cone_hits);
         c.cone_misses.add(self.cone_misses);
         c.lanes.add(self.lanes);
+        c.lanes_reused.add(self.reused);
     }
 
     /// Flush a commit's cone pass: only its re-simulated lanes count,
@@ -887,6 +1183,11 @@ impl Evaluator {
             suffix: vec![0.0; self.blocks + 1],
             moved: Vec::new(),
             next_idx: Vec::new(),
+            touch: [0; LANES],
+            next_blocks: Vec::new(),
+            lane_touch: [0; LANES * 64],
+            next_payload: Vec::new(),
+            delta: vec![0; self.blocks],
         }
     }
 
@@ -1105,8 +1406,68 @@ impl Evaluator {
         metric: QorMetric,
         bound: impl Fn() -> f64,
     ) -> Option<QorReport> {
+        self.probe(state, None, cluster, rows, metric, bound)
+    }
+
+    /// Like [`Evaluator::qor_probe_bounded_by`], reusing what earlier
+    /// probes of the same candidate left in `cache` (see the [module
+    /// docs](self#cross-step-reuse)): root-changed lanes still valid
+    /// in `cluster`'s entry take their packed output from the cache
+    /// instead of the cone pass, their exact error terms join the
+    /// lower bound from the first block on, and the entry is refreshed
+    /// for every block the probe evaluates. The bound is checked after
+    /// every block against the exact terms known so far; only a probe
+    /// that is never pruned accumulates its report, in sample order.
+    /// The report is bit-identical to
+    /// [`Evaluator::qor_probe_bounded_by`]'s, and like it the probe
+    /// prunes only a candidate whose final error exceeds the bound.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Evaluator::qor_probe`]; additionally panics if
+    /// `cache` was built for a different evaluator shape.
+    pub(crate) fn qor_probe_reusing(
+        &self,
+        state: &mut ProbeState,
+        cache: &ProbeCache,
+        cluster: usize,
+        rows: &[u16],
+        metric: QorMetric,
+        bound: impl Fn() -> f64,
+    ) -> Option<QorReport> {
+        assert_eq!(
+            cache.slots.len(),
+            self.network.len(),
+            "probe cache must be built for this evaluator"
+        );
+        let mut entry = cache.slots[cluster]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.probe(state, Some(&mut entry), cluster, rows, metric, bound)
+    }
+
+    /// The bounded probe behind [`Evaluator::qor_probe_bounded_by`]
+    /// (`cache == None`) and [`Evaluator::qor_probe_reusing`].
+    fn probe(
+        &self,
+        state: &mut ProbeState,
+        mut cache: Option<&mut LaneCache>,
+        cluster: usize,
+        rows: &[u16],
+        metric: QorMetric,
+        bound: impl Fn() -> f64,
+    ) -> Option<QorReport> {
         self.cone_begin(state, cluster, rows);
         let blocks = self.blocks;
+        let chunks = self.value_chunks();
+        // The entry is only read until the probe ends; its rebuilt
+        // blocks collect in `state.next_blocks` / `state.next_payload`.
+        if let Some(entry) = cache.as_deref_mut() {
+            entry.start(rows, metric);
+        }
+        let entry = cache.as_deref();
+        state.next_blocks.clear();
+        state.next_payload.clear();
         // Counter tallies stay in locals until the probe resolves; the
         // zero-observability path pays only the final `None` check.
         let mut tally = ProbeTally::default();
@@ -1114,19 +1475,22 @@ impl Evaluator {
         let keep = !self.network.po_cone_mask(cluster);
         let outside = &self.outside_mism[self.outside_class[cluster] * blocks..][..blocks];
         let mut acc = QorAccumulator::new(self.output_bits);
-        // Committed-suffix lower bound: lanes outside `root_changed`
-        // keep their committed outputs, hence their committed error
-        // terms, so `partial + suffix[b + 1]` bounds the final error
-        // from below after block `b`. Built the first time the bound is
-        // finite; from an error-free committed state it is all zero
-        // and is never built.
-        let use_suffix = self.committed_mism.iter().any(|&m| m != 0);
+        // Suffix lower bound: lanes outside `root_changed` keep their
+        // committed outputs, hence their committed error terms, and
+        // valid cached lanes have known exact terms, so
+        // `partial + suffix[b + 1]` bounds the final error from below
+        // after block `b`. Built the first time the bound is finite;
+        // from an error-free committed state with no erring cached
+        // lane it is all zero and is never built.
+        let use_suffix =
+            self.committed_mism.iter().any(|&m| m != 0) || entry.is_some_and(LaneCache::has_errors);
         let mut committed_err: Option<f64> = None;
         let b_now = bound();
         if use_suffix && b_now.is_finite() {
             let committed = self.committed_suffix(
                 cluster,
                 metric,
+                entry,
                 &state.row_diff,
                 &mut state.root_changed,
                 &mut state.suffix,
@@ -1144,109 +1508,268 @@ impl Evaluator {
                 return None;
             }
         }
+        // Offset of the entry's block `b` in its payload.
+        let mut poff = 0usize;
+        // With an entry, the block loop only settles the fresh lanes:
+        // their exact terms (`fresh_sum`) plus the known ones
+        // (`suffix[0]`: committed lanes outside `root_changed` and
+        // valid cached lanes) bound the final error from below, and a
+        // pruned probe's report is never needed. A probe that survives
+        // replays the accumulation in sample order from the rebuilt
+        // entry afterwards.
+        let mut fresh_sum = 0.0f64;
+        let mut pruned = false;
         let mut g0 = 0usize;
-        while g0 < blocks {
+        'groups: while g0 < blocks {
             // Group `g` values depend only on group `g` inputs, so a
             // pruned probe abandons the remaining groups' cone work
             // too, not just their accumulation.
             let bw = (blocks - g0).min(LANES);
-            self.cone_group::<false>(state, cluster, rows, g0, bw, &mut tally);
+            let mut skip = [0u64; LANES];
+            if let Some(e) = entry {
+                for (w, s) in skip[..bw].iter_mut().enumerate() {
+                    *s = e.block(g0 + w).valid;
+                }
+            }
+            let skip = entry.map(|_| &skip[..bw]);
+            self.cone_group::<false>(state, cluster, rows, g0, bw, skip, &mut tally);
             let ProbeState {
                 overlay,
                 changed,
                 row_diff,
                 root_changed,
                 suffix,
+                touch,
+                lane_touch,
+                next_blocks,
+                next_payload,
                 ..
             } = &mut *state;
-            // Accumulate the group's blocks in ascending order —
-            // exactly the reference push order: gather the cone POs'
-            // patch words, find the lanes whose value differs from
-            // golden (inherited out-of-cone mismatches ∪ fresh cone
-            // mismatches), and batch-count the rest as correct.
+            // Walk the group's blocks in ascending order and find the
+            // lanes whose value differs from golden (committed
+            // mismatches off the root-changed lanes ∪ erring cached
+            // lanes ∪ fresh lanes whose probed cone POs or inherited
+            // outputs err). Without an entry, push those in exactly the
+            // reference order and batch-count the rest as correct.
             for b in g0..g0 + bw {
-                let mut mism = outside[b];
+                let w = b - g0;
+                let rc = root_changed[b];
+                let old = entry.map(|e| e.block(b)).unwrap_or_default();
+                let cached = old.valid;
+                debug_assert_eq!(cached & !rc, 0, "cached lanes are root-changed");
+                // Lanes outside `rc` keep their committed outputs, and
+                // cached lanes take theirs from the cache; only fresh
+                // lanes need the cone POs' probed words.
+                let fresh = rc & !cached;
+                let mut mism = (self.committed_mism[b] & !rc) | (cached & old.wrong);
                 let mut pw = [0u64; 64];
-                for (slot, &o) in cone_pos.iter().enumerate() {
-                    let Signal::ClusterOut { idx, out } = self.network.po_sigs[o] else {
-                        unreachable!("cone POs are cluster-driven by construction");
-                    };
-                    let off = (self.network.out_base_of(idx) + out) * blocks + b;
-                    // An unchanged driver's probed word equals its
-                    // committed word, whose golden diff is cached.
-                    if changed[idx * LANES + (b - g0)] != 0 {
-                        let w = overlay[off];
-                        pw[slot] = w;
-                        mism |= w ^ self.golden_words[o * blocks + b];
-                    } else {
-                        pw[slot] = self.values[off];
-                        mism |= self.committed_diff[o * blocks + b];
+                if fresh != 0 {
+                    let mut fresh_mism = outside[b];
+                    for (slot, &o) in cone_pos.iter().enumerate() {
+                        let Signal::ClusterOut { idx, out } = self.network.po_sigs[o] else {
+                            unreachable!("cone POs are cluster-driven by construction");
+                        };
+                        let off = (self.network.out_base_of(idx) + out) * blocks + b;
+                        // An unchanged driver's probed word equals its
+                        // committed word, whose golden diff is cached.
+                        if changed[idx * LANES + w] != 0 {
+                            let wd = overlay[off];
+                            pw[slot] = wd;
+                            fresh_mism |= wd ^ self.golden_words[o * blocks + b];
+                        } else {
+                            pw[slot] = self.values[off];
+                            fresh_mism |= self.committed_diff[o * blocks + b];
+                        }
                     }
+                    mism |= fresh_mism & fresh;
                 }
                 tally.blocks += 1;
-                let wrong = mism.count_ones() as usize;
-                acc.push_correct(64 - wrong);
-                if wrong > 0 {
-                    let width = cone_pos.len();
-                    if wrong * width > 448 {
-                        // Dense block: one word-level transpose beats
-                        // per-lane bit gathering.
-                        let mut m = [0u64; 64];
-                        for (slot, &o) in cone_pos.iter().enumerate() {
-                            m[o] = pw[slot];
-                        }
-                        transpose64(&mut m);
-                        let mut w = mism;
-                        while w != 0 {
-                            let lane = w.trailing_zeros() as usize;
-                            w &= w - 1;
-                            let s = b * 64 + lane;
-                            acc.push(self.golden[s], (self.committed_po[s] & keep) | m[lane]);
-                        }
+                tally.reused += u64::from(cached.count_ones());
+                // The lanes whose probed value this block needs: every
+                // erring one without an entry, only the fresh erring
+                // ones with it.
+                let need = if entry.is_some() { mism & fresh } else { mism };
+                let width = cone_pos.len();
+                // Dense block: one word-level transpose beats per-lane
+                // bit gathering.
+                let dense = (mism & fresh).count_ones() as usize * width > 448;
+                let mut m = [0u64; 64];
+                if dense {
+                    for (slot, &o) in cone_pos.iter().enumerate() {
+                        m[o] = pw[slot];
+                    }
+                    transpose64(&mut m);
+                }
+                let probed = |lane: usize| -> u64 {
+                    let s = b * 64 + lane;
+                    let bit = 1u64 << lane;
+                    if rc & bit == 0 {
+                        self.committed_po[s]
+                    } else if dense {
+                        (self.committed_po[s] & keep) | m[lane]
                     } else {
-                        let mut w = mism;
-                        while w != 0 {
-                            let lane = w.trailing_zeros() as usize;
-                            w &= w - 1;
-                            let s = b * 64 + lane;
-                            let mut v = self.committed_po[s] & keep;
-                            for (slot, &o) in cone_pos.iter().enumerate() {
-                                v |= (pw[slot] >> lane & 1) << o;
-                            }
-                            acc.push(self.golden[s], v);
+                        let mut v = self.committed_po[s] & keep;
+                        for (slot, &o) in cone_pos.iter().enumerate() {
+                            v |= (pw[slot] >> lane & 1) << o;
                         }
+                        v
+                    }
+                };
+                let Some(e) = entry else {
+                    acc.push_correct(64 - mism.count_ones() as usize);
+                    let mut lw = need;
+                    while lw != 0 {
+                        let lane = lw.trailing_zeros() as usize;
+                        lw &= lw - 1;
+                        acc.push(self.golden[b * 64 + lane], probed(lane));
+                    }
+                    // Prune at the same per-block granularity as
+                    // before: only the cone recompute coarsened to
+                    // groups.
+                    let b_now = bound();
+                    if b_now.is_finite() {
+                        let mut lost = acc.partial_value(metric, self.samples) > b_now;
+                        if !lost && use_suffix {
+                            let committed = *committed_err.get_or_insert_with(|| {
+                                self.committed_suffix(
+                                    cluster,
+                                    metric,
+                                    None,
+                                    row_diff,
+                                    root_changed,
+                                    suffix,
+                                )
+                            });
+                            lost = suffix_prunes(
+                                &acc,
+                                metric,
+                                self.samples,
+                                suffix[b + 1],
+                                b_now,
+                                committed,
+                            );
+                        }
+                        if lost {
+                            pruned = true;
+                            break 'groups;
+                        }
+                    }
+                    continue;
+                };
+                // Rebuild the block: the erring root-changed lanes'
+                // values, then the touched lanes' masks, each in lane
+                // order — cached lanes keep theirs (the old payload
+                // verbatim when no lane is fresh and none was dropped),
+                // fresh lanes bring the cone pass's, and their terms.
+                let old_payload = &e.payload[poff..poff + old.payload_len(chunks)];
+                let kept = old.touched & cached;
+                let nb = CachedBlock {
+                    valid: rc,
+                    wrong: mism & rc,
+                    touched: kept | (touch[w] & fresh),
+                    terms: old.terms,
+                };
+                let mut block_fresh = 0.0f64;
+                if fresh == 0 && (old.wrong | old.touched) & !cached == 0 {
+                    next_payload.extend_from_slice(old_payload);
+                } else {
+                    let mut lw = nb.wrong;
+                    while lw != 0 {
+                        let lane = lw.trailing_zeros() as usize;
+                        lw &= lw - 1;
+                        if cached >> lane & 1 == 1 {
+                            let at = old.value_at(lane, chunks);
+                            next_payload.extend_from_slice(&old_payload[at..at + chunks]);
+                        } else {
+                            let v = probed(lane);
+                            block_fresh += metric.sample_term(self.golden[b * 64 + lane], v);
+                            push_value(next_payload, v, chunks);
+                        }
+                    }
+                    let mut lw = nb.touched;
+                    while lw != 0 {
+                        let lane = lw.trailing_zeros() as usize;
+                        lw &= lw - 1;
+                        next_payload.push(if cached >> lane & 1 == 1 {
+                            old_payload[old.touch_at(lane, chunks)]
+                        } else {
+                            lane_touch[w * 64 + lane]
+                        });
                     }
                 }
-                // Prune at the same per-block granularity as before:
-                // only the cone recompute coarsened to groups.
+                fresh_sum += block_fresh;
+                next_blocks.push(CachedBlock {
+                    terms: old.terms + block_fresh,
+                    ..nb
+                });
+                poff += old.payload_len(chunks);
                 let b_now = bound();
                 if b_now.is_finite() {
-                    let mut lost = acc.partial_value(metric, self.samples) > b_now;
-                    if !lost && use_suffix {
-                        let committed = *committed_err.get_or_insert_with(|| {
-                            self.committed_suffix(cluster, metric, row_diff, root_changed, suffix)
-                        });
-                        lost = suffix_prunes(
-                            &acc,
+                    let committed = *committed_err.get_or_insert_with(|| {
+                        self.committed_suffix(
+                            cluster,
                             metric,
-                            self.samples,
-                            suffix[b + 1],
-                            b_now,
-                            committed,
-                        );
-                    }
-                    if lost {
-                        tally.flush(self.counters.as_deref(), true);
-                        return None;
+                            entry,
+                            row_diff,
+                            root_changed,
+                            suffix,
+                        )
+                    });
+                    if suffix_prunes(
+                        &acc,
+                        metric,
+                        self.samples,
+                        suffix[0] + fresh_sum,
+                        b_now,
+                        committed,
+                    ) {
+                        pruned = true;
+                        break 'groups;
                     }
                 }
             }
             g0 += bw;
         }
-        tally.flush(self.counters.as_deref(), false);
+        if let Some(e) = cache {
+            if !pruned {
+                // Replay the survivor's accumulation in sample order:
+                // committed outputs off the root-changed lanes, the
+                // rebuilt entry's values on them.
+                let mut at = 0usize;
+                for (b, nb) in state.next_blocks.iter().enumerate() {
+                    let payload = &state.next_payload[at..at + nb.payload_len(chunks)];
+                    let mism = (self.committed_mism[b] & !nb.valid) | nb.wrong;
+                    acc.push_correct(64 - mism.count_ones() as usize);
+                    let mut lw = mism;
+                    while lw != 0 {
+                        let lane = lw.trailing_zeros() as usize;
+                        lw &= lw - 1;
+                        let s = b * 64 + lane;
+                        let bit = 1u64 << lane;
+                        let v = if nb.valid & bit == 0 {
+                            self.committed_po[s]
+                        } else {
+                            chunk_value(payload, nb.value_at(lane, chunks), chunks)
+                        };
+                        acc.push(self.golden[s], v);
+                    }
+                    at += nb.payload_len(chunks);
+                }
+            }
+            e.finish(&mut state.next_blocks, &mut state.next_payload, poff);
+        }
+        tally.flush(self.counters.as_deref(), pruned);
+        if pruned {
+            return None;
+        }
         let report = acc.finish();
         debug_assert_eq!(report.samples, self.samples);
         Some(report)
+    }
+
+    /// Number of 16-bit chunks a cached packed output value takes.
+    fn value_chunks(&self) -> usize {
+        self.output_bits.div_ceil(16).max(1)
     }
 
     /// Start a cone pass of `cluster` under candidate `rows`: bump the
@@ -1293,7 +1816,16 @@ impl Evaluator {
     /// also records every consumer's input-delta lanes (`moved`) and
     /// their new row indices (`next_idx`) for
     /// [`Evaluator::splice_group`].
+    ///
+    /// With `skip` (a reusing probe: the cached lanes of the group's
+    /// words), the root moves only on its root-changed lanes outside
+    /// `skip`, every other lane of the cone stays at its committed
+    /// value, and `state.touch` / `state.lane_touch` record the lanes on
+    /// which the pass moved some cone position's inputs, and which
+    /// positions. A group in which the root moves on no lane skips the
+    /// cone walk.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn cone_group<const COMMIT: bool>(
         &self,
         state: &mut ProbeState,
@@ -1301,6 +1833,7 @@ impl Evaluator {
         rows: &[u16],
         g0: usize,
         bw: usize,
+        skip: Option<&[u64]>,
         tally: &mut ProbeTally,
     ) {
         let blocks = self.blocks;
@@ -1313,6 +1846,8 @@ impl Evaluator {
             root_changed,
             moved,
             next_idx,
+            touch,
+            lane_touch,
             ..
         } = state;
         let mut out = [0u64; 16];
@@ -1323,13 +1858,34 @@ impl Evaluator {
         let mut nact = 0usize;
         let mut act = [0usize; 16];
         let mut dif4 = [[0u64; LANES]; 16];
-        for &ci in self.network.downstream(cluster) {
+        let cone = self.network.downstream(cluster);
+        for (p, &ci) in cone.iter().enumerate() {
             let m = self.network.num_outputs_of(ci);
             let base = self.network.out_base_of(ci);
             let mut dw = [0u64; LANES];
             if ci == cluster {
                 self.extend_root_changes(cluster, row_diff, root_changed, g0 + bw);
                 dw[..bw].copy_from_slice(&root_changed[g0..g0 + bw]);
+                if let Some(skip) = skip {
+                    for (d, &s) in dw[..bw].iter_mut().zip(skip) {
+                        *d &= !s;
+                    }
+                }
+                if dw[..bw].iter().all(|&d| d == 0) {
+                    // Nothing in the cone can move in this group.
+                    tally.cone_hits += (bw * cone.len()) as u64;
+                    for &c in cone {
+                        changed[c * LANES..c * LANES + bw].fill(0);
+                        if COMMIT {
+                            moved[c * LANES..c * LANES + bw].fill(0);
+                        }
+                    }
+                    return;
+                }
+                if skip.is_some() {
+                    touch.fill(0);
+                    lane_touch[..bw * 64].fill(0);
+                }
             } else {
                 // Exact per-input diff words: only cone-internal
                 // producer outputs can move, and the consumed output's
@@ -1411,7 +1967,12 @@ impl Evaluator {
                             mm[lane] = rows[ix as usize] as u64;
                         }
                         transpose64(&mut mm);
-                        out[..m].copy_from_slice(&mm[..m]);
+                        // Lanes outside `delta` keep their committed
+                        // words (cached lanes of a reusing probe).
+                        for (o, ow) in out[..m].iter_mut().enumerate() {
+                            let committed = self.values[(base + o) * blocks + b];
+                            *ow = (mm[o] & delta) | (committed & !delta);
+                        }
                     }
                     let mut ch = 0u64;
                     for (o, &ov) in out[..m].iter().enumerate() {
@@ -1433,6 +1994,15 @@ impl Evaluator {
                     continue;
                 }
                 tally.cone_misses += 1;
+                if skip.is_some() {
+                    touch[w] |= delta;
+                    let lanes = &mut lane_touch[w * 64..][..64];
+                    let mut lw = delta;
+                    while lw != 0 {
+                        lanes[lw.trailing_zeros() as usize] |= 1u16 << p.min(15);
+                        lw &= lw - 1;
+                    }
+                }
                 let cnt = delta.count_ones() as usize;
                 let idx_at = (ci * LANES + w) * 64;
                 if cnt * (nact + m + 2) < 448 {
@@ -1563,7 +2133,8 @@ impl Evaluator {
     /// Build `suffix[b]`: the committed error terms of `metric` summed
     /// over blocks `≥ b` and over the lanes outside `root_changed` —
     /// lanes a probe of `cluster` leaves at their committed values
-    /// (the mask is first extended to every block). Each block
+    /// (the mask is first extended to every block) — plus the exact
+    /// terms of the valid lanes cached in `cache`. Each block
     /// subtracts its changed lanes' terms from the cached block sum, or
     /// sums its unchanged lanes directly when those are fewer. Returns
     /// the committed network's `metric` value, which scales the
@@ -1572,6 +2143,7 @@ impl Evaluator {
         &self,
         cluster: usize,
         metric: QorMetric,
+        cache: Option<&LaneCache>,
         row_diff: &[u64],
         root_changed: &mut Vec<u64>,
         suffix: &mut Vec<f64>,
@@ -1588,6 +2160,13 @@ impl Evaluator {
         };
         suffix.clear();
         suffix.resize(self.blocks + 1, 0.0);
+        // First the cached lanes' exact terms per block (the entry's
+        // metric is the probe's: `LaneCache::start`).
+        if let Some(e) = cache {
+            for (sb, c) in suffix.iter_mut().zip(&e.blocks) {
+                *sb = c.terms;
+            }
+        }
         let mut total = 0.0f64;
         for b in (0..self.blocks).rev() {
             let block_sum = self.committed_terms[b][metric as usize];
@@ -1602,7 +2181,7 @@ impl Evaluator {
             } else {
                 (block_sum - lanes_sum(b, moved)).max(0.0)
             };
-            suffix[b] = suffix[b + 1] + unchanged;
+            suffix[b] += suffix[b + 1] + unchanged;
         }
         QorAccumulator::new(self.output_bits).partial_value_with(metric, self.samples, total)
     }
@@ -1670,13 +2249,21 @@ impl Evaluator {
         let n = self.network.len();
         state.moved.resize(n * LANES, 0);
         state.next_idx.resize(n * LANES * 64, 0);
+        state.delta.resize(self.blocks, 0);
         let pos = self.network.po_cone(cluster).to_vec();
         let mask = self.network.po_cone_mask(cluster);
         let mut tally = ProbeTally::default();
         let mut g0 = 0usize;
         while g0 < self.blocks {
             let bw = (self.blocks - g0).min(LANES);
-            self.cone_group::<true>(state, cluster, rows, g0, bw, &mut tally);
+            self.cone_group::<true>(state, cluster, rows, g0, bw, None, &mut tally);
+            for w in 0..bw {
+                state.delta[g0 + w] = self
+                    .network
+                    .downstream(cluster)
+                    .iter()
+                    .fold(0, |d, &c| d | state.changed[c * LANES + w]);
+            }
             let dirty = self.splice_group(state, cluster, &pos, g0, bw);
             for w in 0..bw {
                 if dirty >> w & 1 == 1 {
@@ -1687,6 +2274,23 @@ impl Evaluator {
         }
         self.network.set_table(cluster, rows);
         tally.flush_commit(self.counters.as_deref());
+    }
+
+    /// [`Evaluator::commit`], then invalidate what the commit made
+    /// stale in `cache` (see the [module docs](self#cross-step-reuse)).
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Evaluator::commit`].
+    pub(crate) fn commit_reusing(
+        &mut self,
+        state: &mut ProbeState,
+        cache: &mut ProbeCache,
+        cluster: usize,
+        rows: &[u16],
+    ) {
+        self.commit(state, cluster, rows);
+        cache.invalidate(self, cluster, &state.delta);
     }
 
     /// Commit consumer of one cone-pass group: copy every cone word
@@ -1868,6 +2472,7 @@ mod tests {
     use super::*;
     use blasys_decomp::{decompose, DecompConfig};
     use blasys_logic::builder::{add, input_bus, mark_output_bus};
+    use std::collections::HashSet;
 
     fn adder(width: usize) -> Netlist {
         let mut nl = Netlist::new("add");
@@ -2145,19 +2750,36 @@ mod tests {
             .collect()
     }
 
-    /// The committed-suffix bound after every block, checked against the
-    /// finished error: the probed per-sample outputs come from a clone
-    /// with the candidate committed, pushed in block order.
-    fn assert_suffix_bound_sound(ev: &Evaluator, cluster: usize, rows: &[u16], label: &str) {
+    /// The suffix bound after every block, checked against the finished
+    /// error: the probed per-sample outputs come from a clone with the
+    /// candidate committed, pushed in block order. With `cache`, the
+    /// bound also counts the exact terms of `cluster`'s valid cached
+    /// lanes (when its entry is for `rows`), and a reusing probe at
+    /// exactly the final error must not prune either.
+    fn assert_suffix_bound_sound(
+        ev: &Evaluator,
+        cluster: usize,
+        rows: &[u16],
+        label: &str,
+        cache: Option<&ProbeCache>,
+    ) {
         let mut probed = ev.clone();
         let mut st = probed.probe_state();
         probed.commit(&mut st, cluster, rows);
         let (mut row_diff, mut root, mut suffix) = (Vec::new(), Vec::new(), Vec::new());
         ev.start_root_changes(cluster, rows, &mut row_diff, &mut root);
         let mut st = ev.probe_state();
+        let entry = cache.map(|c| {
+            let slot = c.slots[cluster].lock();
+            slot.unwrap_or_else(PoisonError::into_inner).clone()
+        });
         for metric in QorMetric::ALL {
             let fin = ev.qor_probe(&mut st, cluster, rows).value(metric);
-            let committed = ev.committed_suffix(cluster, metric, &row_diff, &mut root, &mut suffix);
+            let own = entry
+                .as_ref()
+                .filter(|e| e.key == Some((rows_key(rows), metric)));
+            let committed =
+                ev.committed_suffix(cluster, metric, own, &row_diff, &mut root, &mut suffix);
             let margin = 1e-9 * fin.max(committed);
             let mut acc = QorAccumulator::new(ev.output_bits);
             let lb = acc.partial_value_with(metric, ev.samples, suffix[0]);
@@ -2185,6 +2807,12 @@ mod tests {
                 .qor_probe_bounded(&mut st, cluster, rows, metric, fin)
                 .unwrap_or_else(|| panic!("{label} {metric:?}: pruned at its own error {fin}"));
             assert_eq!(tied.value(metric).to_bits(), fin.to_bits(), "{label}");
+            if let Some(cache) = cache {
+                let tied = ev
+                    .qor_probe_reusing(&mut st, &cache.clone(), cluster, rows, metric, || fin)
+                    .unwrap_or_else(|| panic!("{label} {metric:?}: reusing probe pruned at {fin}"));
+                assert_eq!(tied.value(metric).to_bits(), fin.to_bits(), "{label}");
+            }
         }
     }
 
@@ -2212,7 +2840,8 @@ mod tests {
             for c in 0..n {
                 for p in [0.0, 0.05, 0.3, 1.0] {
                     let rows = perturbed_table(&ev, &mut rng, c, p);
-                    assert_suffix_bound_sound(&ev, c, &rows, &format!("seed {seed} c{c} p{p}"));
+                    let label = format!("seed {seed} c{c} p{p}");
+                    assert_suffix_bound_sound(&ev, c, &rows, &label, None);
                 }
             }
             // A candidate undoing the only erring commit finishes at
@@ -2224,7 +2853,7 @@ mod tests {
             let restore = exact.network().table(c).to_vec();
             let label = format!("seed {seed} restore c{c}");
             assert_eq!(one.qor_with(c, &restore).avg_relative, 0.0, "{label}");
-            assert_suffix_bound_sound(&one, c, &restore, &label);
+            assert_suffix_bound_sound(&one, c, &restore, &label, None);
         }
     }
 
@@ -2336,6 +2965,232 @@ mod tests {
         assert!(
             empty_cone_commits > 0,
             "some walk must commit a window with an empty PO cone"
+        );
+    }
+
+    /// A reusing probe of `cluster` with a fixed `bound`.
+    fn reusing(
+        ev: &Evaluator,
+        st: &mut ProbeState,
+        cache: &ProbeCache,
+        cluster: usize,
+        rows: &[u16],
+        metric: QorMetric,
+        bound: f64,
+    ) -> Option<QorReport> {
+        ev.qor_probe_reusing(st, cache, cluster, rows, metric, || bound)
+    }
+
+    #[test]
+    fn reuse_table_swap_hazard_drops_touched_lanes() {
+        // Committing `w` may change only table rows that no committed
+        // lane looks up: no committed value moves, yet a candidate whose
+        // cone holds `w` and whose probe moved `w`'s inputs onto such a
+        // row must see the new row. A cache that drops only the lanes
+        // where committed values changed would serve stale outputs here.
+        let metric = QorMetric::AvgRelative;
+        let mut hazards = 0;
+        for seed in 0..16u64 {
+            let nl = random_netlist(seed);
+            let part = decompose(&nl, &DecompConfig::default());
+            let cfg = McConfig {
+                samples: 64 * (1 + seed as usize % 6),
+                seed,
+            };
+            let ev = Evaluator::new(&nl, &part, &cfg);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5A_A5);
+            let mut st = ev.probe_state();
+            for d in 0..ev.network().len() {
+                let rows = perturbed_table(&ev, &mut rng, d, 0.5);
+                let before = ev.qor_probe(&mut st, d, &rows);
+                let cache = ProbeCache::new(&ev);
+                let cold = reusing(&ev, &mut st, &cache, d, &rows, metric, f64::INFINITY);
+                assert_eq!(cold, Some(before), "seed {seed} d{d}: cold cache");
+                for &w in &ev.network().downstream(d)[1..] {
+                    // Flip every row of `w` that no committed lane reads.
+                    let used: HashSet<u16> = ev.row_idx[w * ev.samples..][..ev.samples]
+                        .iter()
+                        .copied()
+                        .collect();
+                    let mask = ((1u32 << ev.network.num_outputs_of(w)) - 1) as u16;
+                    let swapped: Vec<u16> = ev
+                        .network()
+                        .table(w)
+                        .iter()
+                        .enumerate()
+                        .map(|(r, &v)| {
+                            if used.contains(&(r as u16)) {
+                                v
+                            } else {
+                                !v & mask
+                            }
+                        })
+                        .collect();
+                    let mut after = ev.clone();
+                    let mut cache = cache.clone();
+                    after.commit_reusing(&mut st, &mut cache, w, &swapped);
+                    assert!(
+                        st.delta.iter().all(|&dl| dl == 0),
+                        "no committed value moves"
+                    );
+                    let fresh = after.qor_probe(&mut st, d, &rows);
+                    let got = reusing(&after, &mut st, &cache, d, &rows, metric, f64::INFINITY);
+                    assert_eq!(
+                        got,
+                        Some(fresh),
+                        "seed {seed} d{d} w{w}: stale cached lanes"
+                    );
+                    if fresh != before {
+                        hazards += 1;
+                    }
+                }
+            }
+        }
+        assert!(hazards > 0, "some case must hit the table-swap hazard");
+    }
+
+    /// One committed frontier of a reuse walk: its evaluator, its lane
+    /// cache and each window's current candidate rows.
+    #[derive(Clone)]
+    struct ReuseBranch {
+        ev: Evaluator,
+        cache: ProbeCache,
+        cand: Vec<Vec<u16>>,
+    }
+
+    #[test]
+    fn reuse_walks_match_fresh_probes() {
+        let counters = Arc::new(QorCounters::register(&blasys_obs::Registry::new()));
+        let (mut empty_cone_commits, mut pruned, mut reprobed) = (0, 0, 0);
+        for seed in 0..12u64 {
+            // Dead logic kept, so some windows reach no output.
+            let nl = random_netlist_with_dead_logic(seed);
+            let part = decompose(&nl, &DecompConfig::default());
+            if part.is_empty() {
+                continue;
+            }
+            // 1..=8 blocks: every LANES tail shape, with and without a
+            // full group before it.
+            let blocks = 1 + seed as usize % 8;
+            let cfg = McConfig {
+                samples: 64 * blocks,
+                seed,
+            };
+            let mut pristine = Evaluator::new(&nl, &part, &cfg);
+            pristine.set_counters(counters.clone());
+            let n = pristine.network().len();
+            let exact: Vec<Vec<u16>> = (0..n)
+                .map(|c| pristine.network().table(c).to_vec())
+                .collect();
+            let empty_cone: Vec<usize> = (0..n)
+                .filter(|&c| pristine.network().po_cone(c).is_empty())
+                .collect();
+            for (width, metric) in [1, 2, 3].into_iter().zip(QorMetric::ALL) {
+                let mut rng = SmallRng::seed_from_u64(seed ^ 0xCA_C4E ^ width as u64);
+                let mut st = pristine.probe_state();
+                let cand = (0..n)
+                    .map(|c| perturbed_table(&pristine, &mut rng, c, 0.3))
+                    .collect();
+                let mut frontier = vec![ReuseBranch {
+                    ev: pristine.clone(),
+                    cache: ProbeCache::new(&pristine),
+                    cand,
+                }];
+                let mut touched = Vec::new();
+                for step in 0..10 {
+                    for (bi, br) in frontier.iter().enumerate() {
+                        for c in 0..n {
+                            let label = format!("seed {seed} width {width} step {step} b{bi} c{c}");
+                            let rows = &br.cand[c];
+                            if (step + c) % 4 == 0 {
+                                assert_suffix_bound_sound(&br.ev, c, rows, &label, Some(&br.cache));
+                            }
+                            let fresh = br.ev.qor_probe(&mut st, c, rows);
+                            let oracle = br.ev.qor_probe_reference(&mut st, c, rows);
+                            assert_eq!(fresh, oracle, "{label}: fresh vs reference");
+                            // Bounds below the final error prune at
+                            // varying blocks; the next probe of the
+                            // candidate must still be exact.
+                            let fin = fresh.value(metric);
+                            let bound = [f64::INFINITY, fin * 0.5, fin * 0.95, fin][(step + c) % 4];
+                            match reusing(&br.ev, &mut st, &br.cache, c, rows, metric, bound) {
+                                Some(got) => assert_eq!(got, fresh, "{label}: cached vs fresh"),
+                                None => {
+                                    pruned += 1;
+                                    assert!(fin > bound, "{label}: pruned at {bound} >= {fin}");
+                                    if step % 2 == 0 {
+                                        reprobed += 1;
+                                        let again = reusing(
+                                            &br.ev,
+                                            &mut st,
+                                            &br.cache,
+                                            c,
+                                            rows,
+                                            metric,
+                                            f64::INFINITY,
+                                        );
+                                        assert_eq!(again, Some(fresh), "{label}: re-probe");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    // Up to `width` children, each a copy of a random
+                    // parent with one commit applied.
+                    let mut next = Vec::new();
+                    for _ in 0..width {
+                        let mut child = frontier[rng.gen_range(0..frontier.len())].clone();
+                        let c = match step {
+                            // No-op: the committed table itself.
+                            3 => {
+                                let c = rng.gen_range(0..n);
+                                let rows = child.ev.network().table(c).to_vec();
+                                child.ev.commit_reusing(&mut st, &mut child.cache, c, &rows);
+                                c
+                            }
+                            // Revert an earlier commit to the exact table.
+                            7 if !touched.is_empty() => {
+                                let c = touched[rng.gen_range(0..touched.len())];
+                                child
+                                    .ev
+                                    .commit_reusing(&mut st, &mut child.cache, c, &exact[c]);
+                                c
+                            }
+                            // A window whose PO cone is empty.
+                            5 if !empty_cone.is_empty() => {
+                                empty_cone_commits += 1;
+                                let c = empty_cone[rng.gen_range(0..empty_cone.len())];
+                                let rows = child.cand[c].clone();
+                                child.ev.commit_reusing(&mut st, &mut child.cache, c, &rows);
+                                c
+                            }
+                            _ => {
+                                let c = rng.gen_range(0..n);
+                                let rows = child.cand[c].clone();
+                                child.ev.commit_reusing(&mut st, &mut child.cache, c, &rows);
+                                c
+                            }
+                        };
+                        let p = [0.02, 0.1, 0.3, 1.0][step % 4];
+                        child.cand[c] = perturbed_table(&child.ev, &mut rng, c, p);
+                        touched.push(c);
+                        next.push(child);
+                    }
+                    frontier = next;
+                }
+            }
+        }
+        assert!(
+            empty_cone_commits > 0,
+            "some walk commits an empty-cone window"
+        );
+        assert!(
+            pruned > 0 && reprobed > 0,
+            "some probes prune and are re-probed"
+        );
+        assert!(
+            counters.lanes_reused.get() > 0,
+            "some lanes come from the cache"
         );
     }
 

@@ -19,7 +19,7 @@
 //! **deterministic**: bit-identical across worker counts and repeat
 //! runs with the same settings. The remaining engine counters (`qor.probes_pruned`,
 //! `qor.blocks_evaluated`, `qor.cone_cache.*`,
-//! `qor.lanes_reevaluated`) are deterministic
+//! `qor.lanes_reevaluated`, `qor.lanes_reused`) are deterministic
 //! whenever pruning decisions are — with pruning disabled (any worker
 //! count) or with a single worker. Under pruning with multiple
 //! workers, *which* losing candidates get abandoned early depends on
@@ -229,8 +229,13 @@ pub struct QorCounters {
     /// (`qor.cone_cache.misses`).
     pub cone_misses: Arc<Counter>,
     /// Monte-Carlo lanes re-simulated across all cone evaluations
-    /// (`qor.lanes_reevaluated`).
+    /// (`qor.lanes_reevaluated`); lanes taken from the cross-step lane
+    /// cache are not re-simulated, so they are not counted here.
     pub lanes: Arc<Counter>,
+    /// Root-changed lanes whose packed output a probe took from the
+    /// cross-step lane cache instead of re-simulating them
+    /// (`qor.lanes_reused`).
+    pub lanes_reused: Arc<Counter>,
     /// Winning candidates committed into the evaluator
     /// (`qor.commits`). Deterministic.
     pub commits: Arc<Counter>,
@@ -250,6 +255,7 @@ impl QorCounters {
             cone_hits: registry.counter("qor.cone_cache.hits"),
             cone_misses: registry.counter("qor.cone_cache.misses"),
             lanes: registry.counter("qor.lanes_reevaluated"),
+            lanes_reused: registry.counter("qor.lanes_reused"),
             commits: registry.counter("qor.commits"),
             commit_lanes: registry.counter("qor.commit_lanes"),
         }

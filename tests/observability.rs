@@ -130,6 +130,7 @@ fn engine_counters_identical_serial_vs_threaded() {
         "qor.cone_cache.hits",
         "qor.cone_cache.misses",
         "qor.lanes_reevaluated",
+        "qor.lanes_reused",
         "qor.commits",
         "qor.commit_lanes",
         "flow.explore.probes",
@@ -154,6 +155,10 @@ fn engine_counters_identical_serial_vs_threaded() {
         "engine probes and exploration probes agree"
     );
     assert_eq!(serial.counter("qor.probes_pruned"), Some(0));
+    assert!(
+        serial.counter("qor.lanes_reused").unwrap_or(0) > 0,
+        "later steps reuse lanes cached at earlier ones"
+    );
 
     // With pruning on, which probes are abandoned may depend on probe
     // order, but the probe and commit counts — and the commits' cone
