@@ -15,10 +15,11 @@
 //!   (the sampled checker can only say "probably equal" beyond 16
 //!   inputs).
 
-use blasys_logic::equiv::{check_equiv, Backend, EquivConfig, Equivalence};
+use blasys_logic::equiv::Equivalence;
 use blasys_logic::Netlist;
 use blasys_sat::{
-    certify_worst_absolute, certify_worst_absolute_observed, ErrorCertificate, SolverStats,
+    certify_worst_absolute, certify_worst_absolute_observed, check_equiv_sat, ErrorCertificate,
+    SolverStats,
 };
 
 /// A SAT certificate attached to one trajectory step.
@@ -73,9 +74,8 @@ impl CertifiedPoint {
     }
 }
 
-/// Prove exact functional equivalence with the SAT backend (installs it
-/// on first use). Returns the full verdict so callers can inspect a
-/// counterexample on failure.
+/// Prove exact functional equivalence with the SAT solver. Returns the
+/// full verdict so callers can inspect a counterexample on failure.
 ///
 /// # Examples
 ///
@@ -100,8 +100,7 @@ impl CertifiedPoint {
 /// assert_eq!(verdict, Equivalence::Equal { exhaustive: true });
 /// ```
 pub fn prove_exact(golden: &Netlist, candidate: &Netlist) -> Equivalence {
-    blasys_sat::install_backend();
-    check_equiv(golden, candidate, &EquivConfig::with_backend(Backend::Sat))
+    check_equiv_sat(golden, candidate)
 }
 
 #[cfg(test)]

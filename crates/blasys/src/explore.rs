@@ -68,9 +68,10 @@
 //! cannot change, plus the exact error of the lanes it still has cached
 //! from earlier steps (see the cross-step reuse section of
 //! [`crate::montecarlo`]), so a candidate is judged on the error it
-//! *adds*, not just on the prefix it has accumulated. Each sweep probes
-//! the candidates with the lowest error at the last step first, and
-//! starts every worker on one of them, so the bound tightens early.
+//! *adds*, not just on the prefix it has accumulated. Each sweep hands
+//! the pool its candidates ranked by their error at the last step, and
+//! the pool claims tasks in that order, so every worker starts on one
+//! of the best guesses and the bound tightens early.
 //! Greedy, pareto3 and beam sweeps reuse cached lanes whether or not
 //! they prune. This is a pure wall-clock
 //! optimization — the committed trajectory is **bit-identical** with
@@ -216,42 +217,28 @@ fn model_depth(profiles: &[SubcircuitProfile], network: &TableNetwork, degrees: 
 }
 
 /// Task order of a sweep over candidates whose errors are guessed as
-/// `guess` (task `t` probes candidate `order[t]`): the candidates are
-/// ranked by guess, ties by index, and dealt round-robin into the
-/// contiguous task ranges the pool seeds its workers with, so every
-/// worker starts on one of the best guesses and the shared prune bound
-/// tightens early. Results are put back in candidate order, so the
-/// order decides only which losers get pruned, never the outcome.
-fn sweep_order(guess: &[f64], workers: usize) -> Vec<usize> {
-    let len = guess.len();
-    let mut ranked: Vec<usize> = (0..len).collect();
-    ranked.sort_by(|&a, &b| guess[a].total_cmp(&guess[b]));
-    let workers = workers.clamp(1, len.max(1));
-    let end = |w: usize| len * (w + 1) / workers;
-    let mut next: Vec<usize> = (0..workers).map(|w| len * w / workers).collect();
-    let mut order = vec![0; len];
-    let mut w = 0;
-    for c in ranked {
-        while next[w] == end(w) {
-            w = (w + 1) % workers;
-        }
-        order[next[w]] = c;
-        next[w] += 1;
-        w = (w + 1) % workers;
-    }
+/// `guess` (task `t` probes candidate `order[t]`): the candidates
+/// ranked by guess, ties by index. The pool claims tasks in index
+/// order, so every free worker starts on one of the best guesses and
+/// the shared prune bound tightens early. Results are put back in
+/// candidate order, so the order decides only which losers get pruned,
+/// never the outcome.
+fn sweep_order(guess: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..guess.len()).collect();
+    order.sort_by(|&a, &b| guess[a].total_cmp(&guess[b]));
     order
 }
 
 /// Run `probe(state, i)` for every candidate `i` in `0..guess.len()`
 /// on `pool`, in [`sweep_order`], and return the results in candidate
-/// order.
-fn sweep<S: Send, R: Send>(
+/// order. Profiling runs its windows through it too, largest first.
+pub(crate) fn sweep<S: Send, R: Send>(
     pool: &Pool,
     states: &mut [S],
     guess: &[f64],
     probe: impl Fn(&mut S, usize) -> R + Sync,
 ) -> Vec<R> {
-    let order = sweep_order(guess, pool.threads());
+    let order = sweep_order(guess);
     let mut results: Vec<(usize, R)> = order
         .iter()
         .copied()

@@ -17,7 +17,7 @@
 //!    accumulation is a packed incremental engine (PO-cone caching,
 //!    64×64 bit transpose, bound-pruned probes — see the
 //!    [`montecarlo`] module docs), and both profiling and the
-//!    per-step candidate sweep run on the `blasys-par` work-stealing
+//!    per-step candidate sweep run on the `blasys-par` thread
 //!    pool (see [`Parallelism`] and [`FlowConfig::parallelism`]);
 //!    results are bit-identical at any worker count, with pruning on
 //!    or off;

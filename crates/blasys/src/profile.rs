@@ -16,6 +16,7 @@ use blasys_obs::{Counter, Registry};
 use blasys_par::Pool;
 use blasys_synth::{estimate, synthesize_tt, CellLibrary};
 
+use crate::explore::sweep;
 use crate::flow::FlowError;
 use crate::session::FlowContext;
 
@@ -146,13 +147,23 @@ pub(crate) fn profile_partition_ctx(
         Some(profile)
     };
     // Scheduling: with at least one window per worker, parallelize
-    // across windows (coarse grains, inner BMF serial). With fewer
-    // windows than workers, windows run serially and the parallelism
-    // moves *inside* each window's BMF candidate scans. Factorizations
-    // are bit-identical at any worker count, so both schedules produce
-    // the same profiles.
+    // across windows (coarse grains, inner BMF serial), largest truth
+    // table (2^inputs × outputs) first: one window can cost more than
+    // all the others together, and started last it would run alone.
+    // With fewer windows than workers, windows run serially and the
+    // parallelism moves *inside* each window's BMF candidate scans.
+    // Factorizations are bit-identical at any worker count, so both
+    // schedules produce the same profiles.
     let profiles: Vec<Option<SubcircuitProfile>> = if total >= pool.threads() {
-        pool.run(total, |ci| window(ci, Pool::serial()))
+        let largest_first: Vec<f64> = partition
+            .clusters()
+            .iter()
+            .map(|c| -(c.outputs().len() as f64) * (c.inputs().len() as f64).exp2())
+            .collect();
+        let mut states = vec![(); pool.threads()];
+        sweep(pool, &mut states, &largest_first, |(), ci| {
+            window(ci, Pool::serial())
+        })
     } else {
         (0..total).map(|ci| window(ci, pool)).collect()
     };

@@ -1,26 +1,19 @@
 //! Equivalence checking between netlists.
 //!
-//! Three backends are available via [`EquivConfig::backend`]:
+//! Two backends are available via [`EquivConfig::backend`]:
 //!
 //! * **Exhaustive** — truth-table enumeration, exact but limited to
 //!   [`MAX_EXHAUSTIVE_INPUTS`](crate::truth::MAX_EXHAUSTIVE_INPUTS)
 //!   inputs;
 //! * **Sampled** — 64-way bit-parallel random simulation; can *refute*
 //!   equivalence with a counterexample but only ever reports
-//!   `Equal { exhaustive: false }` ("probably equal");
-//! * **Sat** — a CDCL SAT solver on the pairwise miter (provided by the
-//!   `blasys-sat` crate), exact at *any* input width: `Equal` answers
-//!   carry `exhaustive: true` and every `Differs` answer carries a real
-//!   counterexample pattern.
+//!   `Equal { exhaustive: false }` ("probably equal").
 //!
 //! The default [`Backend::Auto`] keeps the historical behavior
 //! (exhaustive up to a configurable input count, random sampling
-//! beyond). The SAT backend lives in a higher crate to keep this one
-//! dependency-free, and is wired in through
-//! [`register_sat_backend`] — linking `blasys-sat` and calling its
-//! `install_backend()` makes `Backend::Sat` work everywhere.
-
-use std::sync::OnceLock;
+//! beyond). An exact check at *any* input width is
+//! `blasys_sat::check_equiv_sat`, a CDCL SAT solver on the pairwise
+//! miter; it lives in a higher crate to keep this one dependency-free.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -87,12 +80,6 @@ pub enum Backend {
     Exhaustive,
     /// Always sample randomly (fast refutation, weak confirmation).
     Sampled,
-    /// Decide with the CDCL SAT solver on the miter: exact at any
-    /// width. Requires `blasys_sat::install_backend()` to have run
-    /// first (the `blasys-sat` solving entry points — `check_equiv_sat`
-    /// and `certify_worst_absolute` — also install it as a side
-    /// effect).
-    Sat,
 }
 
 /// Configuration for [`check_equiv`].
@@ -130,22 +117,6 @@ impl EquivConfig {
     }
 }
 
-/// Signature of the SAT equivalence engine installed by `blasys-sat`.
-pub type SatEquivFn = fn(&Netlist, &Netlist) -> Equivalence;
-
-static SAT_BACKEND: OnceLock<SatEquivFn> = OnceLock::new();
-
-/// Install the engine behind [`Backend::Sat`]. Idempotent: the first
-/// registration wins. Returns whether this call installed it.
-pub fn register_sat_backend(f: SatEquivFn) -> bool {
-    SAT_BACKEND.set(f).is_ok()
-}
-
-/// Whether a SAT engine has been installed.
-pub fn sat_backend_installed() -> bool {
-    SAT_BACKEND.get().is_some()
-}
-
 /// Check whether two netlists implement the same function.
 ///
 /// The netlists must have the same number of inputs and outputs; inputs
@@ -153,9 +124,7 @@ pub fn sat_backend_installed() -> bool {
 ///
 /// # Panics
 ///
-/// Panics if the interfaces differ in input or output counts, or if
-/// [`Backend::Sat`] is requested but no SAT engine is registered (link
-/// `blasys-sat` and call `blasys_sat::install_backend()`).
+/// Panics if the interfaces differ in input or output counts.
 pub fn check_equiv(a: &Netlist, b: &Netlist, cfg: &EquivConfig) -> Equivalence {
     assert_eq!(a.num_inputs(), b.num_inputs(), "input count mismatch");
     assert_eq!(a.num_outputs(), b.num_outputs(), "output count mismatch");
@@ -170,13 +139,6 @@ pub fn check_equiv(a: &Netlist, b: &Netlist, cfg: &EquivConfig) -> Equivalence {
         }
         Backend::Exhaustive => check_exhaustive(a, b),
         Backend::Sampled => check_sampled(a, b, cfg),
-        Backend::Sat => {
-            let engine = SAT_BACKEND.get().expect(
-                "Backend::Sat requested but no SAT engine registered; \
-                 call blasys_sat::install_backend() first",
-            );
-            engine(a, b)
-        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Persistent work-stealing thread pool for the BLASYS flow.
+//! Persistent self-scheduling thread pool for the BLASYS flow.
 //!
 //! The flow's hot loops — per-window BMF profiling and the per-step
 //! candidate sweep of the greedy exploration — are embarrassingly
@@ -21,12 +21,16 @@
 //!
 //! # Scheduling
 //!
-//! Tasks are seeded as contiguous chunks into one deque per worker;
-//! a worker pops from the front of its own deque and, when empty,
-//! steals from the back of the fullest victim. This keeps mostly
-//! cache-friendly contiguous runs per worker while letting short
-//! tasks flow to idle workers when task sizes are uneven (BMF windows
-//! and probe cones vary wildly in cost).
+//! Each job has one shared task cursor: a free worker claims the next
+//! task index with one atomic increment and runs it, so short tasks
+//! flow to whichever worker is idle when task sizes are uneven (BMF
+//! windows and probe cones vary wildly in cost).
+//!
+//! Tasks are handed out **in index order**: no task `t` is claimed
+//! before every task `< t` has been. Callers that want some tasks to
+//! start first (the exploration sweep's best guesses) put them at the
+//! lowest indices. Besides result order, this is the only scheduling
+//! property callers may rely on.
 //!
 //! # Panics and nesting
 //!
@@ -36,9 +40,8 @@
 //! parallel run would oversubscribe or deadlock the pool); running on
 //! a serial pool inside a worker is always allowed.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -119,19 +122,17 @@ pub fn in_worker() -> bool {
 /// [`Pool`], registered in a [`blasys_obs::Registry`].
 ///
 /// These are **wall-clock observations**, not flow data: how many
-/// tasks each worker executed, how many it obtained by stealing, how
-/// often it drained the queues and went idle, and how long it spent
-/// inside tasks all depend on thread timing and vary run to run
-/// (unlike the flow's deterministic engine counters). Attach via
+/// tasks each worker executed, how often it found no task left and
+/// went idle, and how long it spent inside tasks all depend on thread
+/// timing and vary run to run (unlike the flow's deterministic engine
+/// counters). Attach via
 /// [`Pool::new_with_metrics`].
 #[derive(Debug)]
 pub struct PoolMetrics {
     /// `tasks[w]`: tasks worker `w` executed.
     tasks: Vec<Arc<Counter>>,
-    /// `steals[w]`: tasks worker `w` took from another worker's queue.
-    steals: Vec<Arc<Counter>>,
-    /// `idle[w]`: times worker `w` found the queues empty and went
-    /// idle for the rest of a job.
+    /// `idle[w]`: times worker `w` found no task left and went idle
+    /// for the rest of a job.
     idle: Vec<Arc<Counter>>,
     /// `busy_ns[w]`: wall-clock nanoseconds worker `w` spent inside
     /// tasks (summed per job, added once when the worker leaves it).
@@ -141,15 +142,12 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Register `pool.worker<w>.{tasks,steals,idle,busy_ns}` counters
+    /// Register `pool.worker<w>.{tasks,idle,busy_ns}` counters
     /// for `workers` workers plus the `pool.queue_depth` gauge.
     pub fn register(registry: &Registry, workers: usize) -> PoolMetrics {
         PoolMetrics {
             tasks: (0..workers)
                 .map(|w| registry.counter(&format!("pool.worker{w}.tasks")))
-                .collect(),
-            steals: (0..workers)
-                .map(|w| registry.counter(&format!("pool.worker{w}.steals")))
                 .collect(),
             idle: (0..workers)
                 .map(|w| registry.counter(&format!("pool.worker{w}.idle")))
@@ -162,10 +160,11 @@ impl PoolMetrics {
     }
 }
 
-/// A type-erased fork-join job: `call(ctx, worker_index)` drains the
-/// job's task queues. The pointer is only dereferenced while the
-/// submitting call blocks in [`Pool::run_states`], so the borrowed
-/// closure/state/result storage it points at is always live.
+/// A type-erased fork-join job: `call(ctx, worker_index)` claims and
+/// runs the job's tasks until none is left. The pointer is only
+/// dereferenced while the submitting call blocks in
+/// [`Pool::run_states`], so the borrowed closure/state/result storage
+/// it points at is always live.
 #[derive(Clone, Copy)]
 struct Job {
     call: unsafe fn(*const (), usize),
@@ -204,8 +203,10 @@ struct JobCtx<'a, S, R, F> {
     states: *mut S,
     /// One slot per task; each task index is written exactly once.
     results: *mut Option<R>,
-    queues: &'a [Mutex<VecDeque<usize>>],
-    /// A worker with index `>= active` has no queue and does nothing.
+    /// The next unclaimed task index; `>= tasks` once all are claimed.
+    next: &'a AtomicUsize,
+    tasks: usize,
+    /// A worker with index `>= active` does nothing.
     active: usize,
     abort: &'a AtomicBool,
     panic_payload: &'a Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -231,24 +232,24 @@ where
         let state = &mut *ctx.states.add(w);
         let mut busy_ns = 0u64;
         while !ctx.abort.load(Ordering::Relaxed) {
-            let Some((task, stolen)) = next_task(ctx.queues, w) else {
+            // Relaxed: the cursor publishes no data; results reach the
+            // submitter through the job slot's mutex.
+            let task = ctx.next.fetch_add(1, Ordering::Relaxed);
+            if task >= ctx.tasks {
                 if let Some(m) = ctx.metrics {
                     m.idle[w].inc();
                 }
                 break;
-            };
+            }
             if let Some(m) = ctx.metrics {
                 m.tasks[w].inc();
-                if stolen {
-                    m.steals[w].inc();
-                }
             }
             let start = ctx.metrics.map(|_| Instant::now());
             let r = (ctx.f)(state, task);
             if let Some(start) = start {
                 busy_ns += start.elapsed().as_nanos() as u64;
             }
-            // SAFETY: the queues dispense each task index exactly once,
+            // SAFETY: the cursor dispenses each task index exactly once,
             // so this slot is written by exactly one worker.
             *ctx.results.add(task) = Some(r);
         }
@@ -438,16 +439,7 @@ impl Pool {
              another parallel run (use the serial path for inner maps)"
         );
 
-        // One deque per active worker, seeded with contiguous chunks
-        // so each worker starts on a cache-friendly run of neighboring
-        // tasks; stealing drains imbalance.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..active)
-            .map(|w| {
-                let lo = tasks * w / active;
-                let hi = tasks * (w + 1) / active;
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
+        let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
         let mut results: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
@@ -456,7 +448,8 @@ impl Pool {
             f: &f,
             states: states.as_mut_ptr(),
             results: results.as_mut_ptr(),
-            queues: &queues,
+            next: &next,
+            tasks,
             active,
             abort: &abort,
             panic_payload: &panic_payload,
@@ -514,36 +507,10 @@ impl Drop for Pool {
     }
 }
 
-/// Pop from our own deque's front, else steal from the back of the
-/// fullest victim. The flag is true when the task was stolen.
-fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<(usize, bool)> {
-    if let Some(t) = queues[me].lock().unwrap().pop_front() {
-        return Some((t, false));
-    }
-    loop {
-        // Snapshot victim loads without holding more than one lock.
-        let victim = (0..queues.len())
-            .filter(|&v| v != me)
-            .map(|v| (queues[v].lock().unwrap().len(), v))
-            .max();
-        match victim {
-            Some((len, v)) if len > 0 => {
-                // Re-lock and steal; another thief may have raced us.
-                if let Some(t) = queues[v].lock().unwrap().pop_back() {
-                    return Some((t, true));
-                }
-                // Raced: rescan.
-            }
-            _ => return None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -580,11 +547,11 @@ mod tests {
     }
 
     #[test]
-    fn uneven_task_sizes_are_stolen_by_idle_workers() {
+    fn uneven_task_sizes_go_to_idle_workers() {
         // Task 0 is huge — it blocks (bounded) until every small task
         // has completed, so the test is a handshake rather than a
         // timing race: while its worker is stuck, the other worker
-        // must drain both chunks via stealing for task 0 to ever see
+        // must claim every small task for task 0 to ever see
         // `done == 15` before the timeout.
         const TASKS: usize = 16;
         let done = AtomicUsize::new(0);
@@ -612,10 +579,9 @@ mod tests {
         // On a heavily loaded machine the second worker's thread may
         // only get scheduled after the first drained everything; the
         // distribution claim is meaningful (and deterministic) exactly
-        // when both workers ran: a worker's first pop is its own
-        // queue's front (task 0 for worker 0), and task 0 cannot
-        // return before all small tasks are done — so the big-task
-        // worker must have executed no small task at all.
+        // when both workers ran: task 0 is the first task claimed,
+        // and it cannot return before all small tasks are done — so
+        // the big-task worker must have executed no small task at all.
         if threads.len() == 2 {
             let big_thread = ran_by.iter().find(|&&(i, _)| i == 0).unwrap().1;
             let big_thread_small_tasks = ran_by
@@ -624,10 +590,47 @@ mod tests {
                 .count();
             assert_eq!(
                 big_thread_small_tasks, 0,
-                "worker stuck on the big task ran small tasks; stealing \
-                 should have drained its queue while it waited"
+                "worker stuck on the big task ran small tasks; the idle \
+                 worker should have claimed them all while it waited"
             );
         }
+    }
+
+    #[test]
+    fn first_tasks_start_first() {
+        // Tasks 0 and 1 each wait (bounded) until both have started,
+        // so they hold both workers at once; no task >= 2 may have
+        // started by then, because tasks are claimed in index order.
+        // Neither returns before both have looked, so the other's
+        // worker cannot claim task 2 in between.
+        const TASKS: usize = 8;
+        let started: Vec<AtomicBool> = (0..TASKS).map(|_| AtomicBool::new(false)).collect();
+        let looked = AtomicUsize::new(0);
+        let early_starts = AtomicUsize::new(0);
+        let wait_until = |cond: &dyn Fn() -> bool| {
+            let start = std::time::Instant::now();
+            while !cond() && start.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        Pool::new(2).run(TASKS, |i| {
+            started[i].store(true, Ordering::SeqCst);
+            if i < 2 {
+                wait_until(&|| started[..2].iter().all(|s| s.load(Ordering::SeqCst)));
+                let early = started[2..]
+                    .iter()
+                    .filter(|s| s.load(Ordering::SeqCst))
+                    .count();
+                early_starts.fetch_max(early, Ordering::SeqCst);
+                looked.fetch_add(1, Ordering::SeqCst);
+                wait_until(&|| looked.load(Ordering::SeqCst) == 2);
+            }
+        });
+        assert_eq!(
+            early_starts.load(Ordering::SeqCst),
+            0,
+            "tasks >= 2 started while tasks 0 and 1 held both workers"
+        );
     }
 
     #[test]

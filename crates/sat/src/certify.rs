@@ -12,7 +12,6 @@
 use blasys_logic::sim::eval_scalar_with;
 use blasys_logic::{Netlist, Simulator};
 
-use crate::check::install_backend;
 use crate::miter::{constant_output, error_ge_miter};
 use crate::solver::{SolveResult, Solver, SolverStats};
 use crate::tseitin::Encoder;
@@ -118,7 +117,6 @@ pub fn certify_worst_absolute_observed(
     approx: &Netlist,
     on_probe: &mut dyn FnMut(&SolverStats),
 ) -> ErrorCertificate {
-    install_backend();
     assert_eq!(
         golden.num_inputs(),
         approx.num_inputs(),

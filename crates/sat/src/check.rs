@@ -6,22 +6,13 @@
 //! width — and a SAT answer yields a concrete counterexample pattern,
 //! which is validated by resimulation before being returned.
 
-use blasys_logic::equiv::{register_sat_backend, Equivalence};
+use blasys_logic::equiv::Equivalence;
 use blasys_logic::sim::eval_scalar_with;
 use blasys_logic::{Netlist, Simulator};
 
 use crate::miter::{constant_output, equivalence_miter};
 use crate::solver::{SolveResult, Solver};
 use crate::tseitin::Encoder;
-
-/// Register [`check_equiv_sat`] as the engine behind
-/// `blasys_logic::equiv::Backend::Sat`. Idempotent; the solving entry
-/// points ([`check_equiv_sat`], `certify_worst_absolute`) also call it,
-/// so invoke it explicitly when using `Backend::Sat` before any of
-/// those have run.
-pub fn install_backend() {
-    register_sat_backend(check_equiv_sat);
-}
 
 /// Decide equivalence of two netlists with the CDCL solver.
 ///
@@ -34,7 +25,6 @@ pub fn install_backend() {
 ///
 /// Panics if the interfaces differ in input or output counts.
 pub fn check_equiv_sat(a: &Netlist, b: &Netlist) -> Equivalence {
-    install_backend();
     let miter = equivalence_miter(a, b);
     // Structural hashing may already have decided the question.
     match constant_output(&miter) {
@@ -127,7 +117,6 @@ pub fn agrees_with_exhaustive(a: &Netlist, b: &Netlist) -> bool {
 mod tests {
     use super::*;
     use blasys_logic::builder::{add, input_bus, mark_output_bus, mul};
-    use blasys_logic::equiv::{check_equiv, Backend, EquivConfig};
 
     fn adder_net(width: usize) -> Netlist {
         let mut nl = Netlist::new("add");
@@ -167,18 +156,6 @@ mod tests {
         let p = mul(&mut b, &x, &y);
         mark_output_bus(&mut b, "p", &p.truncated(5));
         assert!(agrees_with_exhaustive(&a, &b));
-    }
-
-    #[test]
-    fn backend_sat_dispatches_through_logic_crate() {
-        install_backend();
-        let a = adder_net(3);
-        let b = adder_net_swapped(3);
-        let cfg = EquivConfig::with_backend(Backend::Sat);
-        assert_eq!(
-            check_equiv(&a, &b, &cfg),
-            Equivalence::Equal { exhaustive: true }
-        );
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   [`Netlist`](blasys_logic::Netlist);
 //! * [`miter`] — the pairwise equivalence miter and the arithmetic
 //!   comparator miter deciding `∃ input: |R − R'| ≥ T`;
-//! * [`check_equiv_sat`] — exact equivalence at any input width, wired
-//!   into `blasys_logic::equiv::Backend::Sat` via [`install_backend`];
+//! * [`check_equiv_sat`] — exact equivalence at any input width;
 //! * [`certify_worst_absolute`] — binary search over the comparator
 //!   miter yielding the *exact* worst-case absolute error of an
 //!   approximate design, with a witness input and an UNSAT certificate.
@@ -55,7 +54,7 @@ pub use certify::{
     brute_force_worst_absolute, certify_worst_absolute, certify_worst_absolute_observed,
     witness_error, ErrorCertificate,
 };
-pub use check::{check_equiv_sat, install_backend};
+pub use check::check_equiv_sat;
 pub use cnf::{Cnf, Lit, Var};
 pub use miter::{equivalence_miter, error_ge_miter};
 pub use solver::{SolveResult, Solver, SolverStats};

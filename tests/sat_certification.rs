@@ -8,7 +8,7 @@ use blasys_repro::blasys::{run, CertifiedPoint, ExploreSpec, FlowConfig};
 use blasys_repro::bmf::Factorizer;
 use blasys_repro::circuits::{adder, fig3_truth_table};
 use blasys_repro::decomp::DecompConfig;
-use blasys_repro::logic::equiv::{check_equiv, Backend, EquivConfig, Equivalence};
+use blasys_repro::logic::equiv::{check_equiv, EquivConfig, Equivalence};
 use blasys_repro::logic::sim::eval_scalar_with;
 use blasys_repro::logic::Simulator;
 use blasys_repro::sat::{brute_force_worst_absolute, certify_worst_absolute, check_equiv_sat};
@@ -26,14 +26,9 @@ fn sat_proves_exact_resynthesis_beyond_exhaustive_limit() {
     let sampled = check_equiv(&nl, &resynth, &EquivConfig::default());
     assert_eq!(sampled, Equivalence::Equal { exhaustive: false });
 
-    // The SAT backend can, both directly and through Backend::Sat.
+    // The SAT backend can.
     assert_eq!(
         check_equiv_sat(&nl, &resynth),
-        Equivalence::Equal { exhaustive: true }
-    );
-    blasys_repro::sat::install_backend();
-    assert_eq!(
-        check_equiv(&nl, &resynth, &EquivConfig::with_backend(Backend::Sat)),
         Equivalence::Equal { exhaustive: true }
     );
 }
