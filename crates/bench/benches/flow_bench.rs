@@ -84,10 +84,10 @@ fn bench_flow(c: &mut Criterion) {
 
 /// Profile-stage wall time without exploration: open (decompose and
 /// worker pool) plus the BMF degree ladder per window, serial vs
-/// parallel. `mult4` has more windows than workers (window-level
-/// parallelism); the `threads8` row forces more workers than windows,
-/// pushing the parallelism inside each window's ASSO candidate scans.
-/// Profiles are bit-identical across all rows.
+/// parallel. `multiplier(4)` decomposes into 3 windows, one task each:
+/// at 2 workers one worker profiles two windows, at 4 one worker gets
+/// none (each window's BMF runs serially). Profiles are bit-identical
+/// across all rows.
 fn bench_profile_stage(c: &mut Criterion) {
     use blasys_core::FlowSession;
 
@@ -98,7 +98,6 @@ fn bench_profile_stage(c: &mut Criterion) {
         ("mult4_serial", 1usize),
         ("mult4_threads2", 2),
         ("mult4_threads4", 4),
-        ("mult4_threads8", 8),
     ] {
         let cfg = FlowConfig::new().threads(threads);
         g.bench_function(name, |b| {

@@ -254,22 +254,29 @@ pub(crate) fn sweep<S: Send, R: Send>(
 /// sweeps on `pool` (one probe state per worker), streams committed
 /// points through the context's observer, and stops at step boundaries
 /// on cancellation or an exceeded budget — so a truncated trajectory
-/// is always a prefix of the uninterrupted one.
+/// is always a prefix of the uninterrupted one. The walk commits into
+/// `evaluator` (beam moves it into its first branch).
 pub(crate) fn explore_ctx(
-    evaluator: &mut Evaluator,
+    mut evaluator: Evaluator,
     profiles: &[SubcircuitProfile],
     spec: &ExploreSpec,
     pool: &Pool,
     ctx: &FlowContext<'_>,
 ) -> Exploration {
     match spec.explorer {
-        Explorer::Greedy => greedy_ctx(evaluator, profiles, spec, pool, ctx, None),
+        Explorer::Greedy => greedy_ctx(&mut evaluator, profiles, spec, pool, ctx, None),
         Explorer::Beam { width } => beam_ctx(evaluator, profiles, spec, width, pool, ctx),
-        Explorer::Anneal(schedule) => anneal_ctx(evaluator, profiles, spec, schedule, ctx),
+        Explorer::Anneal(schedule) => anneal_ctx(&mut evaluator, profiles, spec, schedule, ctx),
         Explorer::Pareto3 => {
             let mut archive = Vec::new();
-            let mut exploration =
-                greedy_ctx(evaluator, profiles, spec, pool, ctx, Some(&mut archive));
+            let mut exploration = greedy_ctx(
+                &mut evaluator,
+                profiles,
+                spec,
+                pool,
+                ctx,
+                Some(&mut archive),
+            );
             exploration.pareto = Some(pareto_front3(&archive));
             exploration
         }
@@ -478,7 +485,7 @@ struct Branch {
 /// frontier leader (rank 0), which makes truncated runs exact
 /// prefixes and reduces to the greedy walk at `width == 1`.
 fn beam_ctx(
-    evaluator: &mut Evaluator,
+    evaluator: Evaluator,
     profiles: &[SubcircuitProfile],
     spec: &ExploreSpec,
     width: usize,
@@ -515,8 +522,8 @@ fn beam_ctx(
         .collect();
 
     let mut frontier: Vec<Branch> = vec![Branch {
-        cache: ProbeCache::new(evaluator),
-        evaluator: evaluator.clone(),
+        cache: ProbeCache::new(&evaluator),
+        evaluator,
         degrees: exact,
         last_err: vec![f64::INFINITY; n],
     }];
@@ -877,7 +884,7 @@ mod tests {
 
     /// The trajectory of one exploration on a `parallelism`-sized pool.
     fn explore_with(
-        ev: &mut Evaluator,
+        ev: Evaluator,
         profiles: &[SubcircuitProfile],
         spec: &ExploreSpec,
         parallelism: Parallelism,
@@ -891,7 +898,7 @@ mod tests {
     /// which exposes a frontier member lost to an unsound bound even
     /// when the leader trajectory does not change.
     fn explore_counted(
-        ev: &mut Evaluator,
+        ev: Evaluator,
         profiles: &[SubcircuitProfile],
         spec: &ExploreSpec,
         parallelism: Parallelism,
@@ -910,7 +917,7 @@ mod tests {
 
     /// [`explore_with`] at the default (`BLASYS_THREADS`) parallelism.
     fn explore(
-        ev: &mut Evaluator,
+        ev: Evaluator,
         profiles: &[SubcircuitProfile],
         spec: &ExploreSpec,
     ) -> Vec<TrajectoryPoint> {
@@ -952,8 +959,8 @@ mod tests {
 
     #[test]
     fn trajectory_starts_exact_and_walks_down() {
-        let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
+        let (_nl, profiles, ev) = setup(8);
+        let traj = explore(ev, &profiles, &ExploreSpec::new());
         assert!(traj.len() > 1);
         assert_eq!(traj[0].qor.avg_relative, 0.0);
         assert!(traj[0].changed_cluster.is_none());
@@ -967,8 +974,8 @@ mod tests {
 
     #[test]
     fn each_step_decrements_exactly_one_degree() {
-        let (_nl, profiles, mut ev) = setup(6);
-        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
+        let (_nl, profiles, ev) = setup(6);
+        let traj = explore(ev, &profiles, &ExploreSpec::new());
         for w in traj.windows(2) {
             let before: usize = w[0].degrees.iter().sum();
             let after: usize = w[1].degrees.iter().sum();
@@ -981,8 +988,8 @@ mod tests {
 
     #[test]
     fn model_area_shrinks_overall() {
-        let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
+        let (_nl, profiles, ev) = setup(8);
+        let traj = explore(ev, &profiles, &ExploreSpec::new());
         let first = traj.first().unwrap().model_area_um2;
         let last = traj.last().unwrap().model_area_um2;
         assert!(
@@ -994,8 +1001,8 @@ mod tests {
 
     #[test]
     fn model_depth_is_positive_and_bounded_by_serial_sum() {
-        let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
+        let (_nl, profiles, ev) = setup(8);
+        let traj = explore(ev, &profiles, &ExploreSpec::new());
         for p in &traj {
             assert!(p.model_depth_ns > 0.0, "step {}", p.step);
             let serial_sum: f64 = profiles
@@ -1009,11 +1016,11 @@ mod tests {
 
     #[test]
     fn threshold_stops_early_and_stays_under() {
-        let (_nl, profiles, mut ev) = setup(8);
+        let (_nl, profiles, ev) = setup(8);
         let spec = ExploreSpec::new()
             .metric(QorMetric::AvgRelative)
             .threshold(0.05);
-        let traj = explore(&mut ev, &profiles, &spec);
+        let traj = explore(ev, &profiles, &spec);
         for p in &traj {
             assert!(p.qor.avg_relative <= 0.05 + 1e-12);
         }
@@ -1025,8 +1032,8 @@ mod tests {
 
     #[test]
     fn best_under_threshold_picks_deepest_point() {
-        let (_nl, profiles, mut ev) = setup(6);
-        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
+        let (_nl, profiles, ev) = setup(6);
+        let traj = explore(ev, &profiles, &ExploreSpec::new());
         let best = best_under_threshold(&traj, QorMetric::AvgRelative, 0.02).unwrap();
         assert!(best.qor.avg_relative <= 0.02);
         // No later point is also under the threshold with smaller area
@@ -1039,11 +1046,11 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
-        let (_nl, profiles, mut ev_serial) = setup(8);
-        let (_nl2, _profiles2, mut ev_par) = setup(8);
+        let (_nl, profiles, ev_serial) = setup(8);
+        let (_nl2, _profiles2, ev_par) = setup(8);
         let spec = ExploreSpec::new();
-        let serial = explore_with(&mut ev_serial, &profiles, &spec, Parallelism::Serial);
-        let parallel = explore_with(&mut ev_par, &profiles, &spec, Parallelism::Threads(4));
+        let serial = explore_with(ev_serial, &profiles, &spec, Parallelism::Serial);
+        let parallel = explore_with(ev_par, &profiles, &spec, Parallelism::Threads(4));
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.changed_cluster, p.changed_cluster);
@@ -1068,19 +1075,15 @@ mod tests {
     fn pruned_sweep_is_bit_identical_to_unpruned() {
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
             for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let (_nl, profiles, mut ev_pruned) = setup(8);
-                let (_n2, _p2, mut ev_plain) = setup(8);
+                let (_nl, profiles, ev_pruned) = setup(8);
+                let (_n2, _p2, ev_plain) = setup(8);
                 let spec = ExploreSpec {
                     stop,
                     ..ExploreSpec::new()
                 };
-                let pruned = explore_with(
-                    &mut ev_pruned,
-                    &profiles,
-                    &spec.clone().prune(true),
-                    parallelism,
-                );
-                let plain = explore_with(&mut ev_plain, &profiles, &spec.prune(false), parallelism);
+                let pruned =
+                    explore_with(ev_pruned, &profiles, &spec.clone().prune(true), parallelism);
+                let plain = explore_with(ev_plain, &profiles, &spec.prune(false), parallelism);
                 assert_same_trajectory(&pruned, &plain);
             }
         }
@@ -1089,15 +1092,15 @@ mod tests {
     #[test]
     fn beam_width_one_matches_greedy() {
         for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
-            let (_nl, profiles, mut ev_greedy) = setup(8);
-            let (_n2, _p2, mut ev_beam) = setup(8);
+            let (_nl, profiles, ev_greedy) = setup(8);
+            let (_n2, _p2, ev_beam) = setup(8);
             let spec = ExploreSpec {
                 stop,
                 ..ExploreSpec::new()
             };
-            let greedy = explore(&mut ev_greedy, &profiles, &spec);
+            let greedy = explore(ev_greedy, &profiles, &spec);
             let beam = explore(
-                &mut ev_beam,
+                ev_beam,
                 &profiles,
                 &spec.explorer(Explorer::Beam { width: 1 }),
             );
@@ -1110,11 +1113,11 @@ mod tests {
         // At equal step counts the width-4 frontier leader's error is
         // never worse than greedy's committed error: the frontier
         // always contains the greedy child among its candidates.
-        let (_nl, profiles, mut ev_greedy) = setup(8);
-        let (_n2, _p2, mut ev_beam) = setup(8);
-        let greedy = explore(&mut ev_greedy, &profiles, &ExploreSpec::new());
+        let (_nl, profiles, ev_greedy) = setup(8);
+        let (_n2, _p2, ev_beam) = setup(8);
+        let greedy = explore(ev_greedy, &profiles, &ExploreSpec::new());
         let beam = explore(
-            &mut ev_beam,
+            ev_beam,
             &profiles,
             &ExploreSpec::new().explorer(Explorer::Beam { width: 4 }),
         );
@@ -1158,7 +1161,7 @@ mod tests {
                             .explorer(Explorer::Beam { width })
                     };
                     let reference = explore_counted(
-                        &mut pristine.clone(),
+                        pristine.clone(),
                         &profiles,
                         &spec.clone().prune(false),
                         Parallelism::Serial,
@@ -1169,7 +1172,7 @@ mod tests {
                     for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
                         for prune in [true, false] {
                             let got = explore_counted(
-                                &mut pristine.clone(),
+                                pristine.clone(),
                                 &profiles,
                                 &spec.clone().prune(prune),
                                 parallelism,
@@ -1203,7 +1206,7 @@ mod tests {
         assert!(profiles.len() >= 2 && lattice <= 64, "lattice {lattice}");
         let spec = |width| ExploreSpec::new().explorer(Explorer::Beam { width });
         let reference = explore_counted(
-            &mut pristine.clone(),
+            pristine.clone(),
             &profiles,
             &spec(lattice),
             Parallelism::Serial,
@@ -1215,8 +1218,7 @@ mod tests {
         );
         for width in [1 << 40, usize::MAX] {
             for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let got =
-                    explore_counted(&mut pristine.clone(), &profiles, &spec(width), parallelism);
+                let got = explore_counted(pristine.clone(), &profiles, &spec(width), parallelism);
                 assert_same_trajectory(&reference.0, &got.0);
                 assert_eq!(reference.1, got.1, "width {width} {parallelism:?}");
             }
@@ -1233,10 +1235,10 @@ mod tests {
         let spec = ExploreSpec::new()
             .threshold(0.08)
             .explorer(Explorer::Anneal(schedule));
-        let (_nl, profiles, mut ev_a) = setup(8);
-        let (_n2, _p2, mut ev_b) = setup(8);
-        let a = explore(&mut ev_a, &profiles, &spec);
-        let b = explore(&mut ev_b, &profiles, &spec);
+        let (_nl, profiles, ev_a) = setup(8);
+        let (_n2, _p2, ev_b) = setup(8);
+        let a = explore(ev_a, &profiles, &spec);
+        let b = explore(ev_b, &profiles, &spec);
         assert_same_trajectory(&a, &b);
         // Every accepted state respects the feasibility gate.
         for p in &a {
@@ -1246,11 +1248,11 @@ mod tests {
 
     #[test]
     fn pareto3_trajectory_matches_greedy_and_surfaces_points() {
-        let (_nl, profiles, mut ev_greedy) = setup(8);
-        let (_n2, _p2, mut ev_p3) = setup(8);
-        let greedy = explore(&mut ev_greedy, &profiles, &ExploreSpec::new());
+        let (_nl, profiles, ev_greedy) = setup(8);
+        let (_n2, _p2, ev_p3) = setup(8);
+        let greedy = explore(ev_greedy, &profiles, &ExploreSpec::new());
         let p3 = explore_ctx(
-            &mut ev_p3,
+            ev_p3,
             &profiles,
             &ExploreSpec::new().explorer(Explorer::Pareto3),
             Pool::serial(),
@@ -1268,8 +1270,8 @@ mod tests {
         // Greedy picks the smallest error each step; the committed error
         // sequence should trend upward (allow tiny non-monotonicity from
         // error interaction).
-        let (_nl, profiles, mut ev) = setup(8);
-        let traj = explore(&mut ev, &profiles, &ExploreSpec::new());
+        let (_nl, profiles, ev) = setup(8);
+        let traj = explore(ev, &profiles, &ExploreSpec::new());
         let first_third = traj[traj.len() / 3].qor.avg_relative;
         let last = traj.last().unwrap().qor.avg_relative;
         assert!(last >= first_third);

@@ -119,8 +119,8 @@ impl Default for ProfileConfig {
 ///
 /// Windows are independent — each worker extracts its cluster's truth
 /// table and reference netlist from the shared (read-only) inputs and
-/// builds the full degree ladder — so they profile in parallel on
-/// `pool`, with identical results at any worker count. Each completed
+/// builds the full degree ladder serially — so they profile in parallel
+/// on `pool`, with identical results at any worker count. Each completed
 /// window is reported to the context's observer; profiling aborts
 /// between windows when the context's token is tripped or its deadline
 /// passes.
@@ -133,7 +133,7 @@ pub(crate) fn profile_partition_ctx(
 ) -> Result<Vec<SubcircuitProfile>, FlowError> {
     let total = partition.len();
     let counters = ctx.registry.map(ProfileCounters::register);
-    let window = |ci: usize, inner: &Pool| -> Option<SubcircuitProfile> {
+    let window = |ci: usize| -> Option<SubcircuitProfile> {
         if ctx.cancelled() || ctx.expired() {
             return None;
         }
@@ -141,32 +141,22 @@ pub(crate) fn profile_partition_ctx(
         let cluster = &partition.clusters()[ci];
         let tt = cluster_truth_table(nl, cluster);
         let reference = extract_cluster_netlist(nl, cluster, &format!("s{ci}_ref"));
-        let profile =
-            profile_window_counted(ci, &tt, Some(reference), cfg, inner, counters.as_ref());
+        let profile = profile_window_counted(ci, &tt, Some(reference), cfg, counters.as_ref());
         ctx.window_profiled(&profile, total);
         Some(profile)
     };
-    // Scheduling: with at least one window per worker, parallelize
-    // across windows (coarse grains, inner BMF serial), largest truth
-    // table (2^inputs × outputs) first: one window can cost more than
-    // all the others together, and started last it would run alone.
-    // With fewer windows than workers, windows run serially and the
-    // parallelism moves *inside* each window's BMF candidate scans.
-    // Factorizations are bit-identical at any worker count, so both
-    // schedules produce the same profiles.
-    let profiles: Vec<Option<SubcircuitProfile>> = if total >= pool.threads() {
-        let largest_first: Vec<f64> = partition
-            .clusters()
-            .iter()
-            .map(|c| -(c.outputs().len() as f64) * (c.inputs().len() as f64).exp2())
-            .collect();
-        let mut states = vec![(); pool.threads()];
-        sweep(pool, &mut states, &largest_first, |(), ci| {
-            window(ci, Pool::serial())
-        })
-    } else {
-        (0..total).map(|ci| window(ci, pool)).collect()
-    };
+    // Scheduling: one task per window, largest truth table
+    // (2^inputs × outputs) first: one window can cost more than all the
+    // others together, and started last it would run alone. With fewer
+    // windows than workers the spare workers stay idle; nothing below
+    // the window level takes the pool.
+    let largest_first: Vec<f64> = partition
+        .clusters()
+        .iter()
+        .map(|c| -(c.outputs().len() as f64) * (c.inputs().len() as f64).exp2())
+        .collect();
+    let mut states = vec![(); pool.threads()];
+    let profiles = sweep(pool, &mut states, &largest_first, |(), ci| window(ci));
     if profiles.iter().any(Option::is_none) {
         return Err(if ctx.cancelled() {
             FlowError::Cancelled
@@ -230,9 +220,7 @@ struct Candidate {
     local_hamming: usize,
 }
 
-/// Profile one window truth table at every degree, running the BMF
-/// candidate scans on `pool` (see [`Factorizer::factorize_on`]; the
-/// ladder is bit-identical at any worker count). `reference` is the
+/// Profile one window truth table at every degree. `reference` is the
 /// window's original gate-level logic: the exact variant uses it when
 /// it is cheaper than a from-scratch resynthesis of the table (it
 /// almost always is). Rung winners and synthesized candidates are
@@ -242,7 +230,6 @@ pub(crate) fn profile_window_counted(
     tt: &TruthTable,
     reference: Option<Netlist>,
     cfg: &ProfileConfig,
-    pool: &Pool,
     counters: Option<&ProfileCounters>,
 ) -> SubcircuitProfile {
     let k = tt.num_inputs();
@@ -323,14 +310,14 @@ pub(crate) fn profile_window_counted(
             let kept: u64 = (0..f).fold(0u64, |acc, l| acc | chain_fac.c().row(l));
             push(Family::Nulling, chain_fac.clone(), Some(kept));
         }
-        push(primary, factorizer.factorize_on(&matrix, f, pool), None);
+        push(primary, factorizer.factorize(&matrix, f), None);
         // On the exhaustive path the algorithm plays no part: GreConD
         // would return the primary factorization again.
         if let Some(fz) = grecond
             .as_ref()
             .filter(|fz| !fz.solves_exhaustively(&matrix, f))
         {
-            push(Family::GreConD, fz.factorize_on(&matrix, f, pool), None);
+            push(Family::GreConD, fz.factorize(&matrix, f), None);
         }
         push(
             Family::Truncated,
@@ -483,7 +470,6 @@ mod tests {
         tt: &TruthTable,
         reference: Option<Netlist>,
         cfg: &ProfileConfig,
-        pool: &Pool,
     ) -> SubcircuitProfile {
         let k = tt.num_inputs();
         let m = tt.num_outputs();
@@ -565,7 +551,7 @@ mod tests {
 
             let mut facs: Vec<blasys_bmf::Factorization> = candidates
                 .iter()
-                .map(|fz| fz.factorize_on(&matrix, f, pool))
+                .map(|fz| fz.factorize(&matrix, f))
                 .collect();
             if prev_fac.degree() == f + 1 && f + 1 >= 2 {
                 facs.push(blasys_bmf::truncated(
@@ -689,10 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn profiles_identical_across_worker_counts_and_schedules() {
-        // More workers than clusters pushes the parallelism inside the
-        // per-window BMF scans; either schedule must reproduce the
-        // serial profiles bit for bit.
+    fn profiles_identical_across_worker_counts() {
+        // Including more workers than clusters, where some workers get
+        // no window: every worker count must reproduce the serial
+        // profiles bit for bit.
         let mult8 = blasys_circuits::benchmark("Mult8")
             .expect("suite circuit")
             .build();
@@ -730,18 +716,15 @@ mod tests {
     }
 
     /// Profiles every window of `nl` with the eager oracle and with the
-    /// lazy path at 1, 2 and 4 BMF workers; the ladders must match.
+    /// lazy path; the ladders must match.
     fn assert_profiles_match_oracle(label: &str, nl: &Netlist, cfg: &ProfileConfig) {
         let part = decompose(nl, &DecompConfig::default());
-        let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
         for (ci, cluster) in part.clusters().iter().enumerate() {
             let tt = cluster_truth_table(nl, cluster);
             let reference = extract_cluster_netlist(nl, cluster, &format!("s{ci}_ref"));
-            let want = profile_window_oracle(ci, &tt, Some(reference.clone()), cfg, Pool::serial());
-            for pool in &pools {
-                let got = profile_window_counted(ci, &tt, Some(reference.clone()), cfg, pool, None);
-                assert_ladders_identical(&format!("{label} {pool:?}"), &want, &got);
-            }
+            let want = profile_window_oracle(ci, &tt, Some(reference.clone()), cfg);
+            let got = profile_window_counted(ci, &tt, Some(reference), cfg, None);
+            assert_ladders_identical(label, &want, &got);
         }
     }
 

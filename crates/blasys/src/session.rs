@@ -861,7 +861,6 @@ impl FlowSession<Profiled> {
         observer: Option<&dyn FlowObserver>,
     ) -> Exploration {
         let observer = observer.or(self.cfg.observer.as_deref());
-        let mut evaluator = self.pristine().clone();
         // An annealing schedule with no explicit seed inherits the
         // session's stimulus seed, so "same session config" implies
         // "same trajectory" without extra plumbing.
@@ -880,7 +879,7 @@ impl FlowSession<Profiled> {
         }
         let t0 = Instant::now();
         let exploration = explore_ctx(
-            &mut evaluator,
+            self.pristine().clone(),
             &self.stage.profiles,
             &spec,
             &self.pool,

@@ -19,8 +19,6 @@
 //! pass (exact per-row usage re-solve, coordinate-descent basis
 //! update).
 
-use blasys_par::{in_worker, Pool};
-
 use crate::matrix::BoolMatrix;
 use crate::metrics::weighted_error;
 use crate::obs::FactorizeCounters;
@@ -101,33 +99,13 @@ impl WsumTable {
 ///
 /// Panics if `f == 0` or `m` has zero columns.
 pub fn asso(m: &BoolMatrix, f: usize, params: &AssoParams) -> (BoolMatrix, BoolMatrix) {
-    asso_on(m, f, params, Pool::serial())
-}
-
-/// [`asso`] with an explicit execution context for the candidate
-/// scoring loop.
-///
-/// Candidate columns are scored independently per greedy round, so the
-/// scan parallelizes over contiguous candidate ranges. The reduction
-/// keeps the **first** strictly-best candidate in ascending candidate
-/// order — exactly the serial scan's winner — so the factorization is
-/// bit-identical at any worker count. Inside a worker of an enclosing
-/// parallel region the scan silently runs serial (nested scopes are
-/// illegal and pointless).
-pub fn asso_on(
-    m: &BoolMatrix,
-    f: usize,
-    params: &AssoParams,
-    pool: &Pool,
-) -> (BoolMatrix, BoolMatrix) {
-    asso_counted(m, f, params, pool, None)
+    asso_counted(m, f, params, None)
 }
 
 pub(crate) fn asso_counted(
     m: &BoolMatrix,
     f: usize,
     params: &AssoParams,
-    pool: &Pool,
     counters: Option<&FactorizeCounters>,
 ) -> (BoolMatrix, BoolMatrix) {
     assert!(f >= 1, "factorization degree must be at least 1");
@@ -145,7 +123,6 @@ pub(crate) fn asso_counted(
             &uniform
         }
     };
-    let pool = if in_worker() { Pool::serial() } else { pool };
 
     let candidates = candidate_basis(m, params);
     let wtab = WsumTable::build(weights);
@@ -185,39 +162,19 @@ pub(crate) fn asso_counted(
     // Covered cells so far: OR over chosen (usage, basis) pairs.
     let mut covered = vec![0u64; n];
 
-    let tasks = if candidates.len() >= 16 {
-        pool.threads().min(candidates.len()).max(1)
-    } else {
-        1
-    };
-    let chunk = candidates.len().div_ceil(tasks.max(1)).max(1);
     for l in 0..f {
         if let Some(cnt) = counters {
             cnt.candidates_scored.add(candidates.len() as u64);
         }
-        // Chunk-local first-best under strict `>`, reduced over chunks
-        // in ascending order under strict `>`: equals the serial
-        // first-best for any chunking.
-        let locals: Vec<Option<(f64, u64)>> = pool.run(tasks, |t| {
-            // Trailing tasks may get an empty chunk (`lo` past the end).
-            let lo = (t * chunk).min(candidates.len());
-            let hi = ((t + 1) * chunk).min(candidates.len());
-            let mut best: Option<(f64, u64)> = None;
-            for &cand in &candidates[lo..hi] {
-                if cand == 0 {
-                    continue;
-                }
-                let score = score_of(cand, &covered);
-                if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                    best = Some((score, cand));
-                }
-            }
-            best
-        });
+        // First best under strict `>`, in ascending candidate order.
         let mut best: Option<(f64, u64)> = None;
-        for local in locals.into_iter().flatten() {
-            if best.as_ref().is_none_or(|(s, _)| local.0 > *s) {
-                best = Some(local);
+        for &cand in &candidates {
+            if cand == 0 {
+                continue;
+            }
+            let score = score_of(cand, &covered);
+            if best.as_ref().is_none_or(|(s, _)| score > *s) {
+                best = Some((score, cand));
             }
         }
         match best {
@@ -386,20 +343,15 @@ pub fn asso_sweep(
     thresholds: &[f64],
     base: &AssoParams,
 ) -> (BoolMatrix, BoolMatrix) {
-    asso_sweep_counted(m, f, thresholds, base, Pool::serial(), None)
+    asso_sweep_counted(m, f, thresholds, base, None)
 }
 
-/// [`asso_sweep`] with an execution context, passed down to each
-/// per-threshold [`asso_on`] run, and optional counters. The threshold
-/// loop itself stays serial (the per-round candidate scans inside it
-/// are the hot part), so the winning factorization is the serial one
-/// verbatim.
+/// [`asso_sweep`] with optional counters.
 pub(crate) fn asso_sweep_counted(
     m: &BoolMatrix,
     f: usize,
     thresholds: &[f64],
     base: &AssoParams,
-    pool: &Pool,
     counters: Option<&FactorizeCounters>,
 ) -> (BoolMatrix, BoolMatrix) {
     let uniform;
@@ -416,7 +368,7 @@ pub(crate) fn asso_sweep_counted(
             threshold: t,
             ..base.clone()
         };
-        let (b, c) = asso_counted(m, f, &params, pool, counters);
+        let (b, c) = asso_counted(m, f, &params, counters);
         let err = weighted_error(&b.or_product(&c), m, weights);
         if best.as_ref().is_none_or(|(e, _, _)| err < *e) {
             best = Some((err, b, c));
@@ -520,36 +472,6 @@ mod tests {
         assert_eq!(b.num_cols(), 3);
         assert_eq!(c.num_rows(), 3);
         assert_eq!(c.num_cols(), 4);
-    }
-
-    #[test]
-    fn parallel_scan_is_bit_identical() {
-        // Several matrix shapes, weighted and uniform, across worker
-        // counts: the factorization must match the serial scan exactly.
-        let shapes: Vec<BoolMatrix> = vec![
-            BoolMatrix::from_fn(24, 6, |i, j| (i * 7 + j * 3) % 4 == 0 || i == j),
-            BoolMatrix::from_fn(40, 8, |i, j| (i ^ j) & 3 != 1),
-            BoolMatrix::from_fn(64, 10, |i, j| (i * j) % 5 < 2),
-            // Enough candidates that 25 workers leave trailing chunks
-            // empty.
-            BoolMatrix::from_fn(48, 36, |i, j| (i * 5 + j * 11) % 7 < 3 || i % 9 == j % 4),
-        ];
-        let pools = [2, 4, 7, 25].map(Pool::new);
-        for m in &shapes {
-            for weighted in [false, true] {
-                let p = AssoParams {
-                    weights: weighted.then(|| value_weights(m.num_cols())),
-                    ..AssoParams::default()
-                };
-                for f in [1, 2, 3] {
-                    let serial = asso(m, f, &p);
-                    for pool in &pools {
-                        let par = asso_on(m, f, &p, pool);
-                        assert_eq!(serial, par, "f={f} {pool:?} weighted={weighted}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

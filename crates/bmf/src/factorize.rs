@@ -9,8 +9,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use blasys_par::{in_worker, Pool};
-
 use crate::asso::{asso_sweep_counted, AssoParams};
 use crate::grecon::grecond;
 use crate::matrix::BoolMatrix;
@@ -199,30 +197,15 @@ impl Factorizer {
     /// `f_i = m_i` means "unchanged subcircuit"). Tiny instances
     /// (≤ 64 rows, ≤ 5 columns, semi-ring algebra) are solved *optimally*
     /// by exhaustive basis enumeration instead of heuristically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f == 0`.
-    pub fn factorize(&self, m: &BoolMatrix, f: usize) -> Factorization {
-        self.factorize_on(m, f, Pool::serial())
-    }
-
-    /// [`factorize`](Factorizer::factorize) with an explicit execution
-    /// context: candidate scoring (heuristic path) and basis
-    /// enumeration (exhaustive tiny-instance path) run on `pool`.
-    ///
-    /// The result is **bit-identical at any worker count** — both
-    /// parallel reductions keep the first best under the serial scan
-    /// order — so callers may freely mix serial and pooled runs.
     /// Records wall time and candidate counts on the attached
     /// [`FactorizeCounters`], if any.
     ///
     /// # Panics
     ///
     /// Panics if `f == 0`.
-    pub fn factorize_on(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
+    pub fn factorize(&self, m: &BoolMatrix, f: usize) -> Factorization {
         let t0 = Instant::now();
-        let fac = self.factorize_inner(m, f, pool);
+        let fac = self.factorize_inner(m, f);
         if let Some(c) = &self.counters {
             c.factorize_ns.observe(t0.elapsed().as_nanos() as u64);
         }
@@ -242,11 +225,11 @@ impl Factorizer {
             && matches!(self.algebra, Algebra::SemiRing)
     }
 
-    fn factorize_inner(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
+    fn factorize_inner(&self, m: &BoolMatrix, f: usize) -> Factorization {
         assert!(f >= 1, "factorization degree must be at least 1");
         let cols = m.num_cols();
         if self.solves_exhaustively(m, f) {
-            return self.exact_small(m, f, pool);
+            return self.exact_small(m, f);
         }
         if f >= cols {
             // Identity factorization: B = M (padded), C = I (padded).
@@ -267,7 +250,7 @@ impl Factorizer {
                             ..AssoParams::default()
                         };
                         let counters = self.counters.as_deref();
-                        asso_sweep_counted(m, f, &ASSO_THRESHOLDS, &base, pool, counters)
+                        asso_sweep_counted(m, f, &ASSO_THRESHOLDS, &base, counters)
                     }
                     Algorithm::GreConD => grecond(m, f),
                 };
@@ -376,13 +359,7 @@ impl Factorizer {
     /// soon as it reaches the best error so far, which can no longer be
     /// beaten. No combination allocates; the usage matrix is solved
     /// once, for the winner only.
-    ///
-    /// Enumeration fans out over the first basis pattern's index, one
-    /// task per index; each task scans its lexicographic sub-range in
-    /// serial order and the reduction keeps the first strictly-lowest
-    /// error in ascending first-index order — exactly the serial scan's
-    /// winner, at any worker count.
-    fn exact_small(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
+    fn exact_small(&self, m: &BoolMatrix, f: usize) -> Factorization {
         let cols = m.num_cols();
         let n = m.num_rows();
         let width = 1usize << cols;
@@ -436,75 +413,58 @@ impl Factorizer {
             }
             or_of
         };
-        let pool = if in_worker() { Pool::serial() } else { pool };
-        type Best = Option<(f64, [usize; EXACT_MAX_COLS])>;
-        let firsts = patterns - (f - 1);
-        let locals: Vec<(u64, Best)> = pool.run(firsts, |i0| {
-            let mut best: Best = None;
-            let mut scored = 0u64;
-            let mut chosen = [0usize; EXACT_MAX_COLS];
-            chosen[0] = i0;
-            // Lexicographic combinations with first index `i0`, in the
-            // same order as a depth-first recursion.
-            let mut depth = 1;
-            let mut next = i0 + 1;
-            loop {
-                if depth == f {
-                    scored += 1;
-                    let or_of = subset_ors(&chosen[..f]);
-                    // With non-negative weights the row-order partial
-                    // sum never decreases, so once it reaches the best
-                    // error this combination cannot win (strict `<`).
-                    let bound = best.as_ref().filter(|_| monotone).map(|b| b.0);
-                    let mut mins = [0.0f64; EXACT_WIDTH];
-                    let mut known = 0u64;
-                    let mut err = 0.0;
-                    let mut beaten = false;
-                    for &k in row_slot {
-                        if known >> k & 1 == 0 {
-                            known |= 1 << k;
-                            let row = &etab[distinct[k] * width..][..width];
-                            let mut best_e = f64::INFINITY;
-                            for &v in &or_of[..subsets] {
-                                if row[v] < best_e {
-                                    best_e = row[v];
-                                }
-                            }
-                            mins[k] = best_e;
-                        }
-                        err += mins[k];
-                        if bound.is_some_and(|b| err >= b) {
-                            beaten = true;
-                            break;
-                        }
-                    }
-                    if !beaten && best.as_ref().is_none_or(|(e, _)| err < *e) {
-                        best = Some((err, chosen));
-                    }
-                } else if next < patterns {
-                    chosen[depth] = next;
-                    depth += 1;
-                    next += 1;
-                    continue;
-                }
-                // Backtrack to the deepest level that can still advance.
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-                next = chosen[depth] + 1;
-            }
-            (scored, best)
-        });
-        let mut best: Best = None;
+        let mut best: Option<(f64, [usize; EXACT_MAX_COLS])> = None;
         let mut scored = 0u64;
-        for (s, local) in locals {
-            scored += s;
-            if let Some(local) = local {
-                if best.as_ref().is_none_or(|(e, _)| local.0 < *e) {
-                    best = Some(local);
+        let mut chosen = [0usize; EXACT_MAX_COLS];
+        // Lexicographic combinations, in the same order as a
+        // depth-first recursion.
+        let mut depth = 0;
+        let mut next = 0;
+        loop {
+            if depth == f {
+                scored += 1;
+                let or_of = subset_ors(&chosen[..f]);
+                // With non-negative weights the row-order partial sum
+                // never decreases, so once it reaches the best error
+                // this combination cannot win (strict `<`).
+                let bound = best.as_ref().filter(|_| monotone).map(|b| b.0);
+                let mut mins = [0.0f64; EXACT_WIDTH];
+                let mut known = 0u64;
+                let mut err = 0.0;
+                let mut beaten = false;
+                for &k in row_slot {
+                    if known >> k & 1 == 0 {
+                        known |= 1 << k;
+                        let row = &etab[distinct[k] * width..][..width];
+                        let mut best_e = f64::INFINITY;
+                        for &v in &or_of[..subsets] {
+                            if row[v] < best_e {
+                                best_e = row[v];
+                            }
+                        }
+                        mins[k] = best_e;
+                    }
+                    err += mins[k];
+                    if bound.is_some_and(|b| err >= b) {
+                        beaten = true;
+                        break;
+                    }
                 }
+                if !beaten && best.as_ref().is_none_or(|(e, _)| err < *e) {
+                    best = Some((err, chosen));
+                }
+            } else if next < patterns {
+                chosen[depth] = next;
+                depth += 1;
+                next += 1;
+                continue;
             }
+            // Backtrack to the deepest level that can still advance.
+            if depth == 0 {
+                break;
+            }
+            depth -= 1;
+            next = chosen[depth] + 1;
         }
         if let Some(c) = &self.counters {
             c.candidates_scored.add(scored);
@@ -537,7 +497,7 @@ impl Factorizer {
     /// straightforward per-combination scan (subset-OR DP plus a
     /// per-row first-minimum usage solve, allocating per combination)
     /// that the table-driven path must reproduce bit for bit.
-    fn exact_small_oracle(&self, m: &BoolMatrix, f: usize, pool: &Pool) -> Factorization {
+    fn exact_small_oracle(&self, m: &BoolMatrix, f: usize) -> Factorization {
         let cols = m.num_cols();
         let n = m.num_rows();
         let uniform;
@@ -558,7 +518,6 @@ impl Factorizer {
             s
         };
         let patterns: Vec<u64> = (1u64..1 << cols).collect();
-        let pool = if in_worker() { Pool::serial() } else { pool };
         // Enumerate combinations of `f` basis patterns (with smaller
         // index first to avoid permutations).
         fn combos(
@@ -577,54 +536,37 @@ impl Factorizer {
                 combos(patterns, basis, depth + 1, i + 1, eval);
             }
         }
-        type Best = Option<(f64, Vec<u64>, Vec<u64>)>;
-        let firsts = patterns.len() - (f - 1);
-        let locals: Vec<(u64, Best)> = pool.run(firsts, |i0| {
-            let mut best: Best = None;
-            let mut scored = 0u64;
-            let mut eval = |chosen: &[usize]| {
-                scored += 1;
-                // Optimal usage per row via subset-OR DP.
-                let mut or_of = vec![0u64; 1usize << f];
-                for s in 1usize..1 << f {
-                    let low = s.trailing_zeros() as usize;
-                    or_of[s] = or_of[s & (s - 1)] | patterns[chosen[low]];
-                }
-                let mut err = 0.0;
-                let mut usage = Vec::with_capacity(n);
-                for i in 0..n {
-                    let target = m.row(i);
-                    let (mut best_s, mut best_e) = (0usize, f64::INFINITY);
-                    for (s, &or_val) in or_of.iter().enumerate() {
-                        let e = wsum(or_val ^ target);
-                        if e < best_e {
-                            best_e = e;
-                            best_s = s;
-                        }
-                    }
-                    err += best_e;
-                    usage.push(best_s as u64);
-                }
-                if best.as_ref().is_none_or(|(e, _, _)| err < *e) {
-                    let c_rows: Vec<u64> = chosen.iter().map(|&i| patterns[i]).collect();
-                    best = Some((err, usage, c_rows));
-                }
-            };
-            let mut basis = vec![0usize; f];
-            basis[0] = i0;
-            combos(&patterns, &mut basis, 1, i0 + 1, &mut eval);
-            (scored, best)
-        });
-        let mut best: Best = None;
+        let mut best: Option<(f64, Vec<u64>, Vec<u64>)> = None;
         let mut scored = 0u64;
-        for (s, local) in locals {
-            scored += s;
-            if let Some(local) = local {
-                if best.as_ref().is_none_or(|(e, _, _)| local.0 < *e) {
-                    best = Some(local);
-                }
+        let mut eval = |chosen: &[usize]| {
+            scored += 1;
+            // Optimal usage per row via subset-OR DP.
+            let mut or_of = vec![0u64; 1usize << f];
+            for s in 1usize..1 << f {
+                let low = s.trailing_zeros() as usize;
+                or_of[s] = or_of[s & (s - 1)] | patterns[chosen[low]];
             }
-        }
+            let mut err = 0.0;
+            let mut usage = Vec::with_capacity(n);
+            for i in 0..n {
+                let target = m.row(i);
+                let (mut best_s, mut best_e) = (0usize, f64::INFINITY);
+                for (s, &or_val) in or_of.iter().enumerate() {
+                    let e = wsum(or_val ^ target);
+                    if e < best_e {
+                        best_e = e;
+                        best_s = s;
+                    }
+                }
+                err += best_e;
+                usage.push(best_s as u64);
+            }
+            if best.as_ref().is_none_or(|(e, _, _)| err < *e) {
+                let c_rows: Vec<u64> = chosen.iter().map(|&i| patterns[i]).collect();
+                best = Some((err, usage, c_rows));
+            }
+        };
+        combos(&patterns, &mut vec![0usize; f], 0, 0, &mut eval);
         if let Some(c) = &self.counters {
             c.candidates_scored.add(scored);
         }
@@ -738,25 +680,8 @@ mod tests {
     }
 
     #[test]
-    fn factorize_on_is_bit_identical_across_worker_counts() {
-        // Heuristic path (6 cols) and exhaustive tiny path (4 cols).
-        let wide = BoolMatrix::from_fn(40, 6, |i, j| (i * 5 + j * j) % 3 == 0);
-        let tiny = BoolMatrix::from_fn(16, 4, |i, j| (i >> j) & 1 == 1 || i % 5 == j);
-        for m in [&wide, &tiny] {
-            for f in 1..m.num_cols() {
-                let serial = Factorizer::new().factorize(m, f);
-                for threads in [2, 4, 8] {
-                    let par = Factorizer::new().factorize_on(m, f, &Pool::new(threads));
-                    assert_eq!(serial, par, "cols={} f={f} threads={threads}", m.num_cols());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn exact_small_matches_the_per_combination_oracle() {
         use crate::metrics::value_weights;
-        let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
         // splitmix64: deterministic random matrices without a rand dep.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
@@ -782,15 +707,11 @@ mod tests {
                 };
                 for f in 1..cols {
                     assert!(fz.solves_exhaustively(&m, f));
-                    let serial = Pool::serial();
-                    let oracle = fz.exact_small_oracle(&m, f, serial);
-                    for pool in &pools {
-                        let got = fz.exact_small(&m, f, pool);
-                        assert_eq!(
-                            got, oracle,
-                            "trial {trial} rows={rows} cols={cols} f={f} {weights:?} {pool:?}"
-                        );
-                    }
+                    assert_eq!(
+                        fz.exact_small(&m, f),
+                        fz.exact_small_oracle(&m, f),
+                        "trial {trial} rows={rows} cols={cols} f={f} {weights:?}"
+                    );
                 }
             }
         }
@@ -803,13 +724,12 @@ mod tests {
         for f in 1..5 {
             let new = blasys_obs::Registry::default();
             let old = blasys_obs::Registry::default();
-            let serial = Pool::serial();
             Factorizer::new()
                 .with_counters(Arc::new(FactorizeCounters::register(&new)))
-                .exact_small(&m, f, serial);
+                .exact_small(&m, f);
             Factorizer::new()
                 .with_counters(Arc::new(FactorizeCounters::register(&old)))
-                .exact_small_oracle(&m, f, serial);
+                .exact_small_oracle(&m, f);
             assert_eq!(
                 new.snapshot().counter("bmf.candidates_scored"),
                 old.snapshot().counter("bmf.candidates_scored"),
@@ -830,15 +750,6 @@ mod tests {
         let snap = registry.snapshot();
         assert!(snap.counter("bmf.candidates_scored").unwrap() > 0);
         assert_eq!(counters.factorize_ns.count(), 1);
-        // Counter totals are deterministic across worker counts.
-        let registry2 = blasys_obs::Registry::default();
-        let counters2 = Arc::new(FactorizeCounters::register(&registry2));
-        let fz2 = Factorizer::new().with_counters(counters2);
-        let _ = fz2.factorize_on(&m, 2, &Pool::new(4));
-        assert_eq!(
-            snap.counter("bmf.candidates_scored"),
-            registry2.snapshot().counter("bmf.candidates_scored")
-        );
     }
 
     #[test]

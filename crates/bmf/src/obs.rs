@@ -10,10 +10,10 @@
 //! # Counter determinism
 //!
 //! `bmf.windows_factorized` and `bmf.candidates_scored` are
-//! **deterministic**: every candidate column (and every exhaustive
-//! basis combination) is scored exactly once per greedy round
-//! regardless of worker count, so the totals are bit-identical across
-//! serial and parallel runs. `bmf.factorize_wall_ns` is a wall-clock
+//! **deterministic**: factorization is serial, and every candidate
+//! column (and every exhaustive basis combination) is scored exactly
+//! once per greedy round, so the totals are bit-identical whichever
+//! worker profiles a window. `bmf.factorize_wall_ns` is a wall-clock
 //! observation and makes no such promise.
 
 use std::sync::Arc;
@@ -44,8 +44,8 @@ pub struct FactorizeCounters {
     /// scored (`bmf.candidates_scored`). Deterministic.
     pub candidates_scored: Arc<Counter>,
     /// Wall time of each
-    /// [`Factorizer::factorize_on`](crate::Factorizer::factorize_on)
-    /// call, in nanoseconds (`bmf.factorize_wall_ns`).
+    /// [`Factorizer::factorize`](crate::Factorizer::factorize) call,
+    /// in nanoseconds (`bmf.factorize_wall_ns`).
     pub factorize_ns: Arc<Histogram>,
 }
 

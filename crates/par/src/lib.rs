@@ -1,6 +1,6 @@
 //! Persistent self-scheduling thread pool for the BLASYS flow.
 //!
-//! The flow's hot loops — per-window BMF profiling and the per-step
+//! The flow's hot loops — per-window profiling and the per-step
 //! candidate sweep of the greedy exploration — are embarrassingly
 //! parallel: every task reads a shared immutable model and writes only
 //! its own result slot. This crate provides the minimal execution
@@ -23,8 +23,8 @@
 //!
 //! Each job has one shared task cursor: a free worker claims the next
 //! task index with one atomic increment and runs it, so short tasks
-//! flow to whichever worker is idle when task sizes are uneven (BMF
-//! windows and probe cones vary wildly in cost).
+//! flow to whichever worker is free when task sizes are uneven
+//! (decomposition windows and probe cones vary wildly in cost).
 //!
 //! Tasks are handed out **in index order**: no task `t` is claimed
 //! before every task `< t` has been. Callers that want some tasks to
@@ -110,7 +110,7 @@ thread_local! {
 }
 
 /// Whether the calling thread is currently a pool worker.
-pub fn in_worker() -> bool {
+fn in_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
 
@@ -122,18 +122,14 @@ pub fn in_worker() -> bool {
 /// [`Pool`], registered in a [`blasys_obs::Registry`].
 ///
 /// These are **wall-clock observations**, not flow data: how many
-/// tasks each worker executed, how often it found no task left and
-/// went idle, and how long it spent inside tasks all depend on thread
-/// timing and vary run to run (unlike the flow's deterministic engine
-/// counters). Attach via
+/// tasks each worker executed and how long it spent inside tasks
+/// depend on thread timing and vary run to run (unlike the flow's
+/// deterministic engine counters). Attach via
 /// [`Pool::new_with_metrics`].
 #[derive(Debug)]
 pub struct PoolMetrics {
     /// `tasks[w]`: tasks worker `w` executed.
     tasks: Vec<Arc<Counter>>,
-    /// `idle[w]`: times worker `w` found no task left and went idle
-    /// for the rest of a job.
-    idle: Vec<Arc<Counter>>,
     /// `busy_ns[w]`: wall-clock nanoseconds worker `w` spent inside
     /// tasks (summed per job, added once when the worker leaves it).
     busy_ns: Vec<Arc<Counter>>,
@@ -142,15 +138,12 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Register `pool.worker<w>.{tasks,idle,busy_ns}` counters
+    /// Register `pool.worker<w>.{tasks,busy_ns}` counters
     /// for `workers` workers plus the `pool.queue_depth` gauge.
     pub fn register(registry: &Registry, workers: usize) -> PoolMetrics {
         PoolMetrics {
             tasks: (0..workers)
                 .map(|w| registry.counter(&format!("pool.worker{w}.tasks")))
-                .collect(),
-            idle: (0..workers)
-                .map(|w| registry.counter(&format!("pool.worker{w}.idle")))
                 .collect(),
             busy_ns: (0..workers)
                 .map(|w| registry.counter(&format!("pool.worker{w}.busy_ns")))
@@ -236,9 +229,6 @@ where
             // submitter through the job slot's mutex.
             let task = ctx.next.fetch_add(1, Ordering::Relaxed);
             if task >= ctx.tasks {
-                if let Some(m) = ctx.metrics {
-                    m.idle[w].inc();
-                }
                 break;
             }
             if let Some(m) = ctx.metrics {

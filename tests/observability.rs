@@ -8,7 +8,8 @@
 //! * the deterministic engine counters are bit-identical between a
 //!   serial and a 4-worker run (`qor.probes` / `qor.commits` /
 //!   `qor.commit_lanes` always; the whole `qor.*` family with pruning
-//!   off);
+//!   off), and the `bmf.*` / `profile.*` work counters also when the
+//!   circuit has fewer windows than workers;
 //! * the metrics snapshot embeds into the `FlowReport` JSON.
 
 use std::collections::HashMap;
@@ -18,6 +19,8 @@ use blasys_repro::blasys::report::FlowReport;
 use blasys_repro::blasys::session::{ExploreSpec, FlowConfig, FlowSession};
 use blasys_repro::blasys::{run, snapshot_json, Parallelism, TraceObserver};
 use blasys_repro::circuits::multiplier;
+use blasys_repro::logic::blif::from_blif;
+use blasys_repro::logic::Netlist;
 use blasys_repro::obs::{Registry, Snapshot, TracePhase, Tracer};
 
 const SAMPLES: usize = 1_024;
@@ -58,10 +61,38 @@ fn assert_valid_json(text: &str) {
     );
 }
 
-/// Run the mult4 flow with a tracer + registry attached; return the
+/// Deterministic profiling work counters: BMF candidates scored and
+/// the ladder selection tallies.
+const PROFILE_COUNTERS: [&str; 6] = [
+    "bmf.candidates_scored",
+    "profile.winner.nulling",
+    "profile.winner.asso",
+    "profile.winner.grecond",
+    "profile.winner.truncated",
+    "profile.variants_synthesized",
+];
+
+/// Asserts `serial` and `threaded` agree on every counter in `names`.
+fn assert_counters_equal(names: &[&str], serial: &Snapshot, threaded: &Snapshot) {
+    for &name in names {
+        let s = serial
+            .counter(name)
+            .unwrap_or_else(|| panic!("{name} missing"));
+        let t = threaded
+            .counter(name)
+            .unwrap_or_else(|| panic!("{name} missing"));
+        assert_eq!(s, t, "{name}: serial {s} != threads(4) {t}");
+    }
+}
+
+/// Run the flow on `nl` with a tracer + registry attached; return the
 /// metrics snapshot.
-fn metered_flow(parallelism: Parallelism, prune: bool, tracer: Option<&Arc<Tracer>>) -> Snapshot {
-    let nl = multiplier(4);
+fn metered_flow(
+    nl: &Netlist,
+    parallelism: Parallelism,
+    prune: bool,
+    tracer: Option<&Arc<Tracer>>,
+) -> Snapshot {
     let registry = Arc::new(Registry::new());
     let mut cfg = FlowConfig::new()
         .samples(SAMPLES)
@@ -71,9 +102,9 @@ fn metered_flow(parallelism: Parallelism, prune: bool, tracer: Option<&Arc<Trace
     if let Some(t) = tracer {
         cfg = cfg.observer(TraceObserver::new(t.clone()));
     }
-    let session = FlowSession::open(&nl, cfg)
+    let session = FlowSession::open(nl, cfg)
         .and_then(FlowSession::profile)
-        .expect("mult4 profiles");
+        .expect("circuit profiles");
     let _ = session.explore(&ExploreSpec::new().prune(prune));
     registry.snapshot()
 }
@@ -81,7 +112,7 @@ fn metered_flow(parallelism: Parallelism, prune: bool, tracer: Option<&Arc<Trace
 #[test]
 fn traced_flow_exports_balanced_chrome_trace() {
     let tracer = Arc::new(Tracer::new());
-    metered_flow(Parallelism::Threads(4), true, Some(&tracer));
+    metered_flow(&multiplier(4), Parallelism::Threads(4), true, Some(&tracer));
 
     // Per-thread span nesting: every End matches an open Begin.
     let mut stacks: HashMap<u64, Vec<String>> = HashMap::new();
@@ -121,9 +152,10 @@ fn traced_flow_exports_balanced_chrome_trace() {
 fn engine_counters_identical_serial_vs_threaded() {
     // With pruning off, every probe evaluates the same lanes no matter
     // the worker count: the whole qor.* family must match bit for bit.
-    let serial = metered_flow(Parallelism::Serial, false, None);
-    let threaded = metered_flow(Parallelism::Threads(4), false, None);
-    for name in [
+    let mult4 = multiplier(4);
+    let serial = metered_flow(&mult4, Parallelism::Serial, false, None);
+    let threaded = metered_flow(&mult4, Parallelism::Threads(4), false, None);
+    let engine = [
         "qor.probes",
         "qor.probes_pruned",
         "qor.blocks_evaluated",
@@ -134,21 +166,9 @@ fn engine_counters_identical_serial_vs_threaded() {
         "qor.commits",
         "qor.commit_lanes",
         "flow.explore.probes",
-        "bmf.candidates_scored",
-        "profile.winner.nulling",
-        "profile.winner.asso",
-        "profile.winner.grecond",
-        "profile.winner.truncated",
-        "profile.variants_synthesized",
-    ] {
-        let s = serial
-            .counter(name)
-            .unwrap_or_else(|| panic!("{name} missing"));
-        let t = threaded
-            .counter(name)
-            .unwrap_or_else(|| panic!("{name} missing"));
-        assert_eq!(s, t, "{name}: serial {s} != threads(4) {t}");
-    }
+    ];
+    assert_counters_equal(&engine, &serial, &threaded);
+    assert_counters_equal(&PROFILE_COUNTERS, &serial, &threaded);
     assert_eq!(
         serial.counter("qor.probes"),
         serial.counter("flow.explore.probes"),
@@ -163,8 +183,8 @@ fn engine_counters_identical_serial_vs_threaded() {
     // With pruning on, which probes are abandoned may depend on probe
     // order, but the probe and commit counts — and the commits' cone
     // work, which follows the trajectory — stay deterministic.
-    let pruned_serial = metered_flow(Parallelism::Serial, true, None);
-    let pruned_threaded = metered_flow(Parallelism::Threads(4), true, None);
+    let pruned_serial = metered_flow(&mult4, Parallelism::Serial, true, None);
+    let pruned_threaded = metered_flow(&mult4, Parallelism::Threads(4), true, None);
     assert!(pruned_serial.counter("qor.commit_lanes").unwrap_or(0) > 0);
     for name in ["qor.probes", "qor.commits", "qor.commit_lanes"] {
         assert_eq!(
@@ -178,6 +198,27 @@ fn engine_counters_identical_serial_vs_threaded() {
         pruned_serial.counter("qor.probes"),
         "pruned probes still count as probes"
     );
+}
+
+#[test]
+fn profile_counters_identical_with_fewer_windows_than_workers() {
+    // The shipped adder4 is one window, fewer than the four workers:
+    // its BMF runs serially on one of them.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benchmarks/adder4.blif");
+    let nl = from_blif(&std::fs::read_to_string(path).expect("shipped benchmark"))
+        .expect("shipped benchmark parses");
+    let windows = FlowSession::open(&nl, FlowConfig::new())
+        .expect("adder4 opens")
+        .partition()
+        .len();
+    assert!(
+        windows < 4,
+        "adder4 has {windows} windows, not fewer than 4"
+    );
+    let serial = metered_flow(&nl, Parallelism::Serial, false, None);
+    let threaded = metered_flow(&nl, Parallelism::Threads(4), false, None);
+    assert!(serial.counter("bmf.candidates_scored").unwrap_or(0) > 0);
+    assert_counters_equal(&PROFILE_COUNTERS, &serial, &threaded);
 }
 
 #[test]
