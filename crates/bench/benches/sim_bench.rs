@@ -48,7 +48,7 @@ fn bench_mc_probe(c: &mut Criterion) {
         g.throughput(Throughput::Elements(samples as u64));
         // One-shot probe: allocates a fresh overlay per call.
         g.bench_function(format!("mult8_probe_{samples}"), |b| {
-            b.iter(|| ev.qor_with(0, &zeros))
+            b.iter(|| ev.qor_probe(&mut ev.probe_state(), 0, &zeros))
         });
         // Hot-loop probe: overlay + scratch reused across probes (the
         // exploration sweep's per-worker configuration).

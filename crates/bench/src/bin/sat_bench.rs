@@ -1,15 +1,16 @@
-//! SAT vs exhaustive vs sampled equivalence checking across the
-//! benchmark suite, plus a certification demo on an approximate adder.
+//! SAT vs simulation equivalence checking across the benchmark suite,
+//! plus a certification demo on an approximate adder.
 //!
 //! For every Table 1 benchmark the original circuit is exactly
 //! resynthesized (decompose → per-window espresso + techmap →
 //! substitute, i.e. trajectory step 0 without the exploration) and the
 //! resulting structurally-different netlist is compared against the
-//! original with each available checker:
+//! original with both checkers:
 //!
-//! * `sat`        — CDCL on the pairwise miter: a *proof* at any width;
-//! * `exhaustive` — truth-table enumeration (≤ 16 inputs only);
-//! * `sampled`    — bit-parallel random simulation ("probably equal").
+//! * `sat`         — CDCL on the pairwise miter: a *proof* at any width;
+//! * `check_equiv` — simulation: truth-table enumeration up to 16
+//!   inputs (a proof), bit-parallel random sampling beyond ("probably
+//!   equal").
 //!
 //! Run: `cargo run --release --bin sat_bench`
 //! (`BLASYS_BENCHES=Mult8,BUT` filters the suite.)
@@ -19,15 +20,15 @@ use std::time::Instant;
 use blasys_bench::{pad, print_table, selected_benchmarks};
 use blasys_core::flow::exact_resynthesis;
 use blasys_decomp::DecompConfig;
-use blasys_logic::equiv::{check_equiv, Backend, EquivConfig};
+use blasys_logic::equiv::{check_equiv, Equivalence};
 use blasys_logic::Netlist;
 use blasys_sat::{brute_force_worst_absolute, certify_worst_absolute, check_equiv_sat};
 
-fn verdict_str(equal: bool, exhaustive: bool) -> String {
-    match (equal, exhaustive) {
-        (true, true) => "equal (proof)".into(),
-        (true, false) => "probably equal".into(),
-        (false, _) => "DIFFERS".into(),
+fn verdict_str(verdict: &Equivalence) -> String {
+    match verdict {
+        Equivalence::Equal { exhaustive: true } => "equal (proof)".into(),
+        Equivalence::Equal { exhaustive: false } => "probably equal".into(),
+        Equivalence::Differs { .. } => "DIFFERS".into(),
     }
 }
 
@@ -47,43 +48,18 @@ fn main() {
             b.name.to_string(),
             format!("{k}"),
             "sat".into(),
-            verdict_str(sat.is_equal(), true),
+            verdict_str(&sat),
             format!("{sat_time:.2?}"),
         ]);
 
-        // Exhaustive: only feasible for narrow interfaces.
-        if k <= 16 {
-            let t = Instant::now();
-            let ex = check_equiv(
-                &nl,
-                &resynth,
-                &EquivConfig::with_backend(Backend::Exhaustive),
-            );
-            rows.push(vec![
-                String::new(),
-                String::new(),
-                "exhaustive".into(),
-                verdict_str(ex.is_equal(), true),
-                format!("{:.2?}", t.elapsed()),
-            ]);
-        } else {
-            rows.push(vec![
-                String::new(),
-                String::new(),
-                "exhaustive".into(),
-                format!("n/a ({k} inputs)"),
-                "-".into(),
-            ]);
-        }
-
-        // Sampled: never a proof.
+        // Simulation: a proof only where it enumerates.
         let t = Instant::now();
-        let sm = check_equiv(&nl, &resynth, &EquivConfig::with_backend(Backend::Sampled));
+        let sim = check_equiv(&nl, &resynth);
         rows.push(vec![
             String::new(),
             String::new(),
-            "sampled".into(),
-            verdict_str(sm.is_equal(), false),
+            "check_equiv".into(),
+            verdict_str(&sim),
             format!("{:.2?}", t.elapsed()),
         ]);
     }

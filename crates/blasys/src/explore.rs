@@ -757,6 +757,9 @@ fn anneal_ctx(
 
     let mut rng = SmallRng::seed_from_u64(schedule.seed.unwrap_or(0));
     let mut state = evaluator.probe_state();
+    // What each window's last probed rows showed, kept across moves
+    // and invalidated by each commit.
+    let mut cache = ProbeCache::new(evaluator);
     let mut energy = 1.0f64; // normalized model area of the current state
     let mut temp = schedule.t0;
     let mut probes_done = 0u64;
@@ -802,11 +805,9 @@ fn anneal_ctx(
         // probe abandoned past the threshold would have been rejected
         // anyway, so the accept/reject sequence — and hence the
         // trajectory — is identical with pruning on or off.
-        let report = if spec.prune {
-            evaluator.qor_probe_bounded_by(&mut state, ci, rows, spec.metric, || threshold)
-        } else {
-            Some(evaluator.qor_probe(&mut state, ci, rows))
-        };
+        let bound = if spec.prune { threshold } else { f64::INFINITY };
+        let report =
+            evaluator.qor_probe_reusing(&mut state, &cache, ci, rows, spec.metric, || bound);
         probes_done += 1;
         temp = if probes_done == 1 {
             schedule.t0
@@ -838,7 +839,7 @@ fn anneal_ctx(
         ctx.count("explore.accepts", 1);
         degrees = cand;
         energy = cand_energy;
-        evaluator.commit(&mut state, ci, rows);
+        evaluator.commit_reusing(&mut state, &mut cache, ci, rows);
         let step = trajectory.len();
         let depth = model_depth(profiles, evaluator.network(), &degrees);
         trajectory.push(TrajectoryPoint {
@@ -1244,6 +1245,80 @@ mod tests {
         for p in &a {
             assert!(p.qor.avg_relative <= 0.08 + 1e-12);
         }
+    }
+
+    /// A random netlist from a seeded script of two-input gates.
+    fn random_netlist(seed: u64) -> Netlist {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut nl = Netlist::new("rand");
+        let inputs = rng.gen_range(5usize..10);
+        let mut nodes: Vec<_> = (0..inputs).map(|i| nl.add_input(format!("i{i}"))).collect();
+        for _ in 0..rng.gen_range(40usize..120) {
+            let a = nodes[rng.gen_range(0..nodes.len())];
+            let b = nodes[rng.gen_range(0..nodes.len())];
+            let g = match rng.gen_range(0u8..4) {
+                0 => nl.and(a, b),
+                1 => nl.or(a, b),
+                2 => nl.xor(a, b),
+                _ => nl.nand(a, b),
+            };
+            nodes.push(g);
+        }
+        for o in 0..rng.gen_range(4usize..10) {
+            nl.mark_output(format!("z{o}"), nodes[nodes.len() - 1 - o * 3]);
+        }
+        nl.cleaned()
+    }
+
+    #[test]
+    fn reuse_anneal_points_match_fresh_reference() {
+        // Anneal probes through the cross-step lane cache. Every point
+        // it records must carry the QoR the scalar reference computes
+        // on a fresh evaluator holding that point's tables.
+        let small_windows = DecompConfig {
+            max_inputs: 4,
+            max_outputs: 4,
+            ..DecompConfig::default()
+        };
+        let registry = blasys_obs::Registry::new();
+        let counters = std::sync::Arc::new(crate::obs::QorCounters::register(&registry));
+        let mut moves = 0;
+        for seed in 0..4u64 {
+            let (_nl, profiles, pristine) = setup_netlist(random_netlist(seed), &small_windows);
+            for metric in QorMetric::ALL {
+                let schedule = AnnealSchedule {
+                    steps: 150,
+                    seed: Some(seed),
+                    ..AnnealSchedule::default()
+                };
+                let spec = ExploreSpec::new()
+                    .metric(metric)
+                    .threshold(0.1)
+                    .explorer(Explorer::Anneal(schedule));
+                let mut ev = pristine.clone();
+                ev.set_counters(counters.clone());
+                let traj = explore(ev, &profiles, &spec);
+                moves += traj.len() - 1;
+                for point in &traj {
+                    let mut fresh = pristine.clone();
+                    let mut state = fresh.probe_state();
+                    for (c, &d) in point.degrees.iter().enumerate() {
+                        fresh.commit(&mut state, c, &profiles[c].variant(d).table_rows);
+                    }
+                    assert_eq!(
+                        point.qor,
+                        fresh.qor_current_reference(),
+                        "seed {seed} {metric:?} step {}",
+                        point.step
+                    );
+                }
+            }
+        }
+        assert!(moves > 0, "some anneal move is accepted");
+        assert!(
+            counters.lanes_reused.get() > 0,
+            "anneal reuses cached lanes"
+        );
     }
 
     #[test]

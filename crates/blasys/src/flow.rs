@@ -5,7 +5,7 @@ use blasys_lint::Diagnostic;
 use blasys_logic::Netlist;
 use blasys_synth::{estimate, CellLibrary, DesignMetrics};
 
-use crate::certify::{prove_exact, CertifiedPoint};
+use crate::certify::CertifiedPoint;
 use crate::explore::TrajectoryPoint;
 use crate::profile::SubcircuitProfile;
 use crate::qor::QorMetric;
@@ -341,8 +341,9 @@ impl BlasysResult {
     }
 
     /// Like [`BlasysResult::certify_step`], streaming each SAT probe's
-    /// solver statistics to `on_probe` (see
-    /// [`CertifiedPoint::certify_observed`]).
+    /// solver statistics (conflicts, restarts, learned clauses) to
+    /// `on_probe` as the binary search issues it — the hook the CLI
+    /// uses to fill `sat.*` histograms.
     ///
     /// # Panics
     ///
@@ -353,9 +354,15 @@ impl BlasysResult {
         on_probe: &mut dyn FnMut(&blasys_sat::SolverStats),
     ) -> CertifiedPoint {
         let synthesized = self.synthesize_step(step);
-        let sampled = self.trajectory[step].qor.worst_absolute;
-        let point =
-            CertifiedPoint::certify_observed(step, &self.original, &synthesized, sampled, on_probe);
+        let point = CertifiedPoint {
+            step,
+            certificate: blasys_sat::certify_worst_absolute_observed(
+                &self.original,
+                &synthesized,
+                on_probe,
+            ),
+            sampled_worst_absolute: self.trajectory[step].qor.worst_absolute,
+        };
         self.trajectory[step].qor.certified_worst_absolute = Some(point.certificate.worst_absolute);
         point
     }
@@ -363,13 +370,32 @@ impl BlasysResult {
     /// SAT-prove that a trajectory point's synthesized netlist is
     /// *exactly* equivalent to the original — meaningful for step 0
     /// (exact resynthesis), where sampling can only say "probably
-    /// equal" beyond 16 inputs.
+    /// equal" beyond 16 inputs. Returns the full verdict, so a caller
+    /// can inspect the counterexample of a failed proof.
+    ///
+    /// # Examples
+    ///
+    /// An 18-input adder's exact resynthesis, proven rather than
+    /// sampled (`examples/custom_datapath.rs` compares its exact
+    /// resynthesis the same way):
+    ///
+    /// ```
+    /// use blasys_circuits::adder;
+    /// use blasys_core::{run, ExploreSpec, FlowConfig};
+    /// use blasys_logic::Equivalence;
+    ///
+    /// let result = run(&adder(9), FlowConfig::new().samples(512), &ExploreSpec::new()).unwrap();
+    /// assert_eq!(
+    ///     result.prove_step_exact(0),
+    ///     Equivalence::Equal { exhaustive: true }
+    /// );
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `step` is out of range.
     pub fn prove_step_exact(&self, step: usize) -> blasys_logic::Equivalence {
-        prove_exact(&self.original, &self.synthesize_step(step))
+        blasys_sat::check_equiv_sat(&self.original, &self.synthesize_step(step))
     }
 }
 
@@ -377,7 +403,7 @@ impl BlasysResult {
 mod tests {
     use super::*;
     use blasys_circuits::{adder, multiplier};
-    use blasys_logic::equiv::{check_equiv, EquivConfig};
+    use blasys_logic::equiv::check_equiv;
 
     fn quick(nl: &Netlist) -> BlasysResult {
         run(
@@ -394,7 +420,7 @@ mod tests {
         let result = quick(&nl);
         let exact = result.synthesize_step(0);
         assert!(
-            check_equiv(&nl, &exact, &EquivConfig::default()).is_equal(),
+            check_equiv(&nl, &exact).is_equal(),
             "exact resynthesis must preserve function"
         );
     }

@@ -126,7 +126,7 @@ pub mod session;
 
 pub use blasys_lint as lint;
 pub use blasys_par::{Parallelism, Pool};
-pub use certify::{prove_exact, CertifiedPoint};
+pub use certify::CertifiedPoint;
 pub use explore::{AnnealSchedule, Explorer, StopCriterion, TrajectoryPoint};
 pub use flow::{run, BlasysResult, FlowError};
 pub use montecarlo::{Evaluator, McConfig, ProbeState, Signal, TableNetwork};

@@ -92,7 +92,7 @@
 //!
 //! Algorithm 1 probes every remaining candidate again at every step,
 //! yet one commit moves only a fraction of the lanes. The exploration
-//! sweeps therefore keep a lane cache (`ProbeCache`, one per
+//! sweeps and annealing therefore keep a lane cache (`ProbeCache`, one per
 //! exploration or beam branch) with one entry per window, for the
 //! candidate rows that window was last probed with. It covers the
 //! root-changed lanes (where the candidate row differs from the
@@ -2218,14 +2218,6 @@ impl Evaluator {
         report
     }
 
-    /// Probe with a one-shot internal overlay. Convenience wrapper
-    /// around [`Evaluator::qor_probe`] — hot loops should build a
-    /// [`ProbeState`] once per thread and reuse it instead.
-    pub fn qor_with(&self, cluster: usize, rows: &[u16]) -> QorReport {
-        let mut state = self.probe_state();
-        self.qor_probe(&mut state, cluster, rows)
-    }
-
     /// Commit a table swap permanently, working in the caller's probe
     /// overlay `state` (any state built for this evaluator's shape —
     /// the explorers pass one of their per-worker states).
@@ -2506,7 +2498,7 @@ mod tests {
         let part = decompose(&nl, &DecompConfig::default());
         let ev = Evaluator::new(&nl, &part, &small_cfg());
         let zeros = vec![0u16; ev.network().table(0).len()];
-        let probe = ev.qor_with(0, &zeros);
+        let probe = ev.qor_probe(&mut ev.probe_state(), 0, &zeros);
         assert!(probe.avg_relative > 0.0, "zeroing a cluster must hurt");
         let after = ev.qor_current();
         assert_eq!(after.avg_relative, 0.0, "probe must leave the model exact");
@@ -2551,7 +2543,7 @@ mod tests {
         for cluster in 0..n {
             let zeros = vec![0u16; ev.network().table(cluster).len()];
             let with_reused = ev.qor_probe(&mut reused, cluster, &zeros);
-            let with_fresh = ev.qor_with(cluster, &zeros);
+            let with_fresh = ev.qor_probe(&mut ev.probe_state(), cluster, &zeros);
             assert_eq!(with_reused, with_fresh, "cluster {cluster}");
         }
         // Commit a change, then keep probing with the same state: it
@@ -2561,7 +2553,7 @@ mod tests {
         for cluster in 1..n {
             let zeros = vec![0u16; ev.network().table(cluster).len()];
             let with_reused = ev.qor_probe(&mut reused, cluster, &zeros);
-            let with_fresh = ev.qor_with(cluster, &zeros);
+            let with_fresh = ev.qor_probe(&mut ev.probe_state(), cluster, &zeros);
             assert_eq!(with_reused, with_fresh, "post-commit cluster {cluster}");
         }
     }
@@ -2573,7 +2565,13 @@ mod tests {
         let ev = Evaluator::new(&nl, &part, &small_cfg());
         let n = ev.network().len();
         let serial: Vec<QorReport> = (0..n)
-            .map(|c| ev.qor_with(c, &vec![0u16; ev.network().table(c).len()]))
+            .map(|c| {
+                ev.qor_probe(
+                    &mut ev.probe_state(),
+                    c,
+                    &vec![0u16; ev.network().table(c).len()],
+                )
+            })
             .collect();
         let mut states: Vec<_> = (0..4).map(|_| ev.probe_state()).collect();
         let threaded = blasys_par::Pool::new(4).run_states(n, &mut states, |st, c| {
@@ -2588,7 +2586,7 @@ mod tests {
         let part = decompose(&nl, &DecompConfig::default());
         let mut ev = Evaluator::new(&nl, &part, &small_cfg());
         let zeros = vec![0u16; ev.network().table(0).len()];
-        let probe = ev.qor_with(0, &zeros);
+        let probe = ev.qor_probe(&mut ev.probe_state(), 0, &zeros);
         let mut st = ev.probe_state();
         ev.commit(&mut st, 0, &zeros);
         let now = ev.qor_current();
@@ -2852,7 +2850,12 @@ mod tests {
             one.commit(&mut st, c, &perturbed_table(&exact, &mut rng, c, 0.5));
             let restore = exact.network().table(c).to_vec();
             let label = format!("seed {seed} restore c{c}");
-            assert_eq!(one.qor_with(c, &restore).avg_relative, 0.0, "{label}");
+            assert_eq!(
+                one.qor_probe(&mut one.probe_state(), c, &restore)
+                    .avg_relative,
+                0.0,
+                "{label}"
+            );
             assert_suffix_bound_sound(&one, c, &restore, &label, None);
         }
     }
@@ -3210,7 +3213,7 @@ mod tests {
         // Every surfaced report carries the actual count.
         assert_eq!(ev.qor_current().samples, 1024);
         let zeros = vec![0u16; ev.network().table(0).len()];
-        assert_eq!(ev.qor_with(0, &zeros).samples, 1024);
+        assert_eq!(ev.qor_probe(&mut ev.probe_state(), 0, &zeros).samples, 1024);
     }
 
     #[test]
@@ -3277,6 +3280,9 @@ mod tests {
         let e1 = Evaluator::new(&nl, &part, &small_cfg());
         let e2 = Evaluator::new(&nl, &part, &small_cfg());
         let zeros = vec![0u16; e1.network().table(0).len()];
-        assert_eq!(e1.qor_with(0, &zeros), e2.qor_with(0, &zeros));
+        assert_eq!(
+            e1.qor_probe(&mut e1.probe_state(), 0, &zeros),
+            e2.qor_probe(&mut e2.probe_state(), 0, &zeros)
+        );
     }
 }

@@ -260,7 +260,7 @@ mod tests {
     use super::*;
     use crate::cluster::{decompose, DecompConfig};
     use blasys_logic::builder::{add, input_bus, mark_output_bus};
-    use blasys_logic::equiv::{check_equiv, EquivConfig};
+    use blasys_logic::equiv::check_equiv;
 
     fn adder(width: usize) -> Netlist {
         let mut nl = Netlist::new("add");
@@ -310,7 +310,7 @@ mod tests {
         let part = decompose(&nl, &DecompConfig::default());
         let impls = vec![ClusterImpl::Keep; part.len()];
         let rebuilt = substitute(&nl, &part, &impls);
-        assert!(check_equiv(&nl, &rebuilt, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &rebuilt).is_equal());
     }
 
     #[test]
@@ -328,7 +328,7 @@ mod tests {
             })
             .collect();
         let rebuilt = substitute(&nl, &part, &impls);
-        assert!(check_equiv(&nl, &rebuilt, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &rebuilt).is_equal());
     }
 
     /// Sum-of-minterms netlist for a truth table (test helper; real
@@ -383,6 +383,6 @@ mod tests {
         let rebuilt = substitute(&nl, &part, &impls);
         assert_eq!(rebuilt.num_inputs(), nl.num_inputs());
         assert_eq!(rebuilt.num_outputs(), nl.num_outputs());
-        assert!(!check_equiv(&nl, &rebuilt, &EquivConfig::default()).is_equal());
+        assert!(!check_equiv(&nl, &rebuilt).is_equal());
     }
 }

@@ -24,7 +24,7 @@ use crate::netlist::{Netlist, NodeId};
 ///
 /// ```
 /// use blasys_logic::blif::{from_blif, to_blif};
-/// use blasys_logic::equiv::{check_equiv, EquivConfig};
+/// use blasys_logic::equiv::check_equiv;
 /// use blasys_logic::Netlist;
 ///
 /// let mut nl = Netlist::new("maj");
@@ -39,7 +39,7 @@ use crate::netlist::{Netlist, NodeId};
 /// nl.mark_output("m", m);
 ///
 /// let back = from_blif(&to_blif(&nl)).unwrap();
-/// assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+/// assert!(check_equiv(&nl, &back).is_equal());
 /// ```
 pub fn to_blif(nl: &Netlist) -> String {
     // Every BLIF signal must be defined exactly once, so all emitted
@@ -514,7 +514,7 @@ fn build_cover(nl: &mut Netlist, fanins: &[NodeId], cubes: &[(String, char)]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equiv::{check_equiv, EquivConfig};
+    use crate::equiv::check_equiv;
     use crate::truth::TruthTable;
 
     fn sample_netlist() -> Netlist {
@@ -537,7 +537,7 @@ mod tests {
         let back = from_blif(&text).expect("parse back");
         assert_eq!(back.num_inputs(), 3);
         assert_eq!(back.num_outputs(), 2);
-        assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &back).is_equal());
     }
 
     #[test]
@@ -756,7 +756,7 @@ mod tests {
         nl.mark_output("y", g3);
         let text = to_blif(&nl);
         let back = from_blif(&text).expect("collision-free serialization");
-        assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &back).is_equal());
         assert_eq!(back.input_name(0), "n3");
         assert_eq!(back.outputs()[0].name(), "n5");
     }
@@ -774,7 +774,7 @@ mod tests {
         nl.mark_output("y1", g); // ... two output aliases
         let back = from_blif(&to_blif(&nl)).expect("parse back");
         assert_eq!(back.num_outputs(), 4);
-        assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &back).is_equal());
     }
 
     #[test]
@@ -789,7 +789,7 @@ mod tests {
         nl.mark_output("a", g);
         let back = from_blif(&to_blif(&nl)).expect("shadowed output must serialize");
         assert_eq!(back.num_outputs(), 1);
-        assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &back).is_equal());
     }
 
     #[test]
@@ -805,7 +805,7 @@ mod tests {
         let text = to_blif(&nl);
         let back = from_blif(&text).expect("feed-through must serialize");
         assert_eq!(back.outputs()[0].name(), "a");
-        assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &back).is_equal());
     }
 
     #[test]
@@ -819,7 +819,7 @@ mod tests {
         nl.mark_output("y", g);
         let back = from_blif(&to_blif(&nl)).expect("sanitize collision must serialize");
         assert_eq!(back.num_inputs(), 2);
-        assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &back).is_equal());
     }
 
     #[test]
@@ -831,7 +831,7 @@ mod tests {
         nl.mark_output("", g);
         let back = from_blif(&to_blif(&nl)).expect("empty names must not vanish");
         assert_eq!(back.num_inputs(), 2);
-        assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &back).is_equal());
     }
 
     #[test]
@@ -843,6 +843,6 @@ mod tests {
         nl.mark_output("out put", g);
         let back = from_blif(&to_blif(&nl)).expect("sanitized names must parse");
         assert_eq!(back.num_inputs(), 2);
-        assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        assert!(check_equiv(&nl, &back).is_equal());
     }
 }

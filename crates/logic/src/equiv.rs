@@ -1,51 +1,45 @@
-//! Equivalence checking between netlists.
+//! Simulation equivalence checking between netlists: the test oracle
+//! for the crates below `blasys-sat`.
 //!
-//! Two backends are available via [`EquivConfig::backend`]:
-//!
-//! * **Exhaustive** — truth-table enumeration, exact but limited to
-//!   [`MAX_EXHAUSTIVE_INPUTS`](crate::truth::MAX_EXHAUSTIVE_INPUTS)
-//!   inputs;
-//! * **Sampled** — 64-way bit-parallel random simulation; can *refute*
-//!   equivalence with a counterexample but only ever reports
-//!   `Equal { exhaustive: false }` ("probably equal").
-//!
-//! The default [`Backend::Auto`] keeps the historical behavior
-//! (exhaustive up to a configurable input count, random sampling
-//! beyond). An exact check at *any* input width is
-//! `blasys_sat::check_equiv_sat`, a CDCL SAT solver on the pairwise
-//! miter; it lives in a higher crate to keep this one dependency-free.
+//! [`check_equiv`] enumerates the truth tables of interfaces up to 16
+//! inputs, a proof (`Equal { exhaustive: true }`). Wider interfaces
+//! are checked on 256 blocks of 64 seeded random patterns: that can
+//! refute equivalence with a counterexample but only ever reports
+//! `Equal { exhaustive: false }` ("probably equal"). An exact check at
+//! *any* input width is `blasys_sat::check_equiv_sat`, a CDCL SAT
+//! solver on the pairwise miter; it lives in a higher crate to keep
+//! this one dependency-free.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::netlist::Netlist;
 use crate::sim::Simulator;
-use crate::truth::{input_pattern_word, TruthTable};
+use crate::truth::TruthTable;
+
+/// Interfaces up to this many inputs are enumerated exhaustively.
+const EXHAUSTIVE_LIMIT: usize = 16;
+/// Random 64-pattern blocks checked on wider interfaces.
+const SAMPLE_BLOCKS: usize = 256;
+/// Seed of the sampled patterns.
+const SAMPLE_SEED: u64 = 0x0B1A_5755;
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Equivalence {
     /// The two netlists agreed on every checked pattern; `exhaustive`
     /// tells whether the verdict covers the whole input space (always
-    /// true for the exhaustive and SAT backends).
+    /// true for enumeration and for the SAT checker).
     Equal {
         /// True if the whole input space is covered by the verdict.
         exhaustive: bool,
     },
-    /// A mismatch was found on this input assignment (bit `i` of the
-    /// pattern feeds primary input `i`) at this output index. Used when
-    /// the interface has at most 64 inputs.
+    /// A mismatch was found on this input assignment at this output
+    /// index.
     Differs {
-        /// Counterexample input assignment.
-        pattern: u64,
-        /// First differing output index.
-        output: usize,
-    },
-    /// A mismatch on a wide interface (more than 64 inputs): bit `i` of
-    /// the packed words (`pattern[i / 64] >> (i % 64)`) feeds primary
-    /// input `i`.
-    DiffersWide {
-        /// Counterexample input assignment, packed 64 inputs per word.
+        /// Counterexample input assignment, packed 64 inputs per word:
+        /// bit `i % 64` of `pattern[i / 64]` feeds primary input `i`
+        /// (`ceil(inputs / 64)` words, at least one).
         pattern: Vec<u64>,
         /// First differing output index.
         output: usize,
@@ -57,67 +51,10 @@ impl Equivalence {
     pub fn is_equal(&self) -> bool {
         matches!(self, Equivalence::Equal { .. })
     }
-
-    /// The counterexample as packed words (64 inputs per word), if this
-    /// is a `Differs`/`DiffersWide` verdict.
-    pub fn counterexample(&self) -> Option<Vec<u64>> {
-        match self {
-            Equivalence::Equal { .. } => None,
-            Equivalence::Differs { pattern, .. } => Some(vec![*pattern]),
-            Equivalence::DiffersWide { pattern, .. } => Some(pattern.clone()),
-        }
-    }
 }
 
-/// Which engine decides the equivalence question.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Exhaustive up to [`EquivConfig::exhaustive_limit`] inputs,
-    /// random sampling beyond (the historical behavior).
-    #[default]
-    Auto,
-    /// Always enumerate the full input space.
-    Exhaustive,
-    /// Always sample randomly (fast refutation, weak confirmation).
-    Sampled,
-}
-
-/// Configuration for [`check_equiv`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EquivConfig {
-    /// Enumerate exhaustively when the input count is at most this
-    /// (`Backend::Auto` only).
-    pub exhaustive_limit: usize,
-    /// Number of random 64-pattern blocks when sampling.
-    pub sample_blocks: usize,
-    /// RNG seed for the sampling path.
-    pub seed: u64,
-    /// The engine answering the query.
-    pub backend: Backend,
-}
-
-impl Default for EquivConfig {
-    fn default() -> EquivConfig {
-        EquivConfig {
-            exhaustive_limit: 16,
-            sample_blocks: 256,
-            seed: 0x0B1A_5755,
-            backend: Backend::Auto,
-        }
-    }
-}
-
-impl EquivConfig {
-    /// The default configuration with the given backend.
-    pub fn with_backend(backend: Backend) -> EquivConfig {
-        EquivConfig {
-            backend,
-            ..EquivConfig::default()
-        }
-    }
-}
-
-/// Check whether two netlists implement the same function.
+/// Check whether two netlists implement the same function:
+/// exhaustively up to 16 inputs, on seeded random patterns beyond.
 ///
 /// The netlists must have the same number of inputs and outputs; inputs
 /// and outputs are matched positionally.
@@ -125,20 +62,13 @@ impl EquivConfig {
 /// # Panics
 ///
 /// Panics if the interfaces differ in input or output counts.
-pub fn check_equiv(a: &Netlist, b: &Netlist, cfg: &EquivConfig) -> Equivalence {
+pub fn check_equiv(a: &Netlist, b: &Netlist) -> Equivalence {
     assert_eq!(a.num_inputs(), b.num_inputs(), "input count mismatch");
     assert_eq!(a.num_outputs(), b.num_outputs(), "output count mismatch");
-    let k = a.num_inputs();
-    match cfg.backend {
-        Backend::Auto => {
-            if k <= cfg.exhaustive_limit {
-                check_exhaustive(a, b)
-            } else {
-                check_sampled(a, b, cfg)
-            }
-        }
-        Backend::Exhaustive => check_exhaustive(a, b),
-        Backend::Sampled => check_sampled(a, b, cfg),
+    if a.num_inputs() <= EXHAUSTIVE_LIMIT {
+        check_exhaustive(a, b)
+    } else {
+        check_sampled(a, b)
     }
 }
 
@@ -152,7 +82,7 @@ fn check_exhaustive(a: &Netlist, b: &Netlist) -> Equivalence {
         for o in 0..ta.num_outputs() {
             if ta.get(row, o) != tb.get(row, o) {
                 return Equivalence::Differs {
-                    pattern: row as u64,
+                    pattern: vec![row as u64],
                     output: o,
                 };
             }
@@ -161,13 +91,13 @@ fn check_exhaustive(a: &Netlist, b: &Netlist) -> Equivalence {
     unreachable!("tables differ but no differing row found");
 }
 
-fn check_sampled(a: &Netlist, b: &Netlist, cfg: &EquivConfig) -> Equivalence {
+fn check_sampled(a: &Netlist, b: &Netlist) -> Equivalence {
     let k = a.num_inputs();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = SmallRng::seed_from_u64(SAMPLE_SEED);
     let mut sim_a = Simulator::new(a);
     let mut sim_b = Simulator::new(b);
     let mut words = vec![0u64; k];
-    for _ in 0..cfg.sample_blocks {
+    for _ in 0..SAMPLE_BLOCKS {
         for w in words.iter_mut() {
             *w = rng.gen();
         }
@@ -177,22 +107,13 @@ fn check_sampled(a: &Netlist, b: &Netlist, cfg: &EquivConfig) -> Equivalence {
             let diff = oa[o] ^ ob[o];
             if diff != 0 {
                 let lane = diff.trailing_zeros() as usize;
-                if k <= 64 {
-                    let mut pattern = 0u64;
-                    for (i, w) in words.iter().enumerate() {
-                        if w >> lane & 1 == 1 {
-                            pattern |= 1 << i;
-                        }
-                    }
-                    return Equivalence::Differs { pattern, output: o };
-                }
                 let mut pattern = vec![0u64; k.div_ceil(64)];
                 for (i, w) in words.iter().enumerate() {
                     if w >> lane & 1 == 1 {
                         pattern[i / 64] |= 1 << (i % 64);
                     }
                 }
-                return Equivalence::DiffersWide { pattern, output: o };
+                return Equivalence::Differs { pattern, output: o };
             }
         }
     }
@@ -226,11 +147,6 @@ pub fn hamming_vs_table(nl: &Netlist, tt: &TruthTable) -> Vec<usize> {
         .collect()
 }
 
-// Re-exported for sibling modules that enumerate exhaustively.
-pub(crate) fn _pattern_word(i: usize, block: usize) -> u64 {
-    input_pattern_word(i, block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +173,7 @@ mod tests {
     fn structurally_different_equal_functions() {
         let a = xor_net(false);
         let b = xor_net(true);
-        let r = check_equiv(&a, &b, &EquivConfig::default());
+        let r = check_equiv(&a, &b);
         assert_eq!(r, Equivalence::Equal { exhaustive: true });
     }
 
@@ -269,10 +185,10 @@ mod tests {
         let y = b.add_input("b");
         let g = b.or(x, y);
         b.mark_output("z", g);
-        match check_equiv(&a, &b, &EquivConfig::default()) {
+        match check_equiv(&a, &b) {
             Equivalence::Differs { pattern, output } => {
                 assert_eq!(output, 0);
-                assert_eq!(pattern, 0b11); // XOR=0, OR=1
+                assert_eq!(pattern, vec![0b11]); // XOR=0, OR=1: one word
             }
             other => panic!("expected difference, got {other:?}"),
         }
@@ -280,8 +196,7 @@ mod tests {
 
     #[test]
     fn sampling_path_used_for_wide_netlists() {
-        // 20-input parity, two builds — force the sampling path with a
-        // tiny exhaustive limit.
+        // 20-input parity, two builds: past 16 inputs the check samples.
         let build = |swap: bool| {
             let mut nl = Netlist::new("par");
             let inputs: Vec<_> = (0..20).map(|i| nl.add_input(format!("i{i}"))).collect();
@@ -297,13 +212,7 @@ mod tests {
             nl.mark_output("p", acc);
             nl
         };
-        let cfg = EquivConfig {
-            exhaustive_limit: 8,
-            sample_blocks: 64,
-            seed: 7,
-            ..EquivConfig::default()
-        };
-        let r = check_equiv(&build(false), &build(true), &cfg);
+        let r = check_equiv(&build(false), &build(true));
         assert_eq!(r, Equivalence::Equal { exhaustive: false });
     }
 
@@ -322,13 +231,7 @@ mod tests {
             nl.mark_output("p", acc);
             nl
         };
-        let cfg = EquivConfig {
-            exhaustive_limit: 8,
-            sample_blocks: 4,
-            seed: 7,
-            ..EquivConfig::default()
-        };
-        assert!(!check_equiv(&build(false), &build(true), &cfg).is_equal());
+        assert!(!check_equiv(&build(false), &build(true)).is_equal());
     }
 
     #[test]
@@ -348,41 +251,15 @@ mod tests {
         };
         let a = build(false);
         let b = build(true);
-        match check_equiv(&a, &b, &EquivConfig::default()) {
-            Equivalence::DiffersWide { pattern, output } => {
+        match check_equiv(&a, &b) {
+            Equivalence::Differs { pattern, output } => {
                 assert_eq!(output, 0);
-                assert_eq!(pattern.len(), 2);
-                // The counterexample must set input 69.
+                assert_eq!(pattern.len(), 2); // ceil(70 / 64) words
+                                              // The counterexample must set input 69.
                 assert_eq!(pattern[1] >> 5 & 1, 1);
             }
             other => panic!("expected wide counterexample, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn forced_backends_dispatch() {
-        let a = xor_net(false);
-        let b = xor_net(true);
-        let ex = check_equiv(&a, &b, &EquivConfig::with_backend(Backend::Exhaustive));
-        assert_eq!(ex, Equivalence::Equal { exhaustive: true });
-        let sm = check_equiv(&a, &b, &EquivConfig::with_backend(Backend::Sampled));
-        assert_eq!(sm, Equivalence::Equal { exhaustive: false });
-    }
-
-    #[test]
-    fn counterexample_words_roundtrip() {
-        let eq = Equivalence::Equal { exhaustive: true };
-        assert_eq!(eq.counterexample(), None);
-        let d = Equivalence::Differs {
-            pattern: 5,
-            output: 1,
-        };
-        assert_eq!(d.counterexample(), Some(vec![5]));
-        let w = Equivalence::DiffersWide {
-            pattern: vec![1, 2],
-            output: 0,
-        };
-        assert_eq!(w.counterexample(), Some(vec![1, 2]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the logic substrate.
 
 use blasys_logic::builder::{abs_diff, add, input_bus, mark_output_bus, mul, sub};
-use blasys_logic::equiv::{check_equiv, EquivConfig};
+use blasys_logic::equiv::check_equiv;
 use blasys_logic::sim::eval_scalar;
 use blasys_logic::{Netlist, TruthTable};
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ proptest! {
         nl.mark_output("z1", z1);
         let clean = nl.cleaned();
         prop_assert!(clean.len() <= nl.len());
-        prop_assert!(check_equiv(&nl, &clean, &EquivConfig::default()).is_equal());
+        prop_assert!(check_equiv(&nl, &clean).is_equal());
     }
 
     /// BLIF serialization round-trips random netlists — including
@@ -129,7 +129,7 @@ proptest! {
         for (a, b) in nl.outputs().iter().zip(back.outputs()) {
             prop_assert_eq!(a.name(), b.name());
         }
-        prop_assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        prop_assert!(check_equiv(&nl, &back).is_equal());
     }
 
     /// Exhaustive tables match scalar evaluation everywhere.

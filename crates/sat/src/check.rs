@@ -7,7 +7,6 @@
 //! which is validated by resimulation before being returned.
 
 use blasys_logic::equiv::Equivalence;
-use blasys_logic::sim::eval_scalar_with;
 use blasys_logic::{Netlist, Simulator};
 
 use crate::miter::{constant_output, equivalence_miter};
@@ -18,8 +17,7 @@ use crate::tseitin::Encoder;
 ///
 /// Equal verdicts always carry `exhaustive: true` (the miter was proven
 /// unsatisfiable); unequal verdicts carry a resimulation-validated
-/// counterexample ([`Equivalence::Differs`] for interfaces of at most
-/// 64 inputs, [`Equivalence::DiffersWide`] beyond).
+/// counterexample in [`Equivalence::Differs`].
 ///
 /// # Panics
 ///
@@ -56,7 +54,7 @@ pub fn check_equiv_sat(a: &Netlist, b: &Netlist) -> Equivalence {
     }
 }
 
-/// Build the `Differs`/`DiffersWide` verdict for a known counterexample
+/// Build the `Differs` verdict for a known counterexample
 /// pattern, locating the first differing output by resimulation.
 ///
 /// # Panics
@@ -80,43 +78,36 @@ fn differs_at(a: &Netlist, b: &Netlist, pattern: Vec<u64>) -> Equivalence {
     let output = (0..oa.len())
         .find(|&o| oa[o] & 1 != ob[o] & 1)
         .expect("SAT counterexample must disagree under resimulation");
-    if k <= 64 {
-        Equivalence::Differs {
-            pattern: pattern[0],
-            output,
-        }
-    } else {
-        Equivalence::DiffersWide { pattern, output }
-    }
-}
-
-/// Exhaustively cross-check the SAT verdict against scalar simulation
-/// (test helper; up to 16 inputs).
-#[doc(hidden)]
-pub fn agrees_with_exhaustive(a: &Netlist, b: &Netlist) -> bool {
-    let k = a.num_inputs();
-    assert!(k <= 16, "exhaustive cross-check is bounded");
-    let verdict = check_equiv_sat(a, b);
-    let mut sim_a = Simulator::new(a);
-    let mut sim_b = Simulator::new(b);
-    let brute = (0..1u64 << k)
-        .find(|&row| eval_scalar_with(&mut sim_a, row) != eval_scalar_with(&mut sim_b, row));
-    match (&verdict, brute) {
-        (Equivalence::Equal { exhaustive: true }, None) => true,
-        (Equivalence::Differs { pattern, output }, Some(_)) => {
-            // The specific pattern must really disagree at that output.
-            let ga = eval_scalar_with(&mut sim_a, *pattern);
-            let gb = eval_scalar_with(&mut sim_b, *pattern);
-            (ga ^ gb) >> output & 1 == 1
-        }
-        _ => false,
-    }
+    Equivalence::Differs { pattern, output }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use blasys_logic::builder::{add, input_bus, mark_output_bus, mul};
+    use blasys_logic::sim::eval_scalar_with;
+
+    /// Exhaustively cross-check the SAT verdict against scalar
+    /// simulation (up to 16 inputs).
+    fn agrees_with_exhaustive(a: &Netlist, b: &Netlist) -> bool {
+        let k = a.num_inputs();
+        assert!(k <= 16, "exhaustive cross-check is bounded");
+        let verdict = check_equiv_sat(a, b);
+        let mut sim_a = Simulator::new(a);
+        let mut sim_b = Simulator::new(b);
+        let brute = (0..1u64 << k)
+            .find(|&row| eval_scalar_with(&mut sim_a, row) != eval_scalar_with(&mut sim_b, row));
+        match (&verdict, brute) {
+            (Equivalence::Equal { exhaustive: true }, None) => true,
+            (Equivalence::Differs { pattern, output }, Some(_)) => {
+                // The specific pattern must really disagree at that output.
+                let ga = eval_scalar_with(&mut sim_a, pattern[0]);
+                let gb = eval_scalar_with(&mut sim_b, pattern[0]);
+                (ga ^ gb) >> output & 1 == 1
+            }
+            _ => false,
+        }
+    }
 
     fn adder_net(width: usize) -> Netlist {
         let mut nl = Netlist::new("add");
@@ -172,8 +163,11 @@ mod tests {
             nl
         };
         match check_equiv_sat(&build(66), &build(65)) {
-            Equivalence::DiffersWide { pattern, output: 0 } => {
-                assert_eq!(pattern.len(), 2);
+            Equivalence::Differs { pattern, output: 0 } => {
+                assert_eq!(pattern.len(), 2); // ceil(66 / 64) words
+                                              // Only input 65 tells the two apart: the witness sets it
+                                              // and leaves every other input at 0.
+                assert_eq!(pattern, vec![0, 0b10]);
             }
             other => panic!("expected wide counterexample, got {other:?}"),
         }

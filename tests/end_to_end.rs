@@ -3,7 +3,7 @@
 
 use blasys_repro::blasys::{run, BlasysResult, ExploreSpec, FlowConfig, QorMetric};
 use blasys_repro::circuits::{adder, butterfly, multiplier};
-use blasys_repro::logic::equiv::{check_equiv, EquivConfig};
+use blasys_repro::logic::equiv::check_equiv;
 use blasys_repro::salsa::{run_salsa, SalsaConfig};
 
 fn quick(nl: &blasys_repro::logic::Netlist) -> BlasysResult {
@@ -18,7 +18,7 @@ fn adder_flow_full_pipeline() {
 
     // Exact starting point is functionally identical to the input.
     let exact = result.synthesize_step(0);
-    assert!(check_equiv(&nl, &exact, &EquivConfig::default()).is_equal());
+    assert!(check_equiv(&nl, &exact).is_equal());
 
     // Trajectory invariants.
     let traj = result.trajectory();

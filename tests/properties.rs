@@ -6,7 +6,7 @@ use blasys_repro::blasys::pareto::{
 };
 use blasys_repro::bmf::{hamming, BoolMatrix, Factorizer};
 use blasys_repro::decomp::{cluster_truth_table, decompose, substitute, ClusterImpl, DecompConfig};
-use blasys_repro::logic::equiv::{check_equiv, EquivConfig};
+use blasys_repro::logic::equiv::check_equiv;
 use blasys_repro::logic::{Netlist, TruthTable};
 use blasys_repro::synth::synthesize_tt;
 use proptest::prelude::*;
@@ -112,7 +112,7 @@ proptest! {
         if !part.is_empty() {
             let impls = vec![ClusterImpl::Keep; part.len()];
             let rebuilt = substitute(&nl, &part, &impls);
-            prop_assert!(check_equiv(&nl, &rebuilt, &EquivConfig::default()).is_equal());
+            prop_assert!(check_equiv(&nl, &rebuilt).is_equal());
         }
     }
 
@@ -137,7 +137,7 @@ proptest! {
         use blasys_repro::logic::blif::{from_blif, to_blif};
         let text = to_blif(&nl);
         let back = from_blif(&text).expect("own output must parse");
-        prop_assert!(check_equiv(&nl, &back, &EquivConfig::default()).is_equal());
+        prop_assert!(check_equiv(&nl, &back).is_equal());
     }
 
     /// n-D dominance front invariants on random 3-D point clouds:
