@@ -87,9 +87,12 @@ fn bench_flow(c: &mut Criterion) {
 /// parallel. `multiplier(4)` decomposes into 3 windows, one task each:
 /// at 2 workers one worker profiles two windows, at 4 one worker gets
 /// none (each window's BMF runs serially). Profiles are bit-identical
-/// across all rows.
+/// across all rows. `adder8_blif_serial` profiles the shipped BLIF
+/// adder, whose repeated slices repeat columns: the profile's
+/// `minimize_column` memo answers those.
 fn bench_profile_stage(c: &mut Criterion) {
     use blasys_core::FlowSession;
+    use blasys_logic::blif::from_blif;
 
     let nl = multiplier(4);
     let mut g = c.benchmark_group("profile");
@@ -104,6 +107,13 @@ fn bench_profile_stage(c: &mut Criterion) {
             b.iter(|| FlowSession::open(&nl, cfg.clone()).and_then(|s| s.profile()))
         });
     }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/adder8.blif");
+    let adder8 = from_blif(&std::fs::read_to_string(path).expect("shipped benchmark"))
+        .expect("shipped benchmark parses");
+    let serial = FlowConfig::new().parallelism(Parallelism::Serial);
+    g.bench_function("adder8_blif_serial", |b| {
+        b.iter(|| FlowSession::open(&adder8, serial.clone()).and_then(|s| s.profile()))
+    });
     g.finish();
 }
 

@@ -11,7 +11,9 @@
 
 use blasys_bmf::{Algebra, Factorization};
 use blasys_logic::{Netlist, NodeId, TruthTable};
-use blasys_synth::{gate_cost, or_tree, shannon_columns, synthesize_columns, xor_tree};
+use blasys_synth::{
+    gate_cost, or_tree, shannon_columns, synthesize_columns, xor_tree, MinimizeMemo,
+};
 
 /// Build the k-input, m-output approximate subcircuit netlist realizing
 /// a factorization.
@@ -23,6 +25,22 @@ use blasys_synth::{gate_cost, or_tree, shannon_columns, synthesize_columns, xor_
 ///
 /// Panics if `fac.b()` does not have `2^k` rows.
 pub fn factorization_netlist(k: usize, fac: &Factorization, name: &str) -> Netlist {
+    factorization_netlist_memo(k, fac, name, None)
+}
+
+/// [`factorization_netlist`], minimizing the compressor's two-level
+/// columns through `memo` when given. The netlist is the same either
+/// way.
+///
+/// # Panics
+///
+/// Panics if `fac.b()` does not have `2^k` rows.
+pub(crate) fn factorization_netlist_memo(
+    k: usize,
+    fac: &Factorization,
+    name: &str,
+    memo: Option<&MinimizeMemo>,
+) -> Netlist {
     let b = fac.b();
     assert_eq!(b.num_rows(), 1usize << k, "B must be a k-input truth table");
     let f = fac.degree();
@@ -31,7 +49,9 @@ pub fn factorization_netlist(k: usize, fac: &Factorization, name: &str) -> Netli
     // The compressor truth table maps well to two-level logic for
     // AND/OR-shaped columns and to Shannon decomposition for XOR-rich
     // ones; build both and keep the cheaper realization.
-    let sop = build_variant(k, fac, name, &b_tt, synthesize_columns);
+    let sop = build_variant(k, fac, name, &b_tt, |nl, inputs, tt| {
+        synthesize_columns(nl, inputs, tt, memo)
+    });
     let shannon = build_variant(k, fac, name, &b_tt, shannon_columns);
     if gate_cost(&shannon) < gate_cost(&sop) {
         shannon

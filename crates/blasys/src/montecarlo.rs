@@ -950,7 +950,7 @@ pub struct Evaluator {
     /// network's per-sample error terms ([`QorMetric::sample_term`])
     /// over that block, in lane order. Lanes a probe cannot change keep
     /// exactly these terms, which is what the committed-suffix lower
-    /// bound of [`Evaluator::qor_probe_bounded_by`] sums.
+    /// bound of [`Evaluator::qor_probe_bounded`] sums.
     committed_terms: Vec<[f64; 3]>,
     /// `row_idx[cluster * samples + sample]` = the table row index
     /// cluster `cluster` looks up for `sample` under the *committed*
@@ -1380,36 +1380,10 @@ impl Evaluator {
         metric: QorMetric,
         bound: f64,
     ) -> Option<QorReport> {
-        self.qor_probe_bounded_by(state, cluster, rows, metric, || bound)
+        self.probe(state, None, cluster, rows, metric, || bound)
     }
 
-    /// Like [`Evaluator::qor_probe_bounded`], but re-reads the bound
-    /// from `bound` before every block's prune check. In a concurrent
-    /// candidate sweep the caller can hand every worker a view of a
-    /// shared monotonically-decreasing bound (e.g. an atomic lowered
-    /// as candidates complete), so in-flight probes benefit from
-    /// tightening they could not have seen at launch. Soundness is
-    /// unaffected as long as every value the closure returns is at
-    /// least the eventual best candidate's final error (for beam
-    /// search: the error of the last child it keeps). The committed
-    /// suffix is built once, the first time the closure returns a
-    /// finite value.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Evaluator::qor_probe`].
-    pub fn qor_probe_bounded_by(
-        &self,
-        state: &mut ProbeState,
-        cluster: usize,
-        rows: &[u16],
-        metric: QorMetric,
-        bound: impl Fn() -> f64,
-    ) -> Option<QorReport> {
-        self.probe(state, None, cluster, rows, metric, bound)
-    }
-
-    /// Like [`Evaluator::qor_probe_bounded_by`], reusing what earlier
+    /// Like [`Evaluator::qor_probe_bounded`], reusing what earlier
     /// probes of the same candidate left in `cache` (see the [module
     /// docs](self#cross-step-reuse)): root-changed lanes still valid
     /// in `cluster`'s entry take their packed output from the cache
@@ -1418,9 +1392,20 @@ impl Evaluator {
     /// for every block the probe evaluates. The bound is checked after
     /// every block against the exact terms known so far; only a probe
     /// that is never pruned accumulates its report, in sample order.
-    /// The report is bit-identical to
-    /// [`Evaluator::qor_probe_bounded_by`]'s, and like it the probe
-    /// prunes only a candidate whose final error exceeds the bound.
+    /// The report is bit-identical to [`Evaluator::qor_probe_bounded`]'s,
+    /// and like it the probe prunes only a candidate whose final error
+    /// exceeds the bound.
+    ///
+    /// The bound is re-read from `bound` before every block's prune
+    /// check. In a concurrent candidate sweep the caller can hand every
+    /// worker a view of a shared monotonically-decreasing bound (e.g.
+    /// an atomic lowered as candidates complete), so in-flight probes
+    /// benefit from tightening they could not have seen at launch.
+    /// Soundness is unaffected as long as every value the closure
+    /// returns is at least the eventual best candidate's final error
+    /// (for beam search: the error of the last child it keeps). The
+    /// committed suffix is built once, the first time the closure
+    /// returns a finite value.
     ///
     /// # Panics
     ///
@@ -1446,7 +1431,7 @@ impl Evaluator {
         self.probe(state, Some(&mut entry), cluster, rows, metric, bound)
     }
 
-    /// The bounded probe behind [`Evaluator::qor_probe_bounded_by`]
+    /// The bounded probe behind [`Evaluator::qor_probe_bounded`]
     /// (`cache == None`) and [`Evaluator::qor_probe_reusing`].
     fn probe(
         &self,

@@ -14,7 +14,7 @@ use blasys_decomp::{cluster_truth_table, extract_cluster_netlist, Partition};
 use blasys_logic::{Netlist, TruthTable};
 use blasys_obs::{Counter, Registry};
 use blasys_par::Pool;
-use blasys_synth::{estimate, synthesize_tt, CellLibrary};
+use blasys_synth::{estimate, synthesize_tt_memo, CellLibrary, MinimizeMemo};
 
 use crate::explore::sweep;
 use crate::flow::FlowError;
@@ -124,6 +124,9 @@ impl Default for ProfileConfig {
 /// window is reported to the context's observer; profiling aborts
 /// between windows when the context's token is tripped or its deadline
 /// passes.
+///
+/// The workers share one [`MinimizeMemo`], so no column is minimized
+/// twice in one profiling pass; it is dropped when profiling returns.
 pub(crate) fn profile_partition_ctx(
     nl: &Netlist,
     partition: &Partition,
@@ -133,6 +136,7 @@ pub(crate) fn profile_partition_ctx(
 ) -> Result<Vec<SubcircuitProfile>, FlowError> {
     let total = partition.len();
     let counters = ctx.registry.map(ProfileCounters::register);
+    let memo = MinimizeMemo::new();
     let window = |ci: usize| -> Option<SubcircuitProfile> {
         if ctx.cancelled() || ctx.expired() {
             return None;
@@ -141,7 +145,8 @@ pub(crate) fn profile_partition_ctx(
         let cluster = &partition.clusters()[ci];
         let tt = cluster_truth_table(nl, cluster);
         let reference = extract_cluster_netlist(nl, cluster, &format!("s{ci}_ref"));
-        let profile = profile_window_counted(ci, &tt, Some(reference), cfg, counters.as_ref());
+        let profile =
+            profile_window_counted(ci, &tt, Some(reference), cfg, counters.as_ref(), &memo);
         ctx.window_profiled(&profile, total);
         Some(profile)
     };
@@ -157,6 +162,10 @@ pub(crate) fn profile_partition_ctx(
         .collect();
     let mut states = vec![(); pool.threads()];
     let profiles = sweep(pool, &mut states, &largest_first, |(), ci| window(ci));
+    if let Some(c) = &counters {
+        c.memo_hits.add(memo.hits());
+        c.memo_misses.add(memo.misses());
+    }
     if profiles.iter().any(Option::is_none) {
         return Err(if ctx.cancelled() {
             FlowError::Cancelled
@@ -183,9 +192,12 @@ enum Family {
     Truncated,
 }
 
-/// `profile.*` selection counters, registered once per profile stage
-/// when a metrics registry is attached. Both are deterministic: they
-/// depend only on the ladders, never on worker count or timing.
+/// `profile.*` selection counters and the stage's
+/// `synth.minimize_memo.*` tallies, registered once per profile stage
+/// when a metrics registry is attached. The selection counters are
+/// deterministic: they depend only on the ladders, never on worker
+/// count or timing. The memo tallies are deterministic in the serial
+/// schedule only: two workers can miss on the same column at once.
 pub(crate) struct ProfileCounters {
     /// `profile.winner.{nulling,asso,grecond,truncated}`: rungs won
     /// per candidate family.
@@ -193,6 +205,10 @@ pub(crate) struct ProfileCounters {
     /// `profile.variants_synthesized`: approximate candidates
     /// synthesized and estimated by ladder selection.
     synthesized: Arc<Counter>,
+    /// `synth.minimize_memo.hits`: columns answered by the memo.
+    memo_hits: Arc<Counter>,
+    /// `synth.minimize_memo.misses`: columns minimized.
+    memo_misses: Arc<Counter>,
 }
 
 impl ProfileCounters {
@@ -205,6 +221,8 @@ impl ProfileCounters {
                 registry.counter("profile.winner.truncated"),
             ],
             synthesized: registry.counter("profile.variants_synthesized"),
+            memo_hits: registry.counter("synth.minimize_memo.hits"),
+            memo_misses: registry.counter("synth.minimize_memo.misses"),
         }
     }
 }
@@ -224,13 +242,15 @@ struct Candidate {
 /// window's original gate-level logic: the exact variant uses it when
 /// it is cheaper than a from-scratch resynthesis of the table (it
 /// almost always is). Rung winners and synthesized candidates are
-/// tallied on `counters` when given.
+/// tallied on `counters` when given; every two-level column is
+/// minimized through `memo`.
 pub(crate) fn profile_window_counted(
     cluster: usize,
     tt: &TruthTable,
     reference: Option<Netlist>,
     cfg: &ProfileConfig,
     counters: Option<&ProfileCounters>,
+    memo: &MinimizeMemo,
 ) -> SubcircuitProfile {
     let k = tt.num_inputs();
     let m = tt.num_outputs();
@@ -248,7 +268,7 @@ pub(crate) fn profile_window_counted(
     // Exact variant first: its area gates the hybrid selection rule.
     // Prefer the original cluster gates over a from-scratch resynthesis
     // when they are cheaper (they almost always are).
-    let resynth = synthesize_tt(tt, &format!("s{cluster}_exact"));
+    let resynth = synthesize_tt_memo(tt, &format!("s{cluster}_exact"), Some(memo));
     let exact_netlist = match reference {
         Some(reference)
             if blasys_synth::gate_cost(&reference) < blasys_synth::gate_cost(&resynth) =>
@@ -270,6 +290,16 @@ pub(crate) fn profile_window_counted(
         && !matches!(factorizer.algebra_kind(), Algebra::Field)
         && primary != Family::GreConD)
         .then(|| factorizer.clone().algorithm(Algorithm::GreConD));
+    // Every rung's factorizations at once (one greedy pass per window
+    // and threshold), taken from the top as the ladder descends. On
+    // the exhaustive path the algorithm plays no part, so GreConD
+    // would return the primary factorizations again; that path does
+    // not depend on the degree below the output count.
+    let top = m.saturating_sub(1);
+    let primary_ladder = factorizer.factorize_ladder(&matrix, top);
+    let mut grecond_ladder = grecond
+        .filter(|fz| !fz.solves_exhaustively(&matrix, 1))
+        .map_or_else(Vec::new, |fz| fz.factorize_ladder(&matrix, top));
 
     // Build the ladder top-down (f = m−1 .. 1) so each degree can also
     // consider *truncating* the previous degree's choice — this keeps
@@ -282,7 +312,7 @@ pub(crate) fn profile_window_counted(
     let mut prev_area = exact_area;
     let mut prev_fac = identity;
     let mut variants_rev: Vec<Variant> = Vec::with_capacity(m);
-    for f in (1..m).rev() {
+    for (f, fac) in (1..m).rev().zip(primary_ladder.into_iter().rev()) {
         // Candidates in selection-index order; ties go to the lowest
         // index.
         let mut cands: Vec<Candidate> = Vec::with_capacity(4);
@@ -310,14 +340,9 @@ pub(crate) fn profile_window_counted(
             let kept: u64 = (0..f).fold(0u64, |acc, l| acc | chain_fac.c().row(l));
             push(Family::Nulling, chain_fac.clone(), Some(kept));
         }
-        push(primary, factorizer.factorize(&matrix, f), None);
-        // On the exhaustive path the algorithm plays no part: GreConD
-        // would return the primary factorization again.
-        if let Some(fz) = grecond
-            .as_ref()
-            .filter(|fz| !fz.solves_exhaustively(&matrix, f))
-        {
-            push(Family::GreConD, fz.factorize(&matrix, f), None);
+        push(primary, fac, None);
+        if let Some(fac) = grecond_ladder.pop() {
+            push(Family::GreConD, fac, None);
         }
         push(
             Family::Truncated,
@@ -332,9 +357,12 @@ pub(crate) fn profile_window_counted(
         let build = |c: &Candidate| -> (Netlist, f64, f64) {
             let netlist = match c.nulled {
                 Some(kept) => with_nulled_outputs(&exact_netlist, kept),
-                None => {
-                    crate::approx::factorization_netlist(k, &c.fac, &format!("s{cluster}_f{f}"))
-                }
+                None => crate::approx::factorization_netlist_memo(
+                    k,
+                    &c.fac,
+                    &format!("s{cluster}_f{f}"),
+                    Some(memo),
+                ),
             };
             let met = estimate(&netlist, &cfg.library);
             (netlist, met.area_um2, met.delay_ns)
@@ -447,6 +475,7 @@ mod tests {
     use blasys_decomp::{decompose, DecompConfig};
     use blasys_logic::builder::{add, input_bus, mark_output_bus};
     use blasys_par::Parallelism;
+    use blasys_synth::synthesize_tt;
 
     /// Every window's ladder, profiled at the default
     /// (`BLASYS_THREADS`) parallelism.
@@ -719,11 +748,14 @@ mod tests {
     /// lazy path; the ladders must match.
     fn assert_profiles_match_oracle(label: &str, nl: &Netlist, cfg: &ProfileConfig) {
         let part = decompose(nl, &DecompConfig::default());
+        // The lazy path shares one memo across the windows, as in
+        // profiling; the oracle minimizes every column afresh.
+        let memo = MinimizeMemo::new();
         for (ci, cluster) in part.clusters().iter().enumerate() {
             let tt = cluster_truth_table(nl, cluster);
             let reference = extract_cluster_netlist(nl, cluster, &format!("s{ci}_ref"));
             let want = profile_window_oracle(ci, &tt, Some(reference.clone()), cfg);
-            let got = profile_window_counted(ci, &tt, Some(reference), cfg, None);
+            let got = profile_window_counted(ci, &tt, Some(reference), cfg, None, &memo);
             assert_ladders_identical(label, &want, &got);
         }
     }

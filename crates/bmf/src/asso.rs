@@ -111,7 +111,6 @@ pub(crate) fn asso_counted(
     assert!(f >= 1, "factorization degree must be at least 1");
     let cols = m.num_cols();
     assert!(cols >= 1, "matrix must have at least one column");
-    let n = m.num_rows();
     let uniform;
     let weights: &[f64] = match &params.weights {
         Some(w) => {
@@ -123,8 +122,26 @@ pub(crate) fn asso_counted(
             &uniform
         }
     };
+    let (b, c, _) = greedy(m, f, params.threshold, weights, counters);
+    refined(m, b, c, params.refine_rounds, weights)
+}
 
-    let candidates = candidate_basis(m, params);
+/// ASSO's greedy phase at threshold `τ`: up to `f` rounds, each picking
+/// the best-scoring candidate basis row and its usage column. Returns
+/// `(B, C, rounds)`; when no candidate scores above zero the loop stops
+/// after `rounds < f` rounds and the remaining basis rows stay zero.
+///
+/// Round `l` never reads `f`, so the first `f'` columns of `B` and rows
+/// of `C` are exactly the greedy result at any degree `f' ≤ f`.
+pub(crate) fn greedy(
+    m: &BoolMatrix,
+    f: usize,
+    threshold: f64,
+    weights: &[f64],
+    counters: Option<&FactorizeCounters>,
+) -> (BoolMatrix, BoolMatrix, usize) {
+    let n = m.num_rows();
+    let candidates = candidate_basis(m, threshold);
     let wtab = WsumTable::build(weights);
     // Scratch-free scoring: the old loop allocated a `usage` row vector
     // per candidate and threw all but the winner's away. Scoring is now
@@ -158,7 +175,7 @@ pub(crate) fn asso_counted(
     };
 
     let mut b = BoolMatrix::zeroed(n, f);
-    let mut c = BoolMatrix::zeroed(f, cols);
+    let mut c = BoolMatrix::zeroed(f, m.num_cols());
     // Covered cells so far: OR over chosen (usage, basis) pairs.
     let mut covered = vec![0u64; n];
 
@@ -193,13 +210,23 @@ pub(crate) fn asso_counted(
                     }
                 }
             }
-            _ => break, // remaining basis rows stay zero
+            _ => return (b, c, l), // remaining basis rows stay zero
         }
     }
+    (b, c, f)
+}
 
-    for _ in 0..params.refine_rounds {
-        let improved_b = refine_usage(m, &b, &c, weights);
-        b = improved_b;
+/// Apply `rounds` alternating refinement rounds (usage re-solve, then
+/// basis update) to a greedy `(B, C)`.
+fn refined(
+    m: &BoolMatrix,
+    mut b: BoolMatrix,
+    mut c: BoolMatrix,
+    rounds: usize,
+    weights: &[f64],
+) -> (BoolMatrix, BoolMatrix) {
+    for _ in 0..rounds {
+        b = refine_usage(m, &b, &c, weights);
         refine_basis(m, &mut b, &mut c, weights);
     }
     (b, c)
@@ -208,7 +235,7 @@ pub(crate) fn asso_counted(
 /// Build the candidate basis-vector set: association-matrix rows at
 /// threshold `τ`, extended with the distinct rows of `M` (a cheap
 /// quality extension useful for truth tables).
-fn candidate_basis(m: &BoolMatrix, params: &AssoParams) -> Vec<u64> {
+fn candidate_basis(m: &BoolMatrix, threshold: f64) -> Vec<u64> {
     let cols = m.num_cols();
     // Column bitsets for pairwise dot products.
     let col_bits: Vec<Vec<u64>> = (0..cols).map(|j| m.column_bits(j)).collect();
@@ -225,7 +252,7 @@ fn candidate_basis(m: &BoolMatrix, params: &AssoParams) -> Vec<u64> {
                 .zip(&col_bits[j])
                 .map(|(a, b)| (a & b).count_ones() as usize)
                 .sum();
-            if dot as f64 >= params.threshold * ones[i] as f64 {
+            if dot as f64 >= threshold * ones[i] as f64 {
                 row |= 1 << j;
             }
         }
@@ -376,6 +403,54 @@ pub(crate) fn asso_sweep_counted(
     }
     let (_, b, c) = best.expect("at least one threshold required");
     (b, c)
+}
+
+/// [`asso_sweep_counted`] at every degree `1..=top` at once: entry
+/// `f − 1` is bit-identical to `asso_sweep_counted(m, f, ..)`.
+///
+/// Per threshold, the candidate basis is built once and the greedy
+/// phase runs once, to degree `top`; each degree refines its prefix of
+/// that pass (see [`greedy`]) and keeps the lowest-error threshold
+/// under the same strict `<` (first threshold wins ties). That is one
+/// greedy pass per threshold instead of one per threshold and degree.
+pub(crate) fn asso_sweep_ladder(
+    m: &BoolMatrix,
+    top: usize,
+    thresholds: &[f64],
+    base: &AssoParams,
+    counters: Option<&FactorizeCounters>,
+) -> Vec<(BoolMatrix, BoolMatrix)> {
+    let uniform;
+    let weights: &[f64] = match &base.weights {
+        Some(w) => w,
+        None => {
+            uniform = vec![1.0; m.num_cols()];
+            &uniform
+        }
+    };
+    let mut best: Vec<Option<(f64, BoolMatrix, BoolMatrix)>> = vec![None; top];
+    for &t in thresholds {
+        let (b, c, _) = greedy(m, top, t, weights, counters);
+        for (f, slot) in (1..=top).zip(&mut best) {
+            let (bf, cf) = refined(
+                m,
+                b.leading_cols(f),
+                c.leading_rows(f),
+                base.refine_rounds,
+                weights,
+            );
+            let err = weighted_error(&bf.or_product(&cf), m, weights);
+            if slot.as_ref().is_none_or(|(e, _, _)| err < *e) {
+                *slot = Some((err, bf, cf));
+            }
+        }
+    }
+    best.into_iter()
+        .map(|slot| {
+            let (_, b, c) = slot.expect("at least one threshold required");
+            (b, c)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::asso::{asso_sweep_counted, AssoParams};
+use crate::asso::{asso_sweep_counted, asso_sweep_ladder, AssoParams};
 use crate::grecon::grecond;
 use crate::matrix::BoolMatrix;
 use crate::metrics::{hamming, weighted_error};
@@ -212,6 +212,54 @@ impl Factorizer {
         fac
     }
 
+    /// [`factorize`](Factorizer::factorize) at every degree `1..=top`:
+    /// entry `f − 1` is bit-identical to `factorize(m, f)`.
+    ///
+    /// Degrees on the heuristic semi-ring path share one greedy pass:
+    /// ASSO builds its candidate basis and runs its greedy loop once per
+    /// threshold, to the highest such degree, and refines each degree's
+    /// prefix of it; GreConD runs once and is sliced. Exhaustive, field
+    /// and `f ≥ cols` degrees are solved one by one as in `factorize`.
+    /// Records one wall-time observation for the whole ladder (none
+    /// for an empty one).
+    pub fn factorize_ladder(&self, m: &BoolMatrix, top: usize) -> Vec<Factorization> {
+        if top == 0 {
+            return Vec::new();
+        }
+        let t0 = Instant::now();
+        // The exhaustive test does not depend on `f` below the column
+        // count, so degrees `1..=shared` are exactly the heuristic ones.
+        let shared = if matches!(self.algebra, Algebra::SemiRing) && !self.solves_exhaustively(m, 1)
+        {
+            top.min(m.num_cols().saturating_sub(1))
+        } else {
+            0
+        };
+        let mut ladder: Vec<Factorization> = match &self.algorithm {
+            _ if shared == 0 => Vec::new(),
+            Algorithm::Asso => {
+                let counters = self.counters.as_deref();
+                asso_sweep_ladder(m, shared, &ASSO_THRESHOLDS, &self.asso_base(), counters)
+                    .into_iter()
+                    .map(|(b, c)| Factorization::new(b, c, Algebra::SemiRing))
+                    .collect()
+            }
+            Algorithm::GreConD => {
+                let (b, c) = grecond(m, shared);
+                (1..=shared)
+                    .map(|f| {
+                        Factorization::new(b.leading_cols(f), c.leading_rows(f), Algebra::SemiRing)
+                    })
+                    .collect()
+            }
+        };
+        ladder.extend((shared + 1..=top).map(|f| self.factorize_inner(m, f)));
+        if let Some(c) = &self.counters {
+            c.factorize_ns.observe(t0.elapsed().as_nanos() as u64);
+        }
+        ladder
+    }
+
     /// Whether [`factorize`](Factorizer::factorize) solves `(m, f)` by
     /// exhaustive basis enumeration (≤ 64 rows, ≤ 5 columns, `f` below
     /// the column count, semi-ring algebra). The configured
@@ -244,13 +292,8 @@ impl Factorizer {
             Algebra::SemiRing => {
                 let (b, c) = match &self.algorithm {
                     Algorithm::Asso => {
-                        let base = AssoParams {
-                            weights: self.weights.clone(),
-                            refine_rounds: REFINE_ROUNDS,
-                            ..AssoParams::default()
-                        };
                         let counters = self.counters.as_deref();
-                        asso_sweep_counted(m, f, &ASSO_THRESHOLDS, &base, counters)
+                        asso_sweep_counted(m, f, &ASSO_THRESHOLDS, &self.asso_base(), counters)
                     }
                     Algorithm::GreConD => grecond(m, f),
                 };
@@ -264,6 +307,15 @@ impl Factorizer {
                 let (b, c) = factorize_xor(m, f, &params);
                 Factorization::new(b, c, Algebra::Field)
             }
+        }
+    }
+
+    /// The ASSO parameters every threshold of the sweep shares.
+    fn asso_base(&self) -> AssoParams {
+        AssoParams {
+            weights: self.weights.clone(),
+            refine_rounds: REFINE_ROUNDS,
+            ..AssoParams::default()
         }
     }
 }
@@ -587,6 +639,17 @@ impl Factorizer {
 mod tests {
     use super::*;
 
+    /// splitmix64: deterministic random matrices without a rand dep.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
     fn sample() -> BoolMatrix {
         BoolMatrix::from_fn(16, 5, |i, j| (i * 3 + j * j) % 4 == 1 || i == 2 * j)
     }
@@ -682,15 +745,7 @@ mod tests {
     #[test]
     fn exact_small_matches_the_per_combination_oracle() {
         use crate::metrics::value_weights;
-        // splitmix64: deterministic random matrices without a rand dep.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix(0x9e37_79b9_7f4a_7c15);
         for trial in 0..24 {
             let cols = 2 + trial % 4;
             let rows = [1, 7, 16, 33, 64][trial % 5];
@@ -787,5 +842,156 @@ mod tests {
         let cut = truncated(&fac, &m, None);
         assert_eq!(cut.degree(), 2);
         assert_eq!(cut.algebra(), Algebra::Field);
+    }
+
+    /// A random `rows × cols` matrix drawn from a few row patterns (so
+    /// tall matrices keep a small candidate basis), with sparse noise
+    /// and column `zero_col` (if any) cleared.
+    fn patterned(
+        next: &mut impl FnMut() -> u64,
+        rows: usize,
+        cols: usize,
+        zero_col: Option<usize>,
+    ) -> BoolMatrix {
+        let mask = if cols == 64 { !0 } else { (1u64 << cols) - 1 };
+        let clear = zero_col.map_or(0, |j| 1u64 << j);
+        let patterns: Vec<u64> = (0..2 + next() % 6).map(|_| next() & mask).collect();
+        let rows: Vec<u64> = (0..rows)
+            .map(|_| {
+                let mut r = patterns[(next() % patterns.len() as u64) as usize];
+                if next().is_multiple_of(8) {
+                    r ^= 1 << (next() % cols as u64);
+                }
+                r & !clear
+            })
+            .collect();
+        BoolMatrix::from_rows(cols, &rows)
+    }
+
+    #[test]
+    fn asso_ladder_matches_per_degree_sweep() {
+        use crate::asso::{asso_sweep_counted, asso_sweep_ladder, greedy};
+        use crate::grecon::grecond;
+        use crate::metrics::value_weights;
+        use crate::obs::FactorizeCounters;
+        let mut next = splitmix(0x1adde5);
+        let shapes = [
+            (1, 1),
+            (7, 2),
+            (16, 3),
+            (64, 5),
+            (65, 6),
+            (256, 9),
+            (1024, 4),
+            (1024, 16),
+            (96, 16),
+        ];
+        for (trial, &(rows, cols)) in shapes.iter().cycle().take(2 * shapes.len()).enumerate() {
+            let zero_col = (trial % 2 == 1).then(|| (next() % cols as u64) as usize);
+            let m = patterned(&mut next, rows, cols, zero_col);
+            // Every degree up to one past the column count, capped where
+            // the per-degree oracle's exhaustive usage re-solve (2^f
+            // subsets per row) gets slow on tall, wide matrices.
+            let top = (cols + 1).min(if rows > 256 { 6 } else { 10 });
+            for weights in [None, Some(value_weights(cols))] {
+                let base = AssoParams {
+                    weights: weights.clone(),
+                    ..AssoParams::default()
+                };
+                let registry = blasys_obs::Registry::default();
+                let counters = FactorizeCounters::register(&registry);
+                let ladder = asso_sweep_ladder(&m, top, &ASSO_THRESHOLDS, &base, Some(&counters));
+                assert_eq!(ladder.len(), top);
+                let mut per_degree = 0;
+                for (f, got) in (1..=top).zip(&ladder) {
+                    let oracle = blasys_obs::Registry::default();
+                    let want = asso_sweep_counted(
+                        &m,
+                        f,
+                        &ASSO_THRESHOLDS,
+                        &base,
+                        Some(&FactorizeCounters::register(&oracle)),
+                    );
+                    assert_eq!(got, &want, "trial {trial} {rows}x{cols} f={f} {weights:?}");
+                    per_degree += oracle.snapshot().counter("bmf.candidates_scored").unwrap();
+                }
+                // One greedy pass per threshold scores each round's
+                // candidates once, not once per degree.
+                let shared = registry
+                    .snapshot()
+                    .counter("bmf.candidates_scored")
+                    .unwrap();
+                assert!(shared <= per_degree, "{shared} > {per_degree}");
+            }
+            let (b, c) = grecond(&m, top);
+            for f in 1..=top {
+                assert_eq!(
+                    (b.leading_cols(f), c.leading_rows(f)),
+                    grecond(&m, f),
+                    "trial {trial} {rows}x{cols} GreConD f={f}"
+                );
+            }
+        }
+
+        // Rank one: after the first round nothing scores above zero, so
+        // the greedy loop breaks early at every threshold and the
+        // ladder's higher degrees share the zero-padded prefix.
+        let m = BoolMatrix::from_fn(40, 6, |i, j| i % 3 != 0 && j % 2 == 0);
+        let weights = [1.0; 6];
+        for &t in &ASSO_THRESHOLDS {
+            let (_, c, rounds) = greedy(&m, 5, t, &weights, None);
+            assert_eq!(rounds, 1, "threshold {t}");
+            assert!((1..5).all(|l| c.row(l) == 0));
+        }
+        let base = AssoParams::default();
+        let ladder = asso_sweep_ladder(&m, 5, &ASSO_THRESHOLDS, &base, None);
+        for (f, got) in (1..=5).zip(&ladder) {
+            assert_eq!(
+                got,
+                &asso_sweep_counted(&m, f, &ASSO_THRESHOLDS, &base, None)
+            );
+        }
+    }
+
+    #[test]
+    fn factorize_ladder_matches_factorize_at_every_degree() {
+        use crate::metrics::value_weights;
+        use crate::obs::FactorizeCounters;
+        let mut next = splitmix(0x1a_dde2);
+        for (rows, cols) in [(8, 1), (16, 4), (64, 5), (128, 5), (256, 8)] {
+            let m = patterned(&mut next, rows, cols, None);
+            for (algorithm, algebra) in [
+                (Algorithm::Asso, Algebra::SemiRing),
+                (Algorithm::GreConD, Algebra::SemiRing),
+                (Algorithm::Asso, Algebra::Field),
+            ] {
+                for weights in [None, Some(value_weights(cols))] {
+                    let registry = blasys_obs::Registry::default();
+                    let counters = Arc::new(FactorizeCounters::register(&registry));
+                    let mut fz = Factorizer::new()
+                        .algorithm(algorithm.clone())
+                        .algebra(algebra)
+                        .with_counters(counters.clone());
+                    if let Some(w) = &weights {
+                        fz = fz.weights(w.clone());
+                    }
+                    assert!(fz.factorize_ladder(&m, 0).is_empty());
+                    let ladder = fz.factorize_ladder(&m, cols + 1);
+                    assert_eq!(
+                        counters.factorize_ns.count(),
+                        1,
+                        "one observation per non-empty ladder"
+                    );
+                    assert_eq!(ladder.len(), cols + 1);
+                    for (f, got) in (1..=cols + 1).zip(&ladder) {
+                        assert_eq!(
+                            got,
+                            &fz.factorize(&m, f),
+                            "{rows}x{cols} {algorithm:?} {algebra:?} f={f} {weights:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

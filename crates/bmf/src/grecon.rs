@@ -12,6 +12,10 @@ use crate::matrix::BoolMatrix;
 /// Factorize `m ≈ B ∘ C` (OR semi-ring) with at most `f` concept
 /// factors. The product is always `≤ M` entry-wise ("from below").
 ///
+/// Factor `l` never depends on `f`, which only bounds the loop: the
+/// first `f'` columns of `B` and rows of `C` are exactly
+/// `grecond(m, f')` for any `f' ≤ f`.
+///
 /// # Panics
 ///
 /// Panics if `f == 0`.

@@ -126,6 +126,23 @@ impl BoolMatrix {
         self.rows.iter().copied()
     }
 
+    /// The first `f` rows.
+    pub(crate) fn leading_rows(&self, f: usize) -> BoolMatrix {
+        BoolMatrix {
+            cols: self.cols,
+            rows: self.rows[..f].to_vec(),
+        }
+    }
+
+    /// The first `f` columns.
+    pub(crate) fn leading_cols(&self, f: usize) -> BoolMatrix {
+        let mask = Self::col_mask(f);
+        BoolMatrix {
+            cols: f,
+            rows: self.rows.iter().map(|&r| r & mask).collect(),
+        }
+    }
+
     /// Column `j` as a packed bitset over rows (64 rows per word).
     pub fn column_bits(&self, col: usize) -> Vec<u64> {
         assert!(col < self.cols);

@@ -29,6 +29,7 @@ pub mod espresso;
 pub mod estimate;
 pub mod exact;
 pub mod library;
+pub mod memo;
 pub mod shannon;
 pub mod techmap;
 
@@ -36,5 +37,8 @@ pub use cube::{Cube, Sop};
 pub use espresso::{minimize, minimize_column, MinimizeSpec};
 pub use estimate::{estimate, DesignMetrics, MetricSavings};
 pub use library::{Cell, CellLibrary};
+pub use memo::MinimizeMemo;
 pub use shannon::shannon_columns;
-pub use techmap::{gate_cost, map_sop, or_tree, synthesize_columns, synthesize_tt, xor_tree};
+pub use techmap::{
+    gate_cost, map_sop, or_tree, synthesize_columns, synthesize_tt, synthesize_tt_memo, xor_tree,
+};

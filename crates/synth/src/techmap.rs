@@ -10,6 +10,7 @@ use blasys_logic::{Netlist, NodeId, TruthTable};
 
 use crate::cube::Sop;
 use crate::espresso::minimize_column;
+use crate::memo::MinimizeMemo;
 
 /// Build the literal nodes of a cube and AND them together; literals
 /// are ordered by input index so structural hashing can share prefixes.
@@ -87,7 +88,9 @@ pub fn xor_tree(nl: &mut Netlist, terms: &[NodeId]) -> NodeId {
 }
 
 /// Minimize every column of a truth table and instantiate the covers
-/// over `inputs`, returning one node per output column.
+/// over `inputs`, returning one node per output column. Columns are
+/// minimized through `memo` when given; the netlist is the same either
+/// way.
 ///
 /// This is the two-level (SOP) path; see
 /// [`shannon_columns`](crate::shannon::shannon_columns) for the
@@ -97,11 +100,20 @@ pub fn xor_tree(nl: &mut Netlist, terms: &[NodeId]) -> NodeId {
 /// # Panics
 ///
 /// Panics if `inputs.len() != tt.num_inputs()`.
-pub fn synthesize_columns(nl: &mut Netlist, inputs: &[NodeId], tt: &TruthTable) -> Vec<NodeId> {
+pub fn synthesize_columns(
+    nl: &mut Netlist,
+    inputs: &[NodeId],
+    tt: &TruthTable,
+    memo: Option<&MinimizeMemo>,
+) -> Vec<NodeId> {
     assert_eq!(inputs.len(), tt.num_inputs(), "one node per input");
     (0..tt.num_outputs())
         .map(|o| {
-            let sop = minimize_column(tt.num_inputs(), tt.column(o));
+            let (k, onset) = (tt.num_inputs(), tt.column(o));
+            let sop = match memo {
+                Some(memo) => memo.minimize_column(k, onset),
+                None => minimize_column(k, onset),
+            };
             map_sop(nl, inputs, &sop)
         })
         .collect()
@@ -127,7 +139,15 @@ pub fn gate_cost(nl: &Netlist) -> usize {
 /// (Shannon decomposition) implementation and returns the cheaper one,
 /// so AND/OR-shaped logic and XOR-rich arithmetic both map compactly.
 pub fn synthesize_tt(tt: &TruthTable, name: &str) -> Netlist {
-    let sop = build_tt(tt, name, synthesize_columns);
+    synthesize_tt_memo(tt, name, None)
+}
+
+/// [`synthesize_tt`], minimizing the two-level columns through `memo`
+/// when given. The netlist is the same either way.
+pub fn synthesize_tt_memo(tt: &TruthTable, name: &str, memo: Option<&MinimizeMemo>) -> Netlist {
+    let sop = build_tt(tt, name, |nl, inputs, tt| {
+        synthesize_columns(nl, inputs, tt, memo)
+    });
     let shannon = build_tt(tt, name, |nl, inputs, tt| {
         crate::shannon::shannon_columns(nl, inputs, tt)
     });

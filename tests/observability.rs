@@ -10,6 +10,8 @@
 //!   `qor.commit_lanes` always; the whole `qor.*` family with pruning
 //!   off), and the `bmf.*` / `profile.*` work counters also when the
 //!   circuit has fewer windows than workers;
+//! * the profile's `minimize_column` memo hits on repeated columns and
+//!   counts identically across serial runs;
 //! * the metrics snapshot embeds into the `FlowReport` JSON.
 
 use std::collections::HashMap;
@@ -62,7 +64,10 @@ fn assert_valid_json(text: &str) {
 }
 
 /// Deterministic profiling work counters: BMF candidates scored and
-/// the ladder selection tallies.
+/// the ladder selection tallies. `synth.minimize_memo.{hits,misses}`
+/// are left out: two workers can miss on the same column at once, so
+/// their split depends on the schedule (they are deterministic in the
+/// serial schedule, see `minimize_memo_counters_repeat_serially`).
 const PROFILE_COUNTERS: [&str; 6] = [
     "bmf.candidates_scored",
     "profile.winner.nulling",
@@ -219,6 +224,37 @@ fn profile_counters_identical_with_fewer_windows_than_workers() {
     let threaded = metered_flow(&nl, Parallelism::Threads(4), false, None);
     assert!(serial.counter("bmf.candidates_scored").unwrap_or(0) > 0);
     assert_counters_equal(&PROFILE_COUNTERS, &serial, &threaded);
+}
+
+#[test]
+fn minimize_memo_counters_repeat_serially() {
+    // adder8's windows are repeated adder slices, so their columns
+    // repeat within one profiling pass.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benchmarks/adder8.blif");
+    let nl = from_blif(&std::fs::read_to_string(path).expect("shipped benchmark"))
+        .expect("shipped benchmark parses");
+    let memo = || {
+        let registry = Arc::new(Registry::new());
+        let cfg = FlowConfig::new()
+            .parallelism(Parallelism::Serial)
+            .metrics(registry.clone());
+        FlowSession::open(&nl, cfg)
+            .and_then(FlowSession::profile)
+            .expect("adder8 profiles");
+        let snapshot = registry.snapshot();
+        ["synth.minimize_memo.hits", "synth.minimize_memo.misses"].map(|name| {
+            snapshot
+                .counter(name)
+                .unwrap_or_else(|| panic!("{name} missing"))
+        })
+    };
+    let [hits, misses] = memo();
+    assert!(
+        hits > 0,
+        "no repeated column hit the memo ({misses} misses)"
+    );
+    assert!(misses > 0);
+    assert_eq!(memo(), [hits, misses], "serial memo counters repeat");
 }
 
 #[test]
