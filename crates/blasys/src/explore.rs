@@ -9,9 +9,9 @@
 //! candidate evaluation cheap enough to afford better search, so the
 //! exploration stage is pluggable via [`Explorer`]:
 //!
-//! * [`Explorer::Greedy`] — the paper's walk, kept verbatim as the
-//!   reference implementation (and the differential oracle for the
-//!   beam engine's k = 1 degenerate case).
+//! * [`Explorer::Greedy`] — the paper's walk. It runs on the beam
+//!   engine at `width == 1`: one frontier, whose candidates rank by
+//!   (error, cluster index), and the leader is committed.
 //! * [`Explorer::Beam`] — k committed frontiers advance in lock-step;
 //!   every frontier branch probes all its candidates, the pooled
 //!   expansions are ranked deterministically by (error, branch index,
@@ -20,9 +20,7 @@
 //!   pristine evaluator that share the immutable sampled model
 //!   (stimulus, golden outputs — see [`Evaluator`]'s `Arc` sharing)
 //!   and duplicate only per-branch committed values; the gate-level
-//!   netlist is never cloned per branch. With `width == 1` the
-//!   ranking degenerates to greedy's (error, cluster) order and the
-//!   trajectory is **bit-identical** to [`Explorer::Greedy`].
+//!   netlist is never cloned per branch.
 //! * [`Explorer::Anneal`] — seeded simulated annealing over the
 //!   degree lattice: random single-degree moves (down *or* up),
 //!   feasibility-gated by the stop threshold, accepted by the
@@ -30,12 +28,13 @@
 //!   inner loop is strictly serial and every RNG draw derives from
 //!   [`AnnealSchedule::seed`], so runs are reproducible and
 //!   independent of the worker count by construction.
-//! * [`Explorer::Pareto3`] — multi-objective mode: commits exactly
-//!   the greedy walk while archiving **every** completed candidate
-//!   probe as an (error, area, depth) point, and distills the archive
-//!   into a 3-D Pareto surface ([`crate::pareto::pareto_front3`])
-//!   returned via [`Exploration::pareto_surface`]. The depth axis is
-//!   the cluster-DAG longest path over per-variant estimated delays
+//! * [`Explorer::Pareto3`] — multi-objective mode: the greedy walk
+//!   (the beam engine at width 1) that also archives **every**
+//!   completed candidate probe as an (error, area, depth) point, and
+//!   distills the archive into a 3-D Pareto surface
+//!   ([`crate::pareto::pareto_front3`]) returned via
+//!   [`Exploration::pareto_surface`]. The depth axis is the cluster-DAG
+//!   longest path over per-variant estimated delays
 //!   ([`TableNetwork::model_depth_ns`]).
 //!
 //! All engines run through the same session context: they stop at
@@ -54,7 +53,10 @@
 //! branch, then lowest cluster index), which makes every trajectory
 //! **bit-identical** for every
 //! [`Parallelism`](blasys_par::Parallelism) setting: the serial path
-//! is the same computation with one worker.
+//! is the same computation with one worker. Greedy, pareto3 and beam
+//! sweeps reuse the lanes each candidate cached at earlier steps,
+//! whether or not they prune (see the cross-step reuse section of
+//! [`crate::montecarlo`]).
 //!
 //! # Bound-pruned probes
 //!
@@ -66,16 +68,14 @@
 //! ([`Evaluator::qor_probe_bounded`]). That lower bound counts the
 //! error the committed design already has on the lanes the candidate
 //! cannot change, plus the exact error of the lanes it still has cached
-//! from earlier steps (see the cross-step reuse section of
-//! [`crate::montecarlo`]), so a candidate is judged on the error it
+//! from earlier steps, so a candidate is judged on the error it
 //! *adds*, not just on the prefix it has accumulated. Each sweep hands
 //! the pool its candidates ranked by their error at the last step, and
 //! the pool claims tasks in that order, so every worker starts on one
-//! of the best guesses and the bound tightens early.
-//! Greedy, pareto3 and beam sweeps reuse cached lanes whether or not
-//! they prune. This is a pure wall-clock
-//! optimization — the committed trajectory is **bit-identical** with
-//! pruning on or off, at any worker count, because:
+//! of the best guesses and the bound tightens early. This is a pure
+//! wall-clock optimization — the committed trajectory is
+//! **bit-identical** with pruning on or off, at any worker count,
+//! because:
 //!
 //! * a pruned candidate's final error is strictly above the bound,
 //!   hence strictly above the step winner's error — it could never
@@ -95,10 +95,12 @@
 //! (greedy's running minimum at `width == 1`): an expansion strictly
 //! worse than `width` distinct finished children ranks behind all of
 //! them and can never be kept, whichever lineage reaches them. Ties
-//! survive, so the kept set and its rank order are the unpruned ones. Pareto3 must archive every feasible candidate, so
-//! it keeps its bound **fixed at the stop threshold**: its surviving
-//! probe set is exactly `{error ≤ threshold}` regardless of thread
-//! timing. Annealing gates on the threshold alone.
+//! survive, so the kept set and its rank order are the unpruned ones.
+//!
+//! Pareto3 must archive every feasible candidate, so it keeps its
+//! bound **fixed at the stop threshold**: its surviving probe set is
+//! exactly `{error ≤ threshold}` regardless of thread timing.
+//! Annealing gates on the threshold alone.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,8 +161,8 @@ pub enum Explorer {
     /// The paper's greedy lowest-error walk (the default).
     #[default]
     Greedy,
-    /// Beam search over `width` committed frontiers. `width == 1` is
-    /// bit-identical to [`Explorer::Greedy`].
+    /// Beam search over `width` committed frontiers. `width == 1` walks
+    /// exactly as [`Explorer::Greedy`], which runs on this engine.
     Beam {
         /// Frontier width `k` (must be ≥ 1).
         width: usize,
@@ -254,8 +256,9 @@ pub(crate) fn sweep<S: Send, R: Send>(
 /// sweeps on `pool` (one probe state per worker), streams committed
 /// points through the context's observer, and stops at step boundaries
 /// on cancellation or an exceeded budget — so a truncated trajectory
-/// is always a prefix of the uninterrupted one. The walk commits into
-/// `evaluator` (beam moves it into its first branch).
+/// is always a prefix of the uninterrupted one. Greedy and pareto3 run
+/// on the beam engine at width 1, which moves `evaluator` into its
+/// first branch; anneal commits into `evaluator` itself.
 pub(crate) fn explore_ctx(
     mut evaluator: Evaluator,
     profiles: &[SubcircuitProfile],
@@ -264,55 +267,67 @@ pub(crate) fn explore_ctx(
     ctx: &FlowContext<'_>,
 ) -> Exploration {
     match spec.explorer {
-        Explorer::Greedy => greedy_ctx(&mut evaluator, profiles, spec, pool, ctx, None),
-        Explorer::Beam { width } => beam_ctx(evaluator, profiles, spec, width, pool, ctx),
+        Explorer::Greedy => beam_ctx(evaluator, profiles, spec, 1, None, pool, ctx),
+        Explorer::Beam { width } => beam_ctx(evaluator, profiles, spec, width, None, pool, ctx),
         Explorer::Anneal(schedule) => anneal_ctx(&mut evaluator, profiles, spec, schedule, ctx),
         Explorer::Pareto3 => {
             let mut archive = Vec::new();
-            let mut exploration = greedy_ctx(
-                &mut evaluator,
-                profiles,
-                spec,
-                pool,
-                ctx,
-                Some(&mut archive),
-            );
+            let mut exploration =
+                beam_ctx(evaluator, profiles, spec, 1, Some(&mut archive), pool, ctx);
             exploration.pareto = Some(pareto_front3(&archive));
             exploration
         }
     }
 }
 
-/// The paper's greedy walk (the `Explorer::Greedy` engine), kept as
-/// the reference implementation the beam engine's k = 1 case is
-/// differentially tested against.
+/// One committed frontier of the beam engine: a branch evaluator
+/// (sharing the pristine evaluator's sampled model, owning only its
+/// committed values) plus its degree vector, its lane cache and its
+/// candidates' errors at the last sweep that finished them (+∞ when
+/// unknown or pruned — the sweep order's guess at the next winner). A
+/// child starts from a copy of its parent's.
+#[derive(Clone)]
+struct Branch {
+    evaluator: Evaluator,
+    degrees: Vec<usize>,
+    cache: ProbeCache,
+    last_err: Vec<f64>,
+}
+
+/// The walk engine behind `Explorer::Beam`, `Explorer::Greedy`
+/// (`width == 1`) and `Explorer::Pareto3` (`width == 1` with an
+/// `archive`): k committed frontiers advance in lock-step; see the
+/// [module docs](self) for the ranking and determinism contract. The
+/// recorded trajectory is the per-step frontier leader (rank 0), which
+/// makes truncated runs exact prefixes.
 ///
-/// With `archive` supplied (the `Explorer::Pareto3` engine), every
-/// feasible completed candidate probe is also recorded as an (error,
-/// area, depth) trade-off point; the bound then stays fixed at the
-/// stop threshold instead of tightening (see the module docs), so the
+/// With `archive` supplied, the exact design and every feasible
+/// completed probe are also recorded as (error, area, depth) trade-off
+/// points, in expansion order; the bound then stays fixed at the stop
+/// threshold instead of tightening (see the module docs), so the
 /// archived set is `{error ≤ threshold}` at any worker count.
-fn greedy_ctx(
-    evaluator: &mut Evaluator,
+fn beam_ctx(
+    evaluator: Evaluator,
     profiles: &[SubcircuitProfile],
     spec: &ExploreSpec,
+    width: usize,
+    mut archive: Option<&mut Vec<TradeoffPoint>>,
     pool: &Pool,
     ctx: &FlowContext<'_>,
-    mut archive: Option<&mut Vec<TradeoffPoint>>,
 ) -> Exploration {
+    assert!(width >= 1, "beam width must be at least 1");
     let n = profiles.len();
-    let mut degrees: Vec<usize> = profiles.iter().map(|p| p.num_outputs).collect();
-    let base_area = model_area(profiles, &degrees).max(f64::MIN_POSITIVE);
+    let exact: Vec<usize> = profiles.iter().map(|p| p.num_outputs).collect();
+    let base_area = model_area(profiles, &exact).max(f64::MIN_POSITIVE);
 
     let mut trajectory = Vec::new();
-    let depth0 = model_depth(profiles, evaluator.network(), &degrees);
     trajectory.push(TrajectoryPoint {
         step: 0,
         changed_cluster: None,
-        degrees: degrees.clone(),
+        degrees: exact.clone(),
         qor: evaluator.qor_current(),
-        model_area_um2: model_area(profiles, &degrees),
-        model_depth_ns: depth0,
+        model_area_um2: model_area(profiles, &exact),
+        model_depth_ns: model_depth(profiles, evaluator.network(), &exact),
     });
     ctx.trajectory_point(&trajectory[0]);
     if let Some(archive) = archive.as_deref_mut() {
@@ -331,191 +346,11 @@ fn greedy_ctx(
         StopCriterion::Exhaust => f64::INFINITY,
     };
 
-    // One probe overlay per worker, reused across every step (epoch
-    // stamping makes reuse across commits sound — see `ProbeState`).
-    let mut probe_states: Vec<_> = (0..pool.threads().min(n).max(1))
-        .map(|_| evaluator.probe_state())
-        .collect();
-    // What every window's candidate showed at earlier steps, kept
-    // across steps and invalidated by each commit.
-    let mut cache = ProbeCache::new(evaluator);
-    // Each window's candidate error at the last sweep that finished it
-    // (+∞ when unknown or pruned): the sweep order's guess at the next
-    // winner.
-    let mut last_err = vec![f64::INFINITY; n];
-
-    let mut step = 0usize;
-    let mut probes_done = 0u64;
-    let stop_reason = loop {
-        if ctx.cancelled() {
-            break StopReason::Cancelled;
-        }
-        if ctx.expired() {
-            break StopReason::WallBudget;
-        }
-        // Candidates: clusters whose degree can still drop. Probe all
-        // of them concurrently against the shared committed model and
-        // reduce deterministically: lowest error wins, ties broken by
-        // the lowest cluster index — exactly the order the serial scan
-        // would have kept, so the trajectory does not depend on the
-        // worker count.
-        let candidates: Vec<usize> = (0..n).filter(|&ci| degrees[ci] > 1).collect();
-        if candidates.is_empty() {
-            break StopReason::Exhausted;
-        }
-        // The probe budget is checked against the *whole* upcoming
-        // sweep, so capped runs are deterministic: a step either runs
-        // all its candidates or does not start.
-        if let Some(max) = spec.budget.max_probes {
-            if probes_done + candidates.len() as u64 > max {
-                break StopReason::ProbeBudget;
-            }
-        }
-        // Shared monotone bound for pruned probes: the threshold to
-        // start with, lowered to the best completed candidate's error
-        // as probes finish. Stored as non-negative f64 bits (their
-        // unsigned order matches the float order), so workers can
-        // `fetch_min` it without locking. Timing only decides which
-        // *losers* get pruned early — never who wins. In archive
-        // (pareto3) mode the bound stays at the threshold so the set
-        // of completed probes is timing-independent.
-        // With pruning off the bound stays at +∞.
-        let tighten = spec.prune && archive.is_none();
-        let bound = AtomicU64::new(if spec.prune { threshold } else { f64::INFINITY }.to_bits());
-        let guess: Vec<f64> = candidates.iter().map(|&ci| last_err[ci]).collect();
-        let probes: Vec<Option<(f64, usize, QorReport)>> =
-            sweep(pool, &mut probe_states, &guess, |state, i| {
-                let ci = candidates[i];
-                let rows = &profiles[ci].variant(degrees[ci] - 1).table_rows;
-                // The bound is re-read before every block's prune
-                // check, so in-flight probes see tightening from peers
-                // that completed after they launched.
-                let report =
-                    evaluator.qor_probe_reusing(state, &cache, ci, rows, spec.metric, || {
-                        f64::from_bits(bound.load(Ordering::Relaxed))
-                    })?;
-                let err = report.value(spec.metric);
-                if tighten {
-                    bound.fetch_min(err.to_bits(), Ordering::Relaxed);
-                }
-                Some((err, ci, report))
-            });
-        probes_done += candidates.len() as u64;
-        for (&ci, probe) in candidates.iter().zip(&probes) {
-            last_err[ci] = probe.as_ref().map_or(f64::INFINITY, |p| p.0);
-        }
-        if let Some(archive) = archive.as_deref_mut() {
-            // Deterministic archive order: candidate index order, with
-            // probes that ran past the threshold (pruned or completed)
-            // filtered the same way on both prune paths.
-            for probe in probes.iter().flatten() {
-                let (err, ci, _) = probe;
-                if *err <= threshold {
-                    let mut cand = degrees.clone();
-                    cand[*ci] -= 1;
-                    let area = model_area(profiles, &cand);
-                    archive.push(TradeoffPoint {
-                        error: *err,
-                        area_um2: area,
-                        norm_area: area / base_area,
-                        depth_ns: model_depth(profiles, evaluator.network(), &cand),
-                        step: step + 1,
-                    });
-                }
-            }
-        }
-        let best = probes
-            .into_iter()
-            .flatten()
-            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let Some((err, ci, report)) = best else {
-            // Every candidate was pruned past the stop threshold — the
-            // unpruned minimum would also have exceeded it.
-            break StopReason::ThresholdReached;
-        };
-        if err > threshold {
-            break StopReason::ThresholdReached; // next step would cross it
-        }
-        degrees[ci] -= 1;
-        evaluator.commit_reusing(
-            &mut probe_states[0],
-            &mut cache,
-            ci,
-            &profiles[ci].variant(degrees[ci]).table_rows,
-        );
-        last_err[ci] = f64::INFINITY;
-        step += 1;
-        ctx.count("explore.branches", 1);
-        ctx.count("explore.frontier_size", 1);
-        let depth = model_depth(profiles, evaluator.network(), &degrees);
-        trajectory.push(TrajectoryPoint {
-            step,
-            changed_cluster: Some(ci),
-            degrees: degrees.clone(),
-            qor: report,
-            model_area_um2: model_area(profiles, &degrees),
-            model_depth_ns: depth,
-        });
-        ctx.trajectory_point(trajectory.last().expect("just pushed"));
-    };
-    Exploration {
-        trajectory,
-        stop: stop_reason,
-        probes: probes_done,
-        pareto: None,
-    }
-}
-
-/// One committed frontier of the beam engine: a branch evaluator
-/// (sharing the pristine evaluator's sampled model, owning only its
-/// committed values) plus its degree vector, its lane cache and its
-/// candidates' last probed errors (see `greedy_ctx`). A child starts
-/// from a copy of its parent's.
-#[derive(Clone)]
-struct Branch {
-    evaluator: Evaluator,
-    degrees: Vec<usize>,
-    cache: ProbeCache,
-    last_err: Vec<f64>,
-}
-
-/// The `Explorer::Beam` engine: k committed frontiers advance in
-/// lock-step; see the [module docs](self) for the ranking and
-/// determinism contract. The recorded trajectory is the per-step
-/// frontier leader (rank 0), which makes truncated runs exact
-/// prefixes and reduces to the greedy walk at `width == 1`.
-fn beam_ctx(
-    evaluator: Evaluator,
-    profiles: &[SubcircuitProfile],
-    spec: &ExploreSpec,
-    width: usize,
-    pool: &Pool,
-    ctx: &FlowContext<'_>,
-) -> Exploration {
-    assert!(width >= 1, "beam width must be at least 1");
-    let n = profiles.len();
-    let exact: Vec<usize> = profiles.iter().map(|p| p.num_outputs).collect();
-
-    let mut trajectory = Vec::new();
-    let depth0 = model_depth(profiles, evaluator.network(), &exact);
-    trajectory.push(TrajectoryPoint {
-        step: 0,
-        changed_cluster: None,
-        degrees: exact.clone(),
-        qor: evaluator.qor_current(),
-        model_area_um2: model_area(profiles, &exact),
-        model_depth_ns: depth0,
-    });
-    ctx.trajectory_point(&trajectory[0]);
-
-    let threshold = match spec.stop {
-        StopCriterion::ErrorThreshold(t) => t,
-        StopCriterion::Exhaust => f64::INFINITY,
-    };
-
     // Probe overlays are shape-compatible across branches (every
     // branch evaluator clones the same network layout), so one set
-    // serves the whole frontier's pooled sweep.
+    // serves the whole frontier's pooled sweep, reused across every
+    // step (epoch stamping makes reuse across commits sound — see
+    // `ProbeState`).
     let max_expansions = width.saturating_mul(n);
     let mut probe_states: Vec<_> = (0..pool.threads().min(max_expansions).max(1))
         .map(|_| evaluator.probe_state())
@@ -537,10 +372,10 @@ fn beam_ctx(
         if ctx.expired() {
             break StopReason::WallBudget;
         }
-        // Pooled expansions, branch-major then cluster order. Every
-        // branch carries the same total degree (each step replaces the
-        // frontier with one-step children), so all branches exhaust on
-        // the same step.
+        // Pooled expansions, branch-major then cluster order: every
+        // cluster whose degree can still drop. Every branch carries the
+        // same total degree (each step replaces the frontier with
+        // one-step children), so all branches exhaust on the same step.
         let expansions: Vec<(usize, usize)> = frontier
             .iter()
             .enumerate()
@@ -553,41 +388,50 @@ fn beam_ctx(
         if expansions.is_empty() {
             break StopReason::Exhausted;
         }
-        // Child design of every expansion, as the index of the first
-        // expansion reaching the same degree vector (two branches can
-        // converge on one design).
-        let mut first_seen: HashMap<Vec<usize>, usize> = HashMap::new();
-        let designs: Vec<usize> = expansions
-            .iter()
-            .enumerate()
-            .map(|(i, &(b, ci))| {
-                let mut child = frontier[b].degrees.clone();
-                child[ci] -= 1;
-                *first_seen.entry(child).or_insert(i)
-            })
-            .collect();
-        // Whole-sweep probe-budget check, like greedy: a step either
-        // probes every expansion or does not start.
+        // The probe budget is checked against the *whole* upcoming
+        // sweep, so capped runs are deterministic: a step either probes
+        // every expansion or does not start.
         if let Some(max) = spec.budget.max_probes {
             if probes_done + expansions.len() as u64 > max {
                 break StopReason::ProbeBudget;
             }
         }
         ctx.count("explore.frontier_size", frontier.len() as u64);
-        // Bound: the threshold to start with, then, once `width`
-        // distinct child designs have finished feasibly, the largest
-        // of their errors (the width-th smallest seen so far). An
-        // expansion strictly worse than `width` distinct finished
-        // children ranks behind all of them and cannot be kept, so
-        // only strict losers are pruned (see the module docs). At
-        // width == 1 this is greedy's running minimum. With pruning
-        // off it stays at +∞.
+        // Child design of every expansion, as the index of the first
+        // expansion reaching the same degree vector (two branches can
+        // converge on one design). One branch's children all differ.
+        let designs: Vec<usize> = if frontier.len() == 1 {
+            (0..expansions.len()).collect()
+        } else {
+            let mut first_seen: HashMap<Vec<usize>, usize> = HashMap::new();
+            expansions
+                .iter()
+                .enumerate()
+                .map(|(i, &(b, ci))| {
+                    let mut child = frontier[b].degrees.clone();
+                    child[ci] -= 1;
+                    *first_seen.entry(child).or_insert(i)
+                })
+                .collect()
+        };
+        // Shared monotone bound for pruned probes, stored as
+        // non-negative f64 bits (their unsigned order matches the float
+        // order) so workers can `fetch_min` it without locking: the
+        // threshold to start with, then, once `width` distinct child
+        // designs have finished feasibly, the largest of their errors
+        // (the width-th smallest seen so far). An expansion strictly
+        // worse than `width` distinct finished children ranks behind
+        // all of them and cannot be kept, so only strict losers are
+        // pruned (see the module docs). At width == 1 this is the
+        // running minimum. With an archive it stays at the threshold,
+        // so the set of completed probes is timing-independent. With
+        // pruning off it stays at +∞.
+        let tighten = spec.prune && archive.is_none();
         let bound = AtomicU64::new(if spec.prune { threshold } else { f64::INFINITY }.to_bits());
         // Buffers are sized by the expansions, never by `width` alone:
         // a width past the design count keeps every feasible child.
         let best_designs: Mutex<Vec<(f64, usize)>> =
             Mutex::new(Vec::with_capacity(width.min(expansions.len()) + 1));
-        let frontier_ref = &frontier;
         let guess: Vec<f64> = expansions
             .iter()
             .map(|&(b, ci)| frontier[b].last_err[ci])
@@ -595,8 +439,11 @@ fn beam_ctx(
         let probes: Vec<Option<(f64, QorReport)>> =
             sweep(pool, &mut probe_states, &guess, |state, i| {
                 let (b, ci) = expansions[i];
-                let branch = &frontier_ref[b];
+                let branch = &frontier[b];
                 let rows = &profiles[ci].variant(branch.degrees[ci] - 1).table_rows;
+                // The bound is re-read before every block's prune
+                // check, so in-flight probes see tightening from peers
+                // that completed after they launched.
                 let report = branch.evaluator.qor_probe_reusing(
                     state,
                     &branch.cache,
@@ -606,7 +453,7 @@ fn beam_ctx(
                     || f64::from_bits(bound.load(Ordering::Relaxed)),
                 )?;
                 let err = report.value(spec.metric);
-                if spec.prune && err <= threshold {
+                if tighten && err <= threshold {
                     let mut best = best_designs.lock().unwrap_or_else(PoisonError::into_inner);
                     match best.iter_mut().find(|(_, d)| *d == designs[i]) {
                         Some(entry) => entry.0 = entry.0.min(err),
@@ -624,10 +471,28 @@ fn beam_ctx(
         for (&(b, ci), probe) in expansions.iter().zip(&probes) {
             frontier[b].last_err[ci] = probe.as_ref().map_or(f64::INFINITY, |p| p.0);
         }
+        if let Some(archive) = archive.as_deref_mut() {
+            // Deterministic archive order: expansion order, with probes
+            // that ran past the threshold (pruned or completed) filtered
+            // the same way on both prune paths.
+            for (&(b, ci), probe) in expansions.iter().zip(&probes) {
+                if let Some(&(err, _)) = probe.as_ref().filter(|p| p.0 <= threshold) {
+                    let mut child = frontier[b].degrees.clone();
+                    child[ci] -= 1;
+                    let area = model_area(profiles, &child);
+                    archive.push(TradeoffPoint {
+                        error: err,
+                        area_um2: area,
+                        norm_area: area / base_area,
+                        depth_ns: model_depth(profiles, frontier[b].evaluator.network(), &child),
+                        step: step + 1,
+                    });
+                }
+            }
+        }
         // Deterministic ranking: (error, branch index, cluster index).
         // Expansions are already in (branch, cluster) order, so a
-        // stable sort by error alone realizes exactly that — and at
-        // width == 1 it degenerates to greedy's (error, cluster) order.
+        // stable sort by error alone realizes exactly that.
         let mut scored: Vec<(f64, usize, usize, usize, QorReport)> = probes
             .into_iter()
             .zip(expansions.iter().zip(&designs))
@@ -637,11 +502,12 @@ fn beam_ctx(
             .collect();
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
         let Some(leader) = scored.first() else {
-            // Every expansion was pruned past the stop threshold.
+            // Every expansion was pruned past the stop threshold — the
+            // unpruned minimum would also have exceeded it.
             break StopReason::ThresholdReached;
         };
         if leader.0 > threshold {
-            break StopReason::ThresholdReached;
+            break StopReason::ThresholdReached; // next step would cross it
         }
         // Keep the best `width` feasible children with distinct degree
         // vectors (two branches can converge on the same design; the
@@ -699,14 +565,13 @@ fn beam_ctx(
         step += 1;
         let (ci, report) = leader_point.expect("kept is non-empty");
         let leader = &frontier[0];
-        let depth = model_depth(profiles, leader.evaluator.network(), &leader.degrees);
         trajectory.push(TrajectoryPoint {
             step,
             changed_cluster: Some(ci),
             degrees: leader.degrees.clone(),
             qor: report,
             model_area_um2: model_area(profiles, &leader.degrees),
-            model_depth_ns: depth,
+            model_depth_ns: model_depth(profiles, leader.evaluator.network(), &leader.degrees),
         });
         ctx.trajectory_point(trajectory.last().expect("just pushed"));
     };
@@ -1045,22 +910,6 @@ mod tests {
         let _ = profiles;
     }
 
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        let (_nl, profiles, ev_serial) = setup(8);
-        let (_nl2, _profiles2, ev_par) = setup(8);
-        let spec = ExploreSpec::new();
-        let serial = explore_with(ev_serial, &profiles, &spec, Parallelism::Serial);
-        let parallel = explore_with(ev_par, &profiles, &spec, Parallelism::Threads(4));
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.changed_cluster, p.changed_cluster);
-            assert_eq!(s.degrees, p.degrees);
-            assert_eq!(s.qor, p.qor, "step {}", s.step);
-            assert_eq!(s.model_area_um2.to_bits(), p.model_area_um2.to_bits());
-        }
-    }
-
     fn assert_same_trajectory(a: &[TrajectoryPoint], b: &[TrajectoryPoint]) {
         assert_eq!(a.len(), b.len(), "trajectory length");
         for (s, p) in a.iter().zip(b) {
@@ -1072,40 +921,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pruned_sweep_is_bit_identical_to_unpruned() {
-        for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
-            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let (_nl, profiles, ev_pruned) = setup(8);
-                let (_n2, _p2, ev_plain) = setup(8);
-                let spec = ExploreSpec {
-                    stop,
-                    ..ExploreSpec::new()
-                };
-                let pruned =
-                    explore_with(ev_pruned, &profiles, &spec.clone().prune(true), parallelism);
-                let plain = explore_with(ev_plain, &profiles, &spec.prune(false), parallelism);
-                assert_same_trajectory(&pruned, &plain);
+    /// Algorithm 1 walked directly on the public evaluator API: from a
+    /// fresh clone of `pristine`, probe every window one degree down
+    /// with the scalar reference probe, commit the lowest average
+    /// relative error (ties to the lowest cluster), stop once the
+    /// winner is above `threshold`. Returns the trajectory, the probe
+    /// count and the stop reason.
+    fn reference_walk(
+        pristine: &Evaluator,
+        profiles: &[SubcircuitProfile],
+        threshold: f64,
+    ) -> (Vec<TrajectoryPoint>, u64, StopReason) {
+        let mut ev = pristine.clone();
+        let mut state = ev.probe_state();
+        let mut degrees: Vec<usize> = profiles.iter().map(|p| p.num_outputs).collect();
+        let point =
+            |ev: &Evaluator, step, changed_cluster, degrees: &[usize], qor| TrajectoryPoint {
+                step,
+                changed_cluster,
+                degrees: degrees.to_vec(),
+                qor,
+                model_area_um2: model_area(profiles, degrees),
+                model_depth_ns: model_depth(profiles, ev.network(), degrees),
+            };
+        let mut trajectory = vec![point(&ev, 0, None, &degrees, ev.qor_current_reference())];
+        let mut probes = 0;
+        loop {
+            let mut best: Option<(f64, usize, QorReport)> = None;
+            for ci in (0..profiles.len()).filter(|&ci| degrees[ci] > 1) {
+                let rows = &profiles[ci].variant(degrees[ci] - 1).table_rows;
+                let report = ev.qor_probe_reference(&mut state, ci, rows);
+                probes += 1;
+                let err = report.avg_relative;
+                if best.as_ref().is_none_or(|b| err.total_cmp(&b.0).is_lt()) {
+                    best = Some((err, ci, report));
+                }
             }
+            let Some((err, ci, report)) = best else {
+                return (trajectory, probes, StopReason::Exhausted);
+            };
+            if err > threshold {
+                return (trajectory, probes, StopReason::ThresholdReached);
+            }
+            degrees[ci] -= 1;
+            ev.commit(
+                &mut state,
+                ci,
+                &profiles[ci].variant(degrees[ci]).table_rows,
+            );
+            let step = trajectory.len();
+            trajectory.push(point(&ev, step, Some(ci), &degrees, report));
         }
     }
 
+    /// Greedy walks the reference bit for bit, serial and at 4
+    /// workers, with pruning on and off.
     #[test]
-    fn beam_width_one_matches_greedy() {
-        for stop in [StopCriterion::Exhaust, StopCriterion::ErrorThreshold(0.05)] {
-            let (_nl, profiles, ev_greedy) = setup(8);
-            let (_n2, _p2, ev_beam) = setup(8);
-            let spec = ExploreSpec {
-                stop,
-                ..ExploreSpec::new()
-            };
-            let greedy = explore(ev_greedy, &profiles, &spec);
-            let beam = explore(
-                ev_beam,
-                &profiles,
-                &spec.explorer(Explorer::Beam { width: 1 }),
-            );
-            assert_same_trajectory(&greedy, &beam);
+    fn greedy_matches_reference_walk() {
+        let (_nl, profiles, pristine) = setup(8);
+        // A threshold some step's error equals exactly: that step is
+        // still committed.
+        let exhaustive = reference_walk(&pristine, &profiles, f64::INFINITY);
+        let tie = exhaustive.0[exhaustive.0.len() / 2].qor.avg_relative;
+        for (stop, threshold) in [
+            (StopCriterion::Exhaust, f64::INFINITY),
+            (StopCriterion::ErrorThreshold(0.05), 0.05),
+            (StopCriterion::ErrorThreshold(tie), tie),
+        ] {
+            let (reference, probes, reason) = reference_walk(&pristine, &profiles, threshold);
+            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+                for prune in [true, false] {
+                    let spec = ExploreSpec {
+                        stop,
+                        ..ExploreSpec::new()
+                    };
+                    let got = explore_ctx(
+                        pristine.clone(),
+                        &profiles,
+                        &spec.prune(prune),
+                        &Pool::with_parallelism(parallelism),
+                        &FlowContext::NONE,
+                    );
+                    assert_same_trajectory(&reference, got.trajectory());
+                    assert_eq!((got.probes(), got.stop_reason()), (probes, reason));
+                }
+            }
         }
     }
 

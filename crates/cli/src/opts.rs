@@ -130,7 +130,7 @@ impl FlowOpts {
                 2
             }
             "--error-threshold" => {
-                self.threshold = parse_value(args, i, "error threshold")?;
+                self.threshold = parse_threshold(value(args, i)?, flag)?;
                 2
             }
             "--metric" => {
@@ -437,13 +437,19 @@ pub fn parse_value<T: std::str::FromStr>(
         .map_err(|_| CliError::usage(format!("invalid {what} `{v}`")))
 }
 
+/// Parse a stop threshold: a number `>= 0` (`blasys serve` rejects NaN
+/// and negative thresholds the same way).
+fn parse_threshold(v: &str, flag: &str) -> Result<f64, CliError> {
+    let t = v.trim().parse::<f64>().ok().filter(|t| *t >= 0.0);
+    t.ok_or_else(|| CliError::usage(format!("invalid {flag} `{v}` (expected a number >= 0)")))
+}
+
 /// Parse a comma-separated `--thresholds` ladder.
 pub fn parse_thresholds(v: &str) -> Result<Vec<f64>, CliError> {
     let thresholds: Vec<f64> = v
         .split(',')
-        .map(|t| t.trim().parse::<f64>())
-        .collect::<Result<_, _>>()
-        .map_err(|_| CliError::usage(format!("invalid --thresholds `{v}`")))?;
+        .map(|t| parse_threshold(t, "--thresholds"))
+        .collect::<Result<_, _>>()?;
     if thresholds.is_empty() {
         return Err(CliError::usage("--thresholds must list at least one value"));
     }

@@ -381,15 +381,17 @@ fn missing_file_exits_1() {
 #[test]
 fn usage_errors_exit_2() {
     for args in [
-        vec!["run"],                                      // missing file
-        vec!["run", "x.blif", "--bogus"],                 // unknown flag
-        vec!["run", "x.blif", "--metric", "nope"],        // bad metric
-        vec!["run", "x.blif", "--threads", "many"],       // bad thread count
-        vec!["sweep", "x.blif", "--format", "yaml"],      // bad format
-        vec!["frobnicate"],                               // unknown command
-        vec!["run", "x.blif", "--explorer", "beam:0"],    // zero-width beam
-        vec!["run", "x.blif", "--explorer", "hillclimb"], // unknown engine
-        vec!["sweep", "x.blif", "--explorer", "beam:"],   // missing width
+        vec!["run"],                                       // missing file
+        vec!["run", "x.blif", "--bogus"],                  // unknown flag
+        vec!["run", "x.blif", "--metric", "nope"],         // bad metric
+        vec!["run", "x.blif", "--threads", "many"],        // bad thread count
+        vec!["sweep", "x.blif", "--format", "yaml"],       // bad format
+        vec!["frobnicate"],                                // unknown command
+        vec!["run", "x.blif", "--explorer", "beam:0"],     // zero-width beam
+        vec!["run", "x.blif", "--explorer", "hillclimb"],  // unknown engine
+        vec!["sweep", "x.blif", "--explorer", "beam:"],    // missing width
+        vec!["run", "x.blif", "--error-threshold", "nan"], // NaN threshold
+        vec!["batch", "dir", "--thresholds", "0.05,-1"],   // negative rung
     ] {
         let out = blasys(&args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");

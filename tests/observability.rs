@@ -171,6 +171,10 @@ fn engine_counters_identical_serial_vs_threaded() {
         "qor.commits",
         "qor.commit_lanes",
         "flow.explore.probes",
+        // Children kept and frontier branches swept per step follow
+        // the trajectory.
+        "explore.branches",
+        "explore.frontier_size",
     ];
     assert_counters_equal(&engine, &serial, &threaded);
     assert_counters_equal(&PROFILE_COUNTERS, &serial, &threaded);
