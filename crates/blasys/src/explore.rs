@@ -127,6 +127,25 @@ pub enum StopCriterion {
     Exhaust,
 }
 
+impl StopCriterion {
+    /// The error bound a walk stops at (+∞ for [`Exhaust`](Self::Exhaust)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an [`ErrorThreshold`](Self::ErrorThreshold) is negative
+    /// or NaN: no error is below it, and a NaN one would otherwise walk
+    /// to exhaustion.
+    fn threshold(self) -> f64 {
+        match self {
+            StopCriterion::ErrorThreshold(t) => {
+                assert!(t >= 0.0, "error threshold must be non-negative, got {t}");
+                t
+            }
+            StopCriterion::Exhaust => f64::INFINITY,
+        }
+    }
+}
+
 /// Cooling schedule for [`Explorer::Anneal`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealSchedule {
@@ -233,9 +252,11 @@ fn sweep_order(guess: &[f64]) -> Vec<usize> {
 
 /// Run `probe(state, i)` for every candidate `i` in `0..guess.len()`
 /// on `pool`, in [`sweep_order`], and return the results in candidate
-/// order. Profiling runs its windows through it too, largest first.
+/// order; the job's tasks are recorded into the context's pool
+/// metrics. Profiling runs its windows through it too, largest first.
 pub(crate) fn sweep<S: Send, R: Send>(
     pool: &Pool,
+    ctx: &FlowContext<'_>,
     states: &mut [S],
     guess: &[f64],
     probe: impl Fn(&mut S, usize) -> R + Sync,
@@ -244,7 +265,11 @@ pub(crate) fn sweep<S: Send, R: Send>(
     let mut results: Vec<(usize, R)> = order
         .iter()
         .copied()
-        .zip(pool.run_states(order.len(), states, |state, t| probe(state, order[t])))
+        .zip(
+            pool.run_states(order.len(), states, ctx.pool_metrics, |state, t| {
+                probe(state, order[t])
+            }),
+        )
         .collect();
     results.sort_unstable_by_key(|&(i, _)| i);
     results.into_iter().map(|(_, r)| r).collect()
@@ -341,10 +366,7 @@ fn beam_ctx(
         });
     }
 
-    let threshold = match spec.stop {
-        StopCriterion::ErrorThreshold(t) => t,
-        StopCriterion::Exhaust => f64::INFINITY,
-    };
+    let threshold = spec.stop.threshold();
 
     // Probe overlays are shape-compatible across branches (every
     // branch evaluator clones the same network layout), so one set
@@ -437,7 +459,7 @@ fn beam_ctx(
             .map(|&(b, ci)| frontier[b].last_err[ci])
             .collect();
         let probes: Vec<Option<(f64, QorReport)>> =
-            sweep(pool, &mut probe_states, &guess, |state, i| {
+            sweep(pool, ctx, &mut probe_states, &guess, |state, i| {
                 let (b, ci) = expansions[i];
                 let branch = &frontier[b];
                 let rows = &profiles[ci].variant(branch.degrees[ci] - 1).table_rows;
@@ -611,10 +633,7 @@ fn anneal_ctx(
     });
     ctx.trajectory_point(&trajectory[0]);
 
-    let threshold = match spec.stop {
-        StopCriterion::ErrorThreshold(t) => t,
-        StopCriterion::Exhaust => f64::INFINITY,
-    };
+    let threshold = spec.stop.threshold();
     // Movable clusters never change: a window with one output has no
     // lattice moves at all; every other window always has a down or an
     // up move available.
@@ -755,8 +774,8 @@ mod tests {
         spec: &ExploreSpec,
         parallelism: Parallelism,
     ) -> Vec<TrajectoryPoint> {
-        let pool = Pool::with_parallelism(parallelism);
-        explore_ctx(ev, profiles, spec, &pool, &FlowContext::NONE).into_trajectory()
+        let pool = Pool::shared(parallelism.worker_count());
+        explore_ctx(ev, profiles, spec, pool, &FlowContext::NONE).into_trajectory()
     }
 
     /// [`explore_with`], plus the `explore.branches` and
@@ -774,8 +793,8 @@ mod tests {
             registry: Some(&registry),
             ..FlowContext::NONE
         };
-        let pool = Pool::with_parallelism(parallelism);
-        let trajectory = explore_ctx(ev, profiles, spec, &pool, &ctx).into_trajectory();
+        let pool = Pool::shared(parallelism.worker_count());
+        let trajectory = explore_ctx(ev, profiles, spec, pool, &ctx).into_trajectory();
         let snapshot = registry.snapshot();
         let counts = ["explore.branches", "explore.frontier_size"].map(|c| snapshot.counter(c));
         (trajectory, counts)
@@ -999,7 +1018,7 @@ mod tests {
                         pristine.clone(),
                         &profiles,
                         &spec.prune(prune),
-                        &Pool::with_parallelism(parallelism),
+                        Pool::shared(parallelism.worker_count()),
                         &FlowContext::NONE,
                     );
                     assert_same_trajectory(&reference, got.trajectory());

@@ -2559,7 +2559,7 @@ mod tests {
             })
             .collect();
         let mut states: Vec<_> = (0..4).map(|_| ev.probe_state()).collect();
-        let threaded = blasys_par::Pool::new(4).run_states(n, &mut states, |st, c| {
+        let threaded = blasys_par::Pool::new(4).run_states(n, &mut states, None, |st, c| {
             ev.qor_probe(st, c, &vec![0u16; ev.network().table(c).len()])
         });
         assert_eq!(serial, threaded);

@@ -161,7 +161,7 @@ pub(crate) fn profile_partition_ctx(
         .map(|c| -(c.outputs().len() as f64) * (c.inputs().len() as f64).exp2())
         .collect();
     let mut states = vec![(); pool.threads()];
-    let profiles = sweep(pool, &mut states, &largest_first, |(), ci| window(ci));
+    let profiles = sweep(pool, ctx, &mut states, &largest_first, |(), ci| window(ci));
     if let Some(c) = &counters {
         c.memo_hits.add(memo.hits());
         c.memo_misses.add(memo.misses());
@@ -484,8 +484,8 @@ mod tests {
         part: &Partition,
         cfg: &ProfileConfig,
     ) -> Vec<SubcircuitProfile> {
-        let pool = Pool::with_parallelism(Parallelism::default());
-        profile_partition_ctx(nl, part, cfg, &pool, &FlowContext::NONE)
+        let pool = Pool::shared(Parallelism::default().worker_count());
+        profile_partition_ctx(nl, part, cfg, pool, &FlowContext::NONE)
             .expect("no cancel token or deadline")
     }
 

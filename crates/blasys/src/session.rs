@@ -16,10 +16,12 @@
 //! ```
 //!
 //! A `Profiled` session caches the partition, the per-window
-//! factorization profiles, the Monte-Carlo stimulus/golden outputs,
-//! and a persistent [`Pool`] of worker threads built once at open —
-//! every [`explore`](FlowSession::explore) call reuses all of them and
-//! only pays for its own candidate sweep. Explorations are
+//! factorization profiles and the Monte-Carlo stimulus/golden outputs,
+//! and runs on the process-wide [`Pool::shared`] pool for its worker
+//! count — every [`explore`](FlowSession::explore) call reuses all of
+//! them and only pays for its own candidate sweep. Sessions spawn no
+//! threads: however many a process holds, it runs one set of workers
+//! per worker count. Explorations are
 //! bit-identical to a fresh one-shot flow with the same settings (the
 //! one-shot [`run`](crate::flow::run) is itself one open → profile →
 //! explore pass, and differential tests enforce identity).
@@ -382,13 +384,15 @@ impl Exploration {
 
 /// Shared per-stage context threaded through the pipeline internals:
 /// the optional observer, the cancellation token, the wall-clock
-/// deadline, and the metrics registry (for the explorers'
-/// `explore.*` counters).
+/// deadline, the metrics registry (for the explorers' `explore.*`
+/// counters) and the session's `pool.*` worker metrics, which every
+/// sweep it submits records into.
 pub(crate) struct FlowContext<'a> {
     pub(crate) observer: Option<&'a dyn FlowObserver>,
     pub(crate) cancel: Option<&'a CancelToken>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) registry: Option<&'a Registry>,
+    pub(crate) pool_metrics: Option<&'a PoolMetrics>,
 }
 
 impl FlowContext<'_> {
@@ -400,6 +404,7 @@ impl FlowContext<'_> {
         cancel: None,
         deadline: None,
         registry: None,
+        pool_metrics: None,
     };
 
     pub(crate) fn cancelled(&self) -> bool {
@@ -551,10 +556,10 @@ impl FlowConfig {
         self
     }
 
-    /// Worker threads for the session. The session builds one
-    /// persistent [`Pool`] at open time and reuses it for profiling
-    /// and every exploration; results are bit-identical at every
-    /// setting.
+    /// Worker threads for the session. The session borrows the
+    /// process-wide [`Pool::shared`] pool for this worker count at
+    /// open time and runs profiling and every exploration on it;
+    /// results are bit-identical at every setting.
     pub fn parallelism(mut self, parallelism: Parallelism) -> FlowConfig {
         self.parallelism = parallelism;
         self
@@ -649,9 +654,13 @@ pub struct FlowSession<Stage> {
     cfg: FlowConfig,
     original: Netlist,
     partition: Partition,
-    /// Persistent worker pool, built once at open (one worker runs
-    /// inline on the caller).
-    pool: Pool,
+    /// The process-wide pool for the configured worker count,
+    /// borrowed at open and shared with every session of that count
+    /// (one worker runs inline on the caller).
+    pool: &'static Pool,
+    /// This session's `pool.*` worker metrics (with a registry and two
+    /// or more workers), handed to every job it submits.
+    pool_metrics: Option<PoolMetrics>,
     stage: Stage,
 }
 
@@ -714,17 +723,17 @@ impl FlowSession<Decomposed> {
         }
         // Scheduling metrics only mean something with worker threads.
         let workers = cfg.parallelism.worker_count();
-        let metrics = cfg
+        let pool_metrics = cfg
             .metrics
             .as_ref()
             .filter(|_| workers >= 2)
             .map(|r| PoolMetrics::register(r, workers));
-        let pool = Pool::new_with_metrics(workers, metrics);
         Ok(FlowSession {
             cfg,
             original: nl.clone(),
             partition,
-            pool,
+            pool: Pool::shared(workers),
+            pool_metrics,
             stage: Decomposed(()),
         })
     }
@@ -747,6 +756,7 @@ impl FlowSession<Decomposed> {
             original,
             partition,
             pool,
+            pool_metrics,
             ..
         } = self;
         let output_weights = match cfg.weighting {
@@ -773,10 +783,11 @@ impl FlowSession<Decomposed> {
             cancel: cfg.cancel.as_ref(),
             deadline: cfg.wall_budget.map(|d| Instant::now() + d),
             registry: cfg.metrics.as_deref(),
+            pool_metrics: pool_metrics.as_ref(),
         };
         cfg.observe(|o| o.on_stage_start(FlowStage::Profile));
         let t0 = Instant::now();
-        let profiles = profile_partition_ctx(&original, &partition, &profile_cfg, &pool, &ctx)?;
+        let profiles = profile_partition_ctx(&original, &partition, &profile_cfg, pool, &ctx)?;
         if let Some(r) = &cfg.metrics {
             r.counter("flow.profile.wall_ns")
                 .add(t0.elapsed().as_nanos() as u64);
@@ -793,6 +804,7 @@ impl FlowSession<Decomposed> {
             original,
             partition,
             pool,
+            pool_metrics,
             stage: Profiled {
                 profiles,
                 pristine: OnceLock::new(),
@@ -845,6 +857,13 @@ impl FlowSession<Profiled> {
     /// of explorations may be run on one session, each with its own
     /// [`ExploreSpec`]; each is bit-identical to a fresh one-shot flow
     /// with the same settings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's [`StopCriterion::ErrorThreshold`] is
+    /// negative or NaN (`error threshold must be non-negative`), or if
+    /// an [`Explorer::Beam`] width is 0 (`beam width must be at least
+    /// 1`).
     pub fn explore(&self, spec: &ExploreSpec) -> Exploration {
         self.explore_with(spec, None)
     }
@@ -873,6 +892,7 @@ impl FlowSession<Profiled> {
             cancel: spec.cancel.as_ref(),
             deadline: spec.budget.max_wall.map(|d| Instant::now() + d),
             registry: self.cfg.metrics.as_deref(),
+            pool_metrics: self.pool_metrics.as_ref(),
         };
         if let Some(o) = observer {
             o.on_stage_start(FlowStage::Explore);
@@ -882,7 +902,7 @@ impl FlowSession<Profiled> {
             self.pristine().clone(),
             &self.stage.profiles,
             &spec,
-            &self.pool,
+            self.pool,
             &ctx,
         );
         if let Some(r) = &self.cfg.metrics {
@@ -1118,5 +1138,40 @@ mod tests {
             assert_eq!(a.changed_cluster, b.changed_cluster);
             assert_eq!(a.qor, b.qor, "step {}", a.step);
         }
+    }
+
+    #[test]
+    fn sessions_with_equal_worker_counts_share_one_pool() {
+        let nl = multiplier(3);
+        let open = |par| FlowSession::open(&nl, FlowConfig::new().parallelism(par)).unwrap();
+        let (a, b) = (open(Parallelism::Threads(3)), open(Parallelism::Threads(3)));
+        assert!(std::ptr::eq(a.pool, b.pool));
+        assert_eq!(a.pool.threads(), 3);
+        assert!(!std::ptr::eq(a.pool, open(Parallelism::Threads(2)).pool));
+        assert!(std::ptr::eq(open(Parallelism::Serial).pool, Pool::serial()));
+    }
+
+    /// A profiled 3×3-multiplier session for the threshold checks.
+    fn small_session() -> FlowSession<Profiled> {
+        FlowSession::open(&multiplier(3), FlowConfig::new().samples(256))
+            .and_then(FlowSession::profile)
+            .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "error threshold must be non-negative")]
+    fn nan_threshold_panics() {
+        small_session().explore(&ExploreSpec::new().threshold(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "error threshold must be non-negative")]
+    fn hand_built_nan_threshold_panics_in_anneal() {
+        let spec = ExploreSpec {
+            stop: StopCriterion::ErrorThreshold(f64::NAN),
+            explorer: Explorer::Anneal(crate::explore::AnnealSchedule::default()),
+            ..ExploreSpec::new()
+        };
+        small_session().explore(&spec);
     }
 }

@@ -60,15 +60,10 @@ pub fn main(args: &[String]) -> Result<(), CliError> {
     }
 
     // Circuits are the parallel axis here, so each individual flow must
-    // stay serial (the pool rejects nested parallel scopes). Unlike the
-    // single-circuit commands, batch defaults to one worker per
-    // hardware thread.
-    let pool = Pool::with_parallelism(opts.parallelism.unwrap_or_else(|| {
-        match std::env::var("BLASYS_THREADS") {
-            Ok(s) => Parallelism::parse(&s),
-            Err(_) => Parallelism::Auto,
-        }
-    }));
+    // stay serial (the pool rejects nested parallel scopes). Like
+    // `serve` and unlike the single-circuit commands, batch defaults to
+    // one worker per hardware thread.
+    let pool = Pool::shared(opts.parallelism_or_auto().worker_count());
     eprintln!(
         "{} circuits on {} worker(s), metric {}, threshold{} {}",
         files.len(),

@@ -200,6 +200,17 @@ impl FlowOpts {
         self.parallelism.unwrap_or_else(Parallelism::from_env)
     }
 
+    /// The worker setting of the commands that default to every core
+    /// (`batch`, `serve`): the `--threads` flag, else the
+    /// `BLASYS_THREADS` environment variable, else `Auto`.
+    pub fn parallelism_or_auto(&self) -> Parallelism {
+        self.parallelism
+            .unwrap_or_else(|| match std::env::var("BLASYS_THREADS") {
+                Ok(s) => Parallelism::parse(&s),
+                Err(_) => Parallelism::Auto,
+            })
+    }
+
     /// The observability instruments, if `--trace-out` or `--metrics`
     /// was given (built on first use; the panic hook that dumps the
     /// flight recorder is installed once per process).

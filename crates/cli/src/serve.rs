@@ -76,7 +76,7 @@ pub fn main(args: &[String]) -> Result<(), CliError> {
         .samples(opts.samples)
         .seed(opts.seed)
         .limits(opts.limits.0, opts.limits.1)
-        .parallelism(opts.parallelism())
+        .parallelism(opts.parallelism_or_auto())
         .metric(opts.metric)
         .threshold(opts.threshold)
         .explorer(opts.explorer);

@@ -17,7 +17,16 @@
 //!   caller-owned `states[w]`, so scratch state survives *between*
 //!   fork-joins (the Monte-Carlo probe overlay reused across every
 //!   exploration step). A one-worker pool spawns no threads and runs
-//!   inline on the caller; [`Pool::serial`] is a shared handle to one.
+//!   inline on the caller.
+//! * [`Pool::shared`] — the process-wide pool for a worker count,
+//!   created on first use and kept for the life of the process. Flow
+//!   sessions, `blasys batch` and the SALSA baseline all borrow it, so
+//!   a process runs one set of workers per worker count however many
+//!   sessions it holds ([`Pool::serial`] is `Pool::shared(1)`).
+//! * [`PoolMetrics`] — per-worker scheduling counters that belong to a
+//!   *job*, not to a pool: [`Pool::run_states`] records one
+//!   job's tasks into the caller's registry, so sessions sharing a
+//!   pool keep their counters apart.
 //!
 //! # Scheduling
 //!
@@ -39,10 +48,18 @@
 //! it. Nested *parallel* runs are rejected (a task starting another
 //! parallel run would oversubscribe or deadlock the pool); running on
 //! a serial pool inside a worker is always allowed.
+//!
+//! # Concurrent submitters
+//!
+//! A pool runs one job at a time. Threads that submit to a busy pool
+//! wait for the job slot and then run their own job on every worker;
+//! each gets its own results, and a task panic re-raises only on the
+//! submitter whose job it belongs to.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use blasys_obs::{Counter, Gauge, Registry};
@@ -118,14 +135,15 @@ fn in_worker() -> bool {
 // Persistent pool
 // ---------------------------------------------------------------------------
 
-/// Per-worker scheduling counters and a queue-depth gauge for a
-/// [`Pool`], registered in a [`blasys_obs::Registry`].
+/// Per-worker scheduling counters and a queue-depth gauge for the jobs
+/// one owner submits, registered in a [`blasys_obs::Registry`].
 ///
 /// These are **wall-clock observations**, not flow data: how many
 /// tasks each worker executed and how long it spent inside tasks
 /// depend on thread timing and vary run to run (unlike the flow's
-/// deterministic engine counters). Attach via
-/// [`Pool::new_with_metrics`].
+/// deterministic engine counters). They travel with each job
+/// ([`Pool::run_states`]), so owners sharing one pool each
+/// see only their own tasks.
 #[derive(Debug)]
 pub struct PoolMetrics {
     /// `tasks[w]`: tasks worker `w` executed.
@@ -288,8 +306,10 @@ fn pool_worker(shared: &PoolShared, w: usize) {
 
 /// A persistent fork-join pool: worker threads are created **once**
 /// and reused across any number of [`Pool::run`] / [`Pool::run_states`]
-/// calls. A flow session builds one pool at open time and drives its
-/// profiling and every exploration sweep through it.
+/// calls. Library code borrows the process-wide [`Pool::shared`] pool
+/// for its worker count: a flow session drives its profiling and every
+/// exploration sweep through it, and so does every other session with
+/// the same count.
 ///
 /// `Pool::new(n)` with `n <= 1` spawns no threads at all — every run
 /// executes inline on the caller (the serial path).
@@ -297,7 +317,6 @@ pub struct Pool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     threads: usize,
-    metrics: Option<PoolMetrics>,
 }
 
 impl std::fmt::Debug for Pool {
@@ -309,29 +328,11 @@ impl std::fmt::Debug for Pool {
 }
 
 impl Pool {
-    /// Spawn a pool with `threads` persistent workers (`<= 1` spawns
-    /// none; runs execute inline on the caller).
+    /// Spawn a private pool with `threads` persistent workers (`<= 1`
+    /// spawns none; runs execute inline on the caller). Its workers are
+    /// joined when it drops; library code uses [`Pool::shared`].
     pub fn new(threads: usize) -> Pool {
-        Pool::new_with_metrics(threads, None)
-    }
-
-    /// Like [`Pool::new`], with per-worker scheduling counters
-    /// recorded into `metrics`. Passing `None` is exactly `Pool::new`:
-    /// the task loop then skips all accounting behind one branch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `metrics` was registered for fewer workers than
-    /// `threads`.
-    pub fn new_with_metrics(threads: usize, metrics: Option<PoolMetrics>) -> Pool {
         let threads = threads.max(1);
-        if let Some(m) = &metrics {
-            assert!(
-                m.tasks.len() >= threads,
-                "PoolMetrics registered for {} workers, pool has {threads}",
-                m.tasks.len()
-            );
-        }
         let shared = Arc::new(PoolShared {
             slot: Mutex::new(JobSlot {
                 epoch: 0,
@@ -356,20 +357,28 @@ impl Pool {
             shared,
             handles,
             threads,
-            metrics,
         }
     }
 
-    /// Build a pool sized by a [`Parallelism`] setting.
-    pub fn with_parallelism(par: Parallelism) -> Pool {
-        Pool::new(par.worker_count())
+    /// The process-wide pool with `workers` workers (`<= 1` → the
+    /// inline pool): spawned on the first call for that count and kept
+    /// for the life of the process. Every caller asking for the same
+    /// count gets the same pool; concurrent jobs on it take turns (see
+    /// the [crate docs](crate#concurrent-submitters)).
+    pub fn shared(workers: usize) -> &'static Pool {
+        static POOLS: Mutex<BTreeMap<usize, &'static Pool>> = Mutex::new(BTreeMap::new());
+        let workers = workers.max(1);
+        let mut pools = POOLS.lock().unwrap_or_else(PoisonError::into_inner);
+        pools
+            .entry(workers)
+            .or_insert_with(|| Box::leak(Box::new(Pool::new(workers))))
     }
 
-    /// A shared one-worker pool: every run executes inline on the
-    /// caller, so it is legal inside another pool's tasks.
+    /// The shared one-worker pool ([`Pool::shared`]`(1)`): every run
+    /// executes inline on the caller, so it is legal inside another
+    /// pool's tasks.
     pub fn serial() -> &'static Pool {
-        static SERIAL: OnceLock<Pool> = OnceLock::new();
-        SERIAL.get_or_init(|| Pool::new(1))
+        Pool::shared(1)
     }
 
     /// The worker count this pool resolves to (1 = inline execution).
@@ -390,7 +399,7 @@ impl Pool {
         F: Fn(usize) -> R + Sync,
     {
         let mut states: Vec<()> = vec![(); self.threads.min(tasks.max(1))];
-        self.run_states(tasks, &mut states, |(), i| f(i))
+        self.run_states(tasks, &mut states, None, |(), i| f(i))
     }
 
     /// Like [`Pool::run`], but worker `w` borrows `states[w]` mutably
@@ -399,11 +408,23 @@ impl Pool {
     /// `states` must hold at least `min(self.threads(), tasks)` entries
     /// (extras are unused).
     ///
+    /// With `metrics`, the job's per-worker task counts and busy time
+    /// are recorded there; a job that runs inline on the caller counts
+    /// as worker 0's. With `None` the task loop skips all accounting
+    /// behind one branch.
+    ///
     /// # Panics
     ///
     /// Same contract as [`Pool::run`]; additionally panics if `states`
-    /// has fewer entries than the active worker count.
-    pub fn run_states<S, R, F>(&self, tasks: usize, states: &mut [S], f: F) -> Vec<R>
+    /// has fewer entries than the active worker count, or if `metrics`
+    /// was registered for fewer workers than that.
+    pub fn run_states<S, R, F>(
+        &self,
+        tasks: usize,
+        states: &mut [S],
+        metrics: Option<&PoolMetrics>,
+        f: F,
+    ) -> Vec<R>
     where
         S: Send,
         R: Send,
@@ -418,10 +439,23 @@ impl Pool {
             "Pool::run_states needs one state per worker ({} < {active})",
             states.len()
         );
+        if let Some(m) = metrics {
+            assert!(
+                m.tasks.len() >= active,
+                "PoolMetrics registered for {} workers, job uses {active}",
+                m.tasks.len()
+            );
+        }
         if self.handles.is_empty() || active <= 1 {
             // Inline serial path; legal inside a worker.
             let state = &mut states[0];
-            return (0..tasks).map(|i| f(state, i)).collect();
+            let start = Instant::now();
+            let results = (0..tasks).map(|i| f(state, i)).collect();
+            if let Some(m) = metrics {
+                m.tasks[0].add(tasks as u64);
+                m.busy_ns[0].add(start.elapsed().as_nanos() as u64);
+            }
+            return results;
         }
         assert!(
             !in_worker(),
@@ -443,9 +477,9 @@ impl Pool {
             active,
             abort: &abort,
             panic_payload: &panic_payload,
-            metrics: self.metrics.as_ref(),
+            metrics,
         };
-        if let Some(m) = &self.metrics {
+        if let Some(m) = metrics {
             m.queue_depth.set(tasks as i64);
         }
 
@@ -471,7 +505,7 @@ impl Pool {
             }
         }
 
-        if let Some(m) = &self.metrics {
+        if let Some(m) = metrics {
             m.queue_depth.set(0);
         }
         if let Some(payload) = panic_payload.lock().unwrap().take() {
@@ -521,7 +555,7 @@ mod tests {
             Parallelism::Threads(5),
             Parallelism::Auto,
         ] {
-            let pool = Pool::with_parallelism(par);
+            let pool = Pool::shared(par.worker_count());
             for round in 0..3 {
                 let got = pool.run(33, |i| i * i + round);
                 let want: Vec<usize> = (0..33).map(|i| i * i + round).collect();
@@ -629,7 +663,7 @@ mod tests {
         // sum to the task count, and at least one worker saw a running
         // count > 1, proving one state serves all of a worker's tasks.
         let mut states = vec![0usize; 3];
-        let counts = Pool::new(3).run_states(64, &mut states, |count, _i| {
+        let counts = Pool::new(3).run_states(64, &mut states, None, |count, _i| {
             *count += 1;
             *count
         });
@@ -648,7 +682,7 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let got = pool.run_states(30, &mut states, |st, i| {
+            let got = pool.run_states(30, &mut states, None, |st, i| {
                 *st += 1;
                 i
             });
@@ -661,7 +695,7 @@ mod tests {
     fn too_few_states_is_rejected() {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut states = vec![0usize; 1];
-            Pool::new(4).run_states(16, &mut states, |st, i| {
+            Pool::new(4).run_states(16, &mut states, None, |st, i| {
                 *st += 1;
                 i
             })
@@ -714,7 +748,7 @@ mod tests {
         assert_eq!(Parallelism::Threads(7).worker_count(), 7);
         assert_eq!(Parallelism::Threads(0).worker_count(), 1);
         assert!(Parallelism::Auto.worker_count() >= 1);
-        assert_eq!(Pool::with_parallelism(Parallelism::Threads(3)).threads(), 3);
+        assert_eq!(Pool::shared(3).threads(), 3);
         assert_eq!(Pool::serial().threads(), 1);
     }
 
@@ -723,7 +757,7 @@ mod tests {
         let pool = Pool::new(3);
         let mut states = vec![0usize; 3];
         for round in 1..=4 {
-            let got = pool.run_states(30, &mut states, |st, i| {
+            let got = pool.run_states(30, &mut states, None, |st, i| {
                 *st += 1;
                 i
             });
@@ -773,19 +807,28 @@ mod tests {
         assert_eq!(pool.run(3, |i| i * 2), vec![0, 2, 4]);
     }
 
+    /// `run` with every job's tasks recorded into `metrics`.
+    fn run_metered(pool: &Pool, tasks: usize, metrics: &PoolMetrics) -> Vec<usize> {
+        let mut states = vec![(); pool.threads()];
+        pool.run_states(tasks, &mut states, Some(metrics), |(), i| i)
+    }
+
     #[test]
     fn pool_metrics_account_every_task() {
         let registry = Registry::new();
-        let pool = Pool::new_with_metrics(3, Some(PoolMetrics::register(&registry, 3)));
+        let metrics = PoolMetrics::register(&registry, 3);
+        let pool = Pool::new(3);
         for _ in 0..4 {
-            let got = pool.run(25, |i| i);
+            let got = run_metered(&pool, 25, &metrics);
             assert_eq!(got, (0..25).collect::<Vec<_>>());
         }
+        // A one-task job runs inline and counts as worker 0's.
+        assert_eq!(run_metered(&pool, 1, &metrics), vec![0]);
         let snap = registry.snapshot();
         let executed: u64 = (0..3)
             .map(|w| snap.counter(&format!("pool.worker{w}.tasks")).unwrap())
             .sum();
-        assert_eq!(executed, 100, "every task is counted exactly once");
+        assert_eq!(executed, 101, "every task is counted exactly once");
         // The gauge is reset after the last job completes.
         let depth = snap
             .entries
@@ -798,9 +841,11 @@ mod tests {
     #[test]
     fn pool_metrics_busy_time_is_bounded_by_the_job() {
         let registry = Registry::new();
-        let pool = Pool::new_with_metrics(2, Some(PoolMetrics::register(&registry, 2)));
+        let metrics = PoolMetrics::register(&registry, 2);
+        let pool = Pool::new(2);
         let start = std::time::Instant::now();
-        pool.run(8, |i| {
+        let mut states = vec![(); 2];
+        pool.run_states(8, &mut states, Some(&metrics), |(), i| {
             let spin = std::time::Instant::now();
             while spin.elapsed() < std::time::Duration::from_millis(2) {
                 std::hint::black_box(i);
@@ -825,6 +870,102 @@ mod tests {
             );
         }
         assert!(ran > 0, "some worker ran the tasks");
+    }
+
+    #[test]
+    fn shared_pools_are_one_per_worker_count() {
+        assert!(std::ptr::eq(Pool::shared(4), Pool::shared(4)));
+        assert!(!std::ptr::eq(Pool::shared(2), Pool::shared(4)));
+        assert!(std::ptr::eq(Pool::serial(), Pool::shared(1)));
+        assert!(std::ptr::eq(Pool::shared(0), Pool::shared(1)));
+        assert_eq!(Pool::shared(4).threads(), 4);
+    }
+
+    /// A task of uneven cost: task `i` of submitter `s` spins for
+    /// `(i * 7 + s) % 5` × 50 µs.
+    fn uneven(s: usize, i: usize) -> usize {
+        let spin = std::time::Instant::now();
+        let cost = Duration::from_micros(50 * ((i * 7 + s) % 5) as u64);
+        while spin.elapsed() < cost {
+            std::hint::black_box(i);
+        }
+        s * 1000 + i
+    }
+
+    #[test]
+    fn concurrent_submitters_share_one_pool() {
+        // Several threads submit uneven jobs of different sizes to one
+        // shared pool at once. Each gets its own results in task order,
+        // its worker states see exactly its own tasks, and its metrics
+        // count exactly its own tasks.
+        let pool = Pool::shared(4);
+        std::thread::scope(|scope| {
+            for s in 0..4 {
+                scope.spawn(move || {
+                    let registry = Registry::new();
+                    let metrics = PoolMetrics::register(&registry, 4);
+                    let mut states = vec![0usize; 4];
+                    let mut submitted = 0;
+                    for round in 0..6 {
+                        let tasks = 5 + 9 * s + round;
+                        let got = pool.run_states(tasks, &mut states, Some(&metrics), |st, i| {
+                            *st += 1;
+                            uneven(s, i)
+                        });
+                        let want: Vec<usize> = (0..tasks).map(|i| s * 1000 + i).collect();
+                        assert_eq!(got, want, "submitter {s} round {round}");
+                        submitted += tasks;
+                        assert_eq!(states.iter().sum::<usize>(), submitted);
+                    }
+                    let snap = registry.snapshot();
+                    let counted: u64 = (0..4)
+                        .map(|w| snap.counter(&format!("pool.worker{w}.tasks")).unwrap())
+                        .sum();
+                    assert_eq!(counted, submitted as u64, "submitter {s}");
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_task_panic_reraises_only_on_its_submitter() {
+        let pool = Pool::shared(4);
+        let outcomes: Vec<Result<Vec<usize>, String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|s| {
+                    scope.spawn(move || {
+                        let mut last = Ok(Vec::new());
+                        for round in 0..4 {
+                            last = catch_unwind(AssertUnwindSafe(|| {
+                                pool.run(24, |i| {
+                                    if s == 2 && round == 3 && i == 11 {
+                                        panic!("submitter {s} task {i} exploded");
+                                    }
+                                    uneven(s, i)
+                                })
+                            }))
+                            .map_err(|p| panic_message(p.as_ref()));
+                        }
+                        last
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (s, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Err(msg) => {
+                    assert_eq!(s, 2, "submitter {s} saw a foreign panic: {msg}");
+                    assert!(msg.contains("submitter 2 task 11 exploded"), "{msg}");
+                }
+                Ok(got) => {
+                    assert_ne!(s, 2, "the panicking job returned results");
+                    assert_eq!(got, (0..24).map(|i| s * 1000 + i).collect::<Vec<_>>());
+                }
+            }
+        }
+        // The shared workers survived and serve the next job.
+        assert_eq!(pool.run(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]

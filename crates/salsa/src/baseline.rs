@@ -81,7 +81,7 @@ pub fn run_salsa(nl: &Netlist, cfg: &SalsaConfig, threshold: f64) -> SalsaResult
 
     // Ladders per (cluster, column) — independent minimization
     // problems, built in parallel.
-    let pool = Pool::with_parallelism(cfg.parallelism);
+    let pool = Pool::shared(cfg.parallelism.worker_count());
     let ladders: Vec<Vec<Vec<ColumnVariant>>> = pool.run(tables.len(), |ci| {
         let tt = &tables[ci];
         (0..tt.num_outputs())

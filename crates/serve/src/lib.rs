@@ -78,7 +78,9 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Decomposition window limits `(k, m)`.
     pub limits: (usize, usize),
-    /// Worker parallelism inside the flow stages.
+    /// Worker parallelism inside the flow stages (default `Auto`).
+    /// Every cached session runs on the process-wide pool for this
+    /// worker count, so the cache size does not multiply threads.
     pub parallelism: Parallelism,
     /// Default metric when an explore request names none.
     pub metric: QorMetric,
@@ -103,7 +105,8 @@ impl Default for ServerConfig {
             samples: 10_000,
             seed: 0xB1A5_1234,
             limits: (10, 10),
-            parallelism: Parallelism::Serial,
+            // Every core; replies are identical at any worker count.
+            parallelism: Parallelism::Auto,
             metric: QorMetric::AvgRelative,
             threshold: 0.05,
             explorer: Explorer::Greedy,

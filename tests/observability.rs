@@ -12,7 +12,9 @@
 //!   circuit has fewer windows than workers;
 //! * the profile's `minimize_column` memo hits on repeated columns and
 //!   counts identically across serial runs;
-//! * the metrics snapshot embeds into the `FlowReport` JSON.
+//! * the metrics snapshot embeds into the `FlowReport` JSON;
+//! * sessions sharing the process-wide pool keep their `pool.*` worker
+//!   metrics apart: each registry counts exactly its own sweep tasks.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -259,6 +261,48 @@ fn minimize_memo_counters_repeat_serially() {
     );
     assert!(misses > 0);
     assert_eq!(memo(), [hits, misses], "serial memo counters repeat");
+}
+
+#[test]
+fn pool_metrics_count_each_sessions_own_tasks_on_the_shared_pool() {
+    // Two 2-worker sessions with separate registries profile and
+    // explore at once, on the one shared 2-worker pool. Every sweep
+    // task is one window (profiling) or one expansion (a probe), so
+    // each registry's per-worker task counts must sum to its own
+    // session's windows plus probes, whatever the other session did.
+    let nl = multiplier(4);
+    std::thread::scope(|scope| {
+        for threshold in [0.02, 0.2] {
+            let nl = &nl;
+            scope.spawn(move || {
+                let registry = Arc::new(Registry::new());
+                let cfg = FlowConfig::new()
+                    .samples(SAMPLES)
+                    .seed(SEED)
+                    .parallelism(Parallelism::Threads(2))
+                    .metrics(registry.clone());
+                let session = FlowSession::open(nl, cfg)
+                    .and_then(FlowSession::profile)
+                    .expect("circuit profiles");
+                let mut tasks = session.clusters() as u64;
+                for spec in [ExploreSpec::new(), ExploreSpec::new().threshold(threshold)] {
+                    tasks += session.explore(&spec).probes();
+                }
+                let snap = registry.snapshot();
+                let sum = |counter: &str| -> u64 {
+                    (0..2)
+                        .map(|w| {
+                            let name = format!("pool.worker{w}.{counter}");
+                            snap.counter(&name)
+                                .unwrap_or_else(|| panic!("{name} missing"))
+                        })
+                        .sum()
+                };
+                assert_eq!(sum("tasks"), tasks, "threshold {threshold}");
+                assert!(sum("busy_ns") > 0, "threshold {threshold}");
+            });
+        }
+    });
 }
 
 #[test]

@@ -129,6 +129,50 @@ fn full_flow_threads_matches_serial_on_multiplier() {
     assert_trajectories_identical(serial.trajectory(), threaded.trajectory());
 }
 
+/// Sessions with equal worker counts share one process-wide pool, so
+/// explorations submitted from several threads at once take turns on
+/// the same workers. Each still walks the serial session's trajectory,
+/// bit for bit: per-thread sessions and one session shared by every
+/// thread alike.
+#[test]
+fn concurrent_threads4_explores_match_serial() {
+    use blasys_repro::blasys::Explorer;
+    let nl = blasys_repro::circuits::multiplier(4);
+    let open = |parallelism| {
+        let cfg = FlowConfig::new()
+            .samples(1024)
+            .seed(5)
+            .parallelism(parallelism);
+        FlowSession::open(&nl, cfg).unwrap().profile().unwrap()
+    };
+    let specs = [
+        ExploreSpec::new(),
+        ExploreSpec::new().threshold(0.05),
+        ExploreSpec::new().explorer(Explorer::Beam { width: 2 }),
+    ];
+    let serial = open(Parallelism::Serial);
+    let want: Vec<_> = specs.iter().map(|s| serial.explore(s)).collect();
+    let shared = open(Parallelism::Threads(4));
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (open, specs, want, shared) = (&open, &specs, &want, &shared);
+            scope.spawn(move || {
+                let own = open(Parallelism::Threads(4));
+                for round in 0..2 {
+                    for i in 0..specs.len() {
+                        // Threads start on different specs, so unlike
+                        // walks overlap on the pool.
+                        let k = (i + t + round) % specs.len();
+                        let session = if (t + round) % 2 == 0 { &own } else { shared };
+                        let got = session.explore(&specs[k]);
+                        assert_trajectories_identical(want[k].trajectory(), got.trajectory());
+                    }
+                }
+            });
+        }
+    });
+}
+
 /// A BLIF-parsed circuit opened and profiled twice in one process gets
 /// the same partition and the same ladders both times. Every hash map
 /// draws a fresh seed, so a decomposer that let map iteration order

@@ -26,13 +26,15 @@ fn small_windows() -> DecompConfig {
     }
 }
 
-/// Random small netlist built from a script of gate operations (same
-/// generator family as `tests/parallel_determinism.rs`).
+/// Random small netlist built from a script of gate operations (the
+/// generator of `tests/explorer_differential.rs`): 20–80 gates and
+/// 4–10 outputs tapping every third node from the end, so most cases
+/// decompose into several windows.
 fn arb_netlist() -> impl Strategy<Value = Netlist> {
     (
         3usize..=8,
-        proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 8..80),
-        1usize..=4,
+        proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 20..80),
+        4usize..=10,
     )
         .prop_map(|(num_inputs, ops, num_outputs)| {
             let mut nl = Netlist::new("qor_prop");
@@ -54,7 +56,7 @@ fn arb_netlist() -> impl Strategy<Value = Netlist> {
                 nodes.push(g);
             }
             for o in 0..num_outputs {
-                let n = nodes[nodes.len() - 1 - o % nodes.len().min(4)];
+                let n = nodes[nodes.len() - 1 - (o * 3) % nodes.len()];
                 nl.mark_output(format!("z{o}"), n);
             }
             nl.cleaned()
@@ -94,7 +96,7 @@ fn mutated_rows(ev: &Evaluator, cluster: usize, seed: u64) -> Vec<u16> {
 /// the evaluator, in cluster order.
 fn threaded_probes(ev: &Evaluator, seed: u64) -> Vec<QorReport> {
     let mut states: Vec<_> = (0..4).map(|_| ev.probe_state()).collect();
-    Pool::new(4).run_states(ev.network().len(), &mut states, |st, c| {
+    Pool::new(4).run_states(ev.network().len(), &mut states, None, |st, c| {
         ev.qor_probe(st, c, &mutated_rows(ev, c, seed))
     })
 }

@@ -12,7 +12,9 @@
 //!   (LRU eviction counted); graceful shutdown drains in-flight work;
 //!   a closed-loop client is never refused for a finished request;
 //! * a beam explore with an absurd width is answered, and the server
-//!   keeps serving afterwards.
+//!   keeps serving afterwards;
+//! * a default-config server (every core) and a serial server return
+//!   byte-identical explore bodies.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -23,6 +25,7 @@ use blasys_repro::blasys::session::{ExploreSpec, FlowConfig, FlowSession};
 use blasys_repro::blasys::QorMetric;
 use blasys_repro::circuits::{adder, multiplier};
 use blasys_repro::logic::blif::{from_blif, to_blif};
+use blasys_repro::par::Parallelism;
 use blasys_repro::serve::json::{self, JsonExt};
 use blasys_repro::serve::{Server, ServerConfig};
 
@@ -476,6 +479,44 @@ fn sequential_closing_requests_are_never_refused() {
     }
     assert_eq!(registry.snapshot().counter("serve.rejected"), Some(0));
     shutdown(addr, handle);
+}
+
+/// The default server explores on every core, through the shared
+/// pool; its explore replies are byte for byte those of a serial
+/// server with the same settings.
+#[test]
+fn default_and_serial_servers_return_identical_explore_bodies() {
+    assert_eq!(ServerConfig::new().parallelism, Parallelism::Auto);
+    let specs = [
+        r#"{"threshold": 0.05}"#,
+        r#"{"metric": "bit-error-rate", "threshold": 0.25, "explorer": "beam:2"}"#,
+        r#"{"threshold": 0.1, "explorer": "pareto3"}"#,
+    ];
+    let bodies = |cfg: ServerConfig| -> Vec<String> {
+        let (addr, _registry, handle) = start(cfg);
+        let mut bodies = Vec::new();
+        for nl in [adder(4), multiplier(3)] {
+            let ingest = request(addr, "POST", "/circuits", &to_blif(&nl));
+            assert_eq!(ingest.status, 201, "{}", ingest.body);
+            let hash = ingest
+                .json()
+                .get("hash")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .to_string();
+            for spec in specs {
+                let served = request(addr, "POST", &format!("/circuits/{hash}/explore"), spec);
+                assert_eq!(served.status, 200, "{}", served.body);
+                bodies.push(served.body);
+            }
+        }
+        shutdown(addr, handle);
+        bodies
+    };
+    let default = bodies(test_config());
+    let serial = bodies(test_config().parallelism(Parallelism::Serial));
+    assert_eq!(default, serial);
 }
 
 /// Double-check nothing answers anymore (helper so the intent reads).
