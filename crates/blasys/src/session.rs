@@ -656,7 +656,7 @@ pub struct FlowSession<Stage> {
     partition: Partition,
     /// The process-wide pool for the configured worker count,
     /// borrowed at open and shared with every session of that count
-    /// (one worker runs inline on the caller).
+    /// (the one-worker pool spawns no thread and runs inline).
     pool: &'static Pool,
     /// This session's `pool.*` worker metrics (with a registry and two
     /// or more workers), handed to every job it submits.

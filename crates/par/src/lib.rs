@@ -52,9 +52,10 @@
 //! # Concurrent submitters
 //!
 //! A pool runs one job at a time. Threads that submit to a busy pool
-//! wait for the job slot and then run their own job on every worker;
-//! each gets its own results, and a task panic re-raises only on the
-//! submitter whose job it belongs to.
+//! wait for the job slot and then run their own job on every worker
+//! (a submitter only waits; it runs no task itself); each gets its own
+//! results, and a task panic re-raises only on the submitter whose job
+//! it belongs to.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -151,7 +152,9 @@ pub struct PoolMetrics {
     /// `busy_ns[w]`: wall-clock nanoseconds worker `w` spent inside
     /// tasks (summed per job, added once when the worker leaves it).
     busy_ns: Vec<Arc<Counter>>,
-    /// Task count of the job currently in flight (0 between jobs).
+    /// Tasks of the jobs submitted and not yet finished, waiting for
+    /// the pool included (0 when none is); every owner that shares
+    /// the registry adds to it.
     queue_depth: Arc<Gauge>,
 }
 
@@ -480,7 +483,7 @@ impl Pool {
             metrics,
         };
         if let Some(m) = metrics {
-            m.queue_depth.set(tasks as i64);
+            m.queue_depth.add(tasks as i64);
         }
 
         {
@@ -506,7 +509,7 @@ impl Pool {
         }
 
         if let Some(m) = metrics {
-            m.queue_depth.set(0);
+            m.queue_depth.add(-(tasks as i64));
         }
         if let Some(payload) = panic_payload.lock().unwrap().take() {
             resume_unwind(payload);
@@ -879,6 +882,41 @@ mod tests {
         assert!(std::ptr::eq(Pool::serial(), Pool::shared(1)));
         assert!(std::ptr::eq(Pool::shared(0), Pool::shared(1)));
         assert_eq!(Pool::shared(4).threads(), 4);
+    }
+
+    #[test]
+    fn queue_depth_sums_the_jobs_sharing_a_registry() {
+        // Job A's first task holds the pool until job B, submitted on
+        // another thread with the same registry's metrics, is waiting
+        // for the slot: the gauge then counts both jobs' tasks.
+        let registry = Registry::new();
+        let metrics = PoolMetrics::register(&registry, 2);
+        let depth = registry.gauge("pool.queue_depth");
+        let pool = Pool::new(2);
+        let wait_until = |cond: &dyn Fn() -> bool| {
+            let start = std::time::Instant::now();
+            while !cond() && start.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let started = AtomicBool::new(false);
+        let seen = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                let mut states = vec![(); 2];
+                pool.run_states(5, &mut states, Some(&metrics), |(), i| {
+                    if i == 0 {
+                        started.store(true, Ordering::SeqCst);
+                        wait_until(&|| depth.get() == 8);
+                    }
+                    depth.get()
+                })[0]
+            });
+            wait_until(&|| started.load(Ordering::SeqCst));
+            assert_eq!(run_metered(&pool, 3, &metrics), vec![0, 1, 2]);
+            a.join().unwrap()
+        });
+        assert_eq!(seen, 8, "job A saw its 5 tasks plus job B's 3");
+        assert_eq!(depth.get(), 0, "both jobs finished");
     }
 
     /// A task of uneven cost: task `i` of submitter `s` spins for

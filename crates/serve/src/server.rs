@@ -7,14 +7,17 @@
 //! Admission is exact — the accept thread counts in-flight requests
 //! on the `serve.inflight` gauge and answers 429 inline once the
 //! bound is reached, so a worker is always available for an admitted
-//! connection. Graceful shutdown (`POST /admin/shutdown`) sets a flag
+//! connection. A streaming response adds one writer thread of its own
+//! (see `StreamBridge`). Graceful shutdown (`POST /admin/shutdown`) sets a flag
 //! and wakes the accept loop with a loopback connection; queued and
 //! in-flight requests drain before [`Server::run`] returns.
 
+use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use blasys_core::report::{
@@ -414,9 +417,10 @@ fn handle_ingest(shared: &Shared, req: &Request, conn: &mut TcpStream) {
         match conn
             .try_clone()
             .and_then(|c| ChunkedWriter::start(c, 201, "Created", "application/x-ndjson"))
+            .and_then(|writer| StreamBridge::start(writer, None))
         {
-            Ok(writer) => {
-                let bridge = Arc::new(StreamBridge::new(writer, None));
+            Ok(bridge) => {
+                let bridge = Arc::new(bridge);
                 flow_cfg = flow_cfg.observer_shared(bridge.clone());
                 Some(bridge)
             }
@@ -614,8 +618,9 @@ fn handle_explore(shared: &Shared, req: &Request, hash: &str, conn: &mut TcpStre
         match conn
             .try_clone()
             .and_then(|c| ChunkedWriter::start(c, 200, "OK", "application/x-ndjson"))
+            .and_then(|writer| StreamBridge::start(writer, Some(cancel)))
         {
-            Ok(writer) => Some(Arc::new(StreamBridge::new(writer, Some(cancel)))),
+            Ok(bridge) => Some(Arc::new(bridge)),
             Err(_) => return,
         }
     } else {
@@ -670,35 +675,69 @@ fn handle_explore(shared: &Shared, req: &Request, hash: &str, conn: &mut TcpStre
 /// HTTP response as ndjson events, one object per line:
 /// `{"event": "stage" | "window" | "step" | "error" | "done", ...}`.
 ///
-/// The sink is disarmable: the first write failure (client hung up)
-/// drops it, trips the request's [`CancelToken`] when one is
-/// attached, and every later callback becomes a no-op. Ingest leaves
-/// the disarmed bridge attached to the cached session, where it
-/// stays inert.
+/// Callbacks only queue their line; the bridge's own writer thread
+/// does the socket I/O. Profiling reports each window from a worker
+/// of the process-wide pool, so a client that stops reading stalls
+/// this writer thread alone, never a worker other requests' sweeps
+/// wait for.
+///
+/// The first write failure (client hung up, or stopped reading past
+/// the write timeout) ends the writer thread and trips the request's
+/// [`CancelToken`] when one is attached; later lines are dropped.
+/// Ingest leaves the closed bridge attached to the cached session,
+/// where it stays inert.
 struct StreamBridge {
-    sink: Mutex<Option<ChunkedWriter<TcpStream>>>,
-    cancel: Option<CancelToken>,
+    /// Lines for the writer thread; `None` once the stream is closed
+    /// or the writer gave up.
+    queue: Mutex<Option<mpsc::Sender<String>>>,
+    writer: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl StreamBridge {
-    fn new(writer: ChunkedWriter<TcpStream>, cancel: Option<CancelToken>) -> StreamBridge {
-        StreamBridge {
-            sink: Mutex::new(Some(writer)),
-            cancel,
-        }
+    /// Hand `sink` to a new writer thread; `Err` if none could be
+    /// spawned.
+    fn start<W: Write + Send + 'static>(
+        mut sink: ChunkedWriter<W>,
+        cancel: Option<CancelToken>,
+    ) -> io::Result<StreamBridge> {
+        let (queue, lines) = mpsc::channel::<String>();
+        let writer = std::thread::Builder::new()
+            .name("blasys-serve-stream".to_string())
+            .spawn(move || {
+                for line in lines {
+                    if sink.send(line.as_bytes()).is_err() {
+                        if let Some(cancel) = cancel {
+                            cancel.cancel();
+                        }
+                        return;
+                    }
+                }
+                let _ = sink.finish();
+            })?;
+        Ok(StreamBridge {
+            queue: Mutex::new(Some(queue)),
+            writer: Mutex::new(Some(writer)),
+        })
     }
 
     fn emit(&self, event: Json) {
-        let mut guard = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(writer) = guard.as_mut() {
+        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(tx) = queue.as_ref() {
             let mut line = event.to_string();
             line.push('\n');
-            if writer.send(line.as_bytes()).is_err() {
-                *guard = None;
-                if let Some(cancel) = &self.cancel {
-                    cancel.cancel();
-                }
+            if tx.send(line).is_err() {
+                *queue = None;
             }
+        }
+    }
+
+    /// Close the stream: the writer thread sends every queued line,
+    /// then the final chunk; wait for it.
+    fn close(&self) {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(writer) = writer {
+            let _ = writer.join();
         }
     }
 
@@ -708,10 +747,7 @@ impl StreamBridge {
             fields.insert(0, ("event".to_string(), Json::str("done")));
         }
         self.emit(body);
-        let mut guard = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(writer) = guard.take() {
-            let _ = writer.finish();
-        }
+        self.close();
     }
 
     /// Terminal failure on a streaming response: the head already
@@ -721,10 +757,7 @@ impl StreamBridge {
             ("event", Json::str("error")),
             ("message", Json::str(message.to_string())),
         ]));
-        let mut guard = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(writer) = guard.take() {
-            let _ = writer.finish();
-        }
+        self.close();
     }
 }
 
@@ -774,5 +807,89 @@ impl FlowObserver for StreamBridge {
             ),
             ("model_area_um2", Json::Num(point.model_area_um2)),
         ]));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blasys_core::Parallelism;
+    use std::sync::mpsc::RecvTimeoutError;
+
+    /// A streaming client that takes the response head, then stops
+    /// reading at the first window event: that write blocks until the
+    /// test hangs up (`release` dropped) or 20 s pass, the latter
+    /// standing in for the socket write timeout.
+    struct StalledClient {
+        stalled: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+        timed_out: Arc<AtomicBool>,
+    }
+
+    impl Write for StalledClient {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !buf.windows(8).any(|w| w == b"\"window\"") {
+                return Ok(buf.len());
+            }
+            let _ = self.stalled.send(());
+            if let Err(RecvTimeoutError::Timeout) =
+                self.release.recv_timeout(Duration::from_secs(20))
+            {
+                self.timed_out.store(true, Ordering::SeqCst);
+            }
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stalled_stream_client_does_not_hold_the_shared_pool() {
+        // A streaming ingest whose client stops reading profiles on the
+        // same shared pool as another session's explore; the explore
+        // finishes while that client still stalls.
+        let nl = blasys_circuits::multiplier(4);
+        let cfg = || {
+            FlowConfig::new()
+                .samples(256)
+                .limits(4, 4)
+                .parallelism(Parallelism::Threads(2))
+        };
+        let other = FlowSession::open(&nl, cfg())
+            .and_then(FlowSession::profile)
+            .unwrap();
+        assert!(other.clusters() >= 4, "the ingest must profile on the pool");
+
+        let (stalled_tx, stalled) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let timed_out = Arc::new(AtomicBool::new(false));
+        let client = StalledClient {
+            stalled: stalled_tx,
+            release: release_rx,
+            timed_out: timed_out.clone(),
+        };
+        let sink = ChunkedWriter::start(client, 201, "Created", "application/x-ndjson").unwrap();
+        let bridge = Arc::new(StreamBridge::start(sink, None).unwrap());
+        std::thread::scope(|scope| {
+            let ingest = scope.spawn(|| {
+                let cfg = cfg().observer_shared(bridge.clone());
+                let profiled = FlowSession::open(&nl, cfg).and_then(FlowSession::profile);
+                bridge.done(Json::obj([]));
+                profiled.is_ok()
+            });
+            stalled
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a window event reached the client");
+            let explored = other.explore(&ExploreSpec::new().threshold(0.05));
+            assert!(explored.probes() > 0);
+            assert!(
+                !timed_out.load(Ordering::SeqCst),
+                "the explore waited for the stalled client's write to time out"
+            );
+            drop(release);
+            assert!(ingest.join().unwrap(), "the ingest profiled");
+        });
     }
 }
