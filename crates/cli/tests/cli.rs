@@ -624,3 +624,47 @@ fn lint_passes_the_shipped_corpus_with_denied_warnings() {
         );
     }
 }
+
+/// FNV-1a over bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `blasys lint --format json` on every shipped benchmark, pinned as
+/// (file, exit code, byte length, hash of stdout). The path is given
+/// relative to the repository root, as a user would type it.
+#[test]
+fn lint_json_pins_the_shipped_corpus() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files: Vec<String> = std::fs::read_dir(benchmarks_dir())
+        .expect("benchmarks dir")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".blif"))
+        .collect();
+    files.sort();
+    let got: Vec<(String, Option<i32>, usize, u64)> = files
+        .into_iter()
+        .map(|name| {
+            let out = Command::new(env!("CARGO_BIN_EXE_blasys"))
+                .current_dir(&root)
+                .args(["lint", &format!("benchmarks/{name}"), "--format", "json"])
+                .output()
+                .expect("spawn blasys");
+            (name, out.status.code(), out.stdout.len(), fnv(&out.stdout))
+        })
+        .collect();
+    let want = [
+        ("adder4.blif", Some(0), 150, 0xea5c_9f1f_f2c2_a0ae),
+        ("adder8.blif", Some(0), 150, 0x14e7_7226_adaa_b28a),
+        ("butterfly4.blif", Some(0), 2148, 0x1fa4_19ef_db85_8c4c),
+        ("mult3.blif", Some(0), 401, 0x882a_68c5_0b83_b2d1),
+        ("mult4.blif", Some(0), 149, 0x8e54_dbdf_e122_b6e2),
+    ];
+    let want: Vec<_> = want
+        .into_iter()
+        .map(|(n, c, l, h)| (n.to_string(), c, l, h))
+        .collect();
+    assert_eq!(got, want);
+}
