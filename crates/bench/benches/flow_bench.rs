@@ -130,7 +130,7 @@ fn bench_explorers(c: &mut Criterion) {
     for (name, explorer) in [
         ("mult4_greedy", Explorer::Greedy),
         ("mult4_beam4", Explorer::Beam { width: 4 }),
-        ("mult4_anneal", Explorer::Anneal(Default::default())),
+        ("mult4_anneal", Explorer::Anneal),
     ] {
         let spec = ExploreSpec::new().explorer(explorer);
         g.bench_function(name, |b| b.iter(|| flow_with(&nl, small_flow(), &spec)));

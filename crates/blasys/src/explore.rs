@@ -24,9 +24,10 @@
 //! * [`Explorer::Anneal`] — seeded simulated annealing over the
 //!   degree lattice: random single-degree moves (down *or* up),
 //!   feasibility-gated by the stop threshold, accepted by the
-//!   Metropolis rule under a geometric temperature schedule. The
-//!   inner loop is strictly serial and every RNG draw derives from
-//!   [`AnnealSchedule::seed`], so runs are reproducible and
+//!   Metropolis rule under a fixed geometric temperature schedule
+//!   (256 proposed moves from `T = 0.05`, cooled by 0.98 per move).
+//!   The inner loop is strictly serial and every RNG draw derives from
+//!   the session's Monte-Carlo seed, so runs are reproducible and
 //!   independent of the worker count by construction.
 //! * [`Explorer::Pareto3`] — multi-objective mode: the greedy walk
 //!   (the beam engine at width 1) that also archives **every**
@@ -113,7 +114,7 @@ use rand::{Rng, SeedableRng};
 use crate::montecarlo::{Evaluator, ProbeCache, TableNetwork};
 use crate::pareto::{pareto_front3, TradeoffPoint};
 use crate::profile::SubcircuitProfile;
-use crate::qor::{QorMetric, QorReport};
+use crate::qor::QorReport;
 use crate::session::{Exploration, ExploreSpec, FlowContext, StopReason};
 
 /// When exploration stops.
@@ -146,32 +147,13 @@ impl StopCriterion {
     }
 }
 
-/// Cooling schedule for [`Explorer::Anneal`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnnealSchedule {
-    /// Number of proposed moves (each costs one candidate probe).
-    pub steps: usize,
-    /// Initial temperature, in units of normalized model area.
-    pub t0: f64,
-    /// Geometric cooling factor per proposed move (`T_i = t0·c^i`).
-    pub cooling: f64,
-    /// RNG seed. `None` derives the seed from the session's
-    /// Monte-Carlo stimulus seed ([`McConfig::seed`]).
-    ///
-    /// [`McConfig::seed`]: crate::montecarlo::McConfig::seed
-    pub seed: Option<u64>,
-}
-
-impl Default for AnnealSchedule {
-    fn default() -> AnnealSchedule {
-        AnnealSchedule {
-            steps: 256,
-            t0: 0.05,
-            cooling: 0.98,
-            seed: None,
-        }
-    }
-}
+/// Proposed moves of an [`Explorer::Anneal`] run (each costs one
+/// candidate probe).
+const ANNEAL_STEPS: usize = 256;
+/// Initial annealing temperature, in units of normalized model area.
+const ANNEAL_T0: f64 = 0.05;
+/// Geometric cooling factor per proposed move (`T_i = T0·c^i`).
+const ANNEAL_COOLING: f64 = 0.98;
 
 /// The search engine driving an exploration. See the [module
 /// docs](self) for what each engine guarantees.
@@ -186,8 +168,9 @@ pub enum Explorer {
         /// Frontier width `k` (must be ≥ 1).
         width: usize,
     },
-    /// Seeded simulated annealing over the degree lattice.
-    Anneal(AnnealSchedule),
+    /// Simulated annealing over the degree lattice, seeded by the
+    /// session's Monte-Carlo seed.
+    Anneal,
     /// Greedy walk + 3-D (error, area, depth) Pareto archive of every
     /// feasible candidate probe.
     Pareto3,
@@ -283,18 +266,20 @@ pub(crate) fn sweep<S: Send, R: Send>(
 /// on cancellation or an exceeded budget — so a truncated trajectory
 /// is always a prefix of the uninterrupted one. Greedy and pareto3 run
 /// on the beam engine at width 1, which moves `evaluator` into its
-/// first branch; anneal commits into `evaluator` itself.
+/// first branch; anneal commits into `evaluator` itself and draws its
+/// moves from `seed`.
 pub(crate) fn explore_ctx(
     mut evaluator: Evaluator,
     profiles: &[SubcircuitProfile],
     spec: &ExploreSpec,
+    seed: u64,
     pool: &Pool,
     ctx: &FlowContext<'_>,
 ) -> Exploration {
     match spec.explorer {
         Explorer::Greedy => beam_ctx(evaluator, profiles, spec, 1, None, pool, ctx),
         Explorer::Beam { width } => beam_ctx(evaluator, profiles, spec, width, None, pool, ctx),
-        Explorer::Anneal(schedule) => anneal_ctx(&mut evaluator, profiles, spec, schedule, ctx),
+        Explorer::Anneal => anneal_ctx(&mut evaluator, profiles, spec, seed, ctx),
         Explorer::Pareto3 => {
             let mut archive = Vec::new();
             let mut exploration =
@@ -606,15 +591,15 @@ fn beam_ctx(
 }
 
 /// The `Explorer::Anneal` engine: strictly serial Metropolis search
-/// over the degree lattice. Serial execution plus a single seeded RNG
-/// stream makes runs reproducible and worker-count independent by
-/// construction; each proposed move costs exactly one candidate probe,
-/// so probe budgets truncate at exact move boundaries.
+/// over the degree lattice. Serial execution plus a single RNG stream
+/// seeded by `seed` makes runs reproducible and worker-count
+/// independent by construction; each proposed move costs exactly one
+/// candidate probe, so probe budgets truncate at exact move boundaries.
 fn anneal_ctx(
     evaluator: &mut Evaluator,
     profiles: &[SubcircuitProfile],
     spec: &ExploreSpec,
-    schedule: AnnealSchedule,
+    seed: u64,
     ctx: &FlowContext<'_>,
 ) -> Exploration {
     let n = profiles.len();
@@ -639,17 +624,17 @@ fn anneal_ctx(
     // up move available.
     let movable: Vec<usize> = (0..n).filter(|&ci| profiles[ci].num_outputs > 1).collect();
 
-    let mut rng = SmallRng::seed_from_u64(schedule.seed.unwrap_or(0));
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut state = evaluator.probe_state();
     // What each window's last probed rows showed, kept across moves
     // and invalidated by each commit.
     let mut cache = ProbeCache::new(evaluator);
     let mut energy = 1.0f64; // normalized model area of the current state
-    let mut temp = schedule.t0;
+    let mut temp = ANNEAL_T0;
     let mut probes_done = 0u64;
     let mut stop_reason = StopReason::ScheduleComplete;
 
-    for _ in 0..schedule.steps {
+    for _ in 0..ANNEAL_STEPS {
         if ctx.cancelled() {
             stop_reason = StopReason::Cancelled;
             break;
@@ -694,9 +679,9 @@ fn anneal_ctx(
             evaluator.qor_probe_reusing(&mut state, &cache, ci, rows, spec.metric, || bound);
         probes_done += 1;
         temp = if probes_done == 1 {
-            schedule.t0
+            ANNEAL_T0
         } else {
-            temp * schedule.cooling
+            temp * ANNEAL_COOLING
         };
         let Some(report) = report else {
             ctx.count("explore.rejects", 1);
@@ -744,28 +729,20 @@ fn anneal_ctx(
     }
 }
 
-/// The last trajectory point whose driving metric stays within
-/// `threshold` (the design Algorithm 1 would synthesize).
-pub fn best_under_threshold(
-    trajectory: &[TrajectoryPoint],
-    metric: QorMetric,
-    threshold: f64,
-) -> Option<&TrajectoryPoint> {
-    trajectory
-        .iter()
-        .rev()
-        .find(|p| p.qor.value(metric) <= threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::montecarlo::McConfig;
     use crate::profile::{profile_partition_ctx, ProfileConfig};
+    use crate::qor::QorMetric;
     use blasys_decomp::{decompose, DecompConfig};
     use blasys_logic::builder::{add, input_bus, mark_output_bus};
     use blasys_logic::Netlist;
     use blasys_par::Parallelism;
+
+    /// The Monte-Carlo seed of [`setup_netlist`]'s evaluator, which a
+    /// session would also hand to annealing.
+    const SEED: u64 = 11;
 
     /// The trajectory of one exploration on a `parallelism`-sized pool.
     fn explore_with(
@@ -775,7 +752,7 @@ mod tests {
         parallelism: Parallelism,
     ) -> Vec<TrajectoryPoint> {
         let pool = Pool::shared(parallelism.worker_count());
-        explore_ctx(ev, profiles, spec, pool, &FlowContext::NONE).into_trajectory()
+        explore_ctx(ev, profiles, spec, SEED, pool, &FlowContext::NONE).into_trajectory()
     }
 
     /// [`explore_with`], plus the `explore.branches` and
@@ -794,7 +771,7 @@ mod tests {
             ..FlowContext::NONE
         };
         let pool = Pool::shared(parallelism.worker_count());
-        let trajectory = explore_ctx(ev, profiles, spec, pool, &ctx).into_trajectory();
+        let trajectory = explore_ctx(ev, profiles, spec, SEED, pool, &ctx).into_trajectory();
         let snapshot = registry.snapshot();
         let counts = ["explore.branches", "explore.frontier_size"].map(|c| snapshot.counter(c));
         (trajectory, counts)
@@ -836,7 +813,7 @@ mod tests {
             &part,
             &McConfig {
                 samples: 2048,
-                seed: 11,
+                seed: SEED,
             },
         );
         (nl, profiles, ev)
@@ -913,20 +890,6 @@ mod tests {
         // one must have stopped earlier than the full length.
         let expected_full: usize = profiles.iter().map(|p| p.num_outputs - 1).sum();
         assert!(traj.len() - 1 <= expected_full);
-    }
-
-    #[test]
-    fn best_under_threshold_picks_deepest_point() {
-        let (_nl, profiles, ev) = setup(6);
-        let traj = explore(ev, &profiles, &ExploreSpec::new());
-        let best = best_under_threshold(&traj, QorMetric::AvgRelative, 0.02).unwrap();
-        assert!(best.qor.avg_relative <= 0.02);
-        // No later point is also under the threshold with smaller area
-        // (the search returns the *last* qualifying point).
-        for p in &traj[best.step + 1..] {
-            assert!(p.qor.avg_relative > 0.02 || p.step <= best.step);
-        }
-        let _ = profiles;
     }
 
     fn assert_same_trajectory(a: &[TrajectoryPoint], b: &[TrajectoryPoint]) {
@@ -1018,6 +981,7 @@ mod tests {
                         pristine.clone(),
                         &profiles,
                         &spec.prune(prune),
+                        SEED,
                         Pool::shared(parallelism.worker_count()),
                         &FlowContext::NONE,
                     );
@@ -1063,7 +1027,6 @@ mod tests {
         let small_windows = DecompConfig {
             max_inputs: 4,
             max_outputs: 4,
-            ..DecompConfig::default()
         };
         let (_nl, profiles, pristine) =
             setup_netlist(blasys_circuits::multiplier(4), &small_windows);
@@ -1119,7 +1082,6 @@ mod tests {
         let small_windows = DecompConfig {
             max_inputs: 4,
             max_outputs: 4,
-            ..DecompConfig::default()
         };
         let (_nl, profiles, pristine) = setup_netlist(blasys_circuits::adder(5), &small_windows);
         let lattice: usize = profiles.iter().map(|p| p.num_outputs.max(1)).product();
@@ -1147,14 +1109,9 @@ mod tests {
 
     #[test]
     fn anneal_is_seed_deterministic() {
-        let schedule = AnnealSchedule {
-            steps: 64,
-            seed: Some(9),
-            ..AnnealSchedule::default()
-        };
         let spec = ExploreSpec::new()
             .threshold(0.08)
-            .explorer(Explorer::Anneal(schedule));
+            .explorer(Explorer::Anneal);
         let (_nl, profiles, ev_a) = setup(8);
         let (_n2, _p2, ev_b) = setup(8);
         let a = explore(ev_a, &profiles, &spec);
@@ -1197,7 +1154,6 @@ mod tests {
         let small_windows = DecompConfig {
             max_inputs: 4,
             max_outputs: 4,
-            ..DecompConfig::default()
         };
         let registry = blasys_obs::Registry::new();
         let counters = std::sync::Arc::new(crate::obs::QorCounters::register(&registry));
@@ -1205,18 +1161,21 @@ mod tests {
         for seed in 0..4u64 {
             let (_nl, profiles, pristine) = setup_netlist(random_netlist(seed), &small_windows);
             for metric in QorMetric::ALL {
-                let schedule = AnnealSchedule {
-                    steps: 150,
-                    seed: Some(seed),
-                    ..AnnealSchedule::default()
-                };
                 let spec = ExploreSpec::new()
                     .metric(metric)
                     .threshold(0.1)
-                    .explorer(Explorer::Anneal(schedule));
+                    .explorer(Explorer::Anneal);
                 let mut ev = pristine.clone();
                 ev.set_counters(counters.clone());
-                let traj = explore(ev, &profiles, &spec);
+                let traj = explore_ctx(
+                    ev,
+                    &profiles,
+                    &spec,
+                    seed,
+                    Pool::serial(),
+                    &FlowContext::NONE,
+                )
+                .into_trajectory();
                 moves += traj.len() - 1;
                 for point in &traj {
                     let mut fresh = pristine.clone();
@@ -1249,6 +1208,7 @@ mod tests {
             ev_p3,
             &profiles,
             &ExploreSpec::new().explorer(Explorer::Pareto3),
+            SEED,
             Pool::serial(),
             &FlowContext::NONE,
         );

@@ -129,7 +129,7 @@ impl std::error::Error for FlowError {}
 ///
 /// The [`FlowSession::open`] checks: a netlist the flow cannot take.
 pub fn exact_resynthesis(nl: &Netlist, decomp: &DecompConfig) -> Result<Netlist, FlowError> {
-    let cfg = FlowConfig::new().decomposition(*decomp);
+    let cfg = FlowConfig::new().limits(decomp.max_inputs, decomp.max_outputs);
     let session = FlowSession::open(nl, cfg)?.profile()?;
     let impls: Vec<ClusterImpl> = session
         .profiles()

@@ -127,7 +127,7 @@ pub mod session;
 pub use blasys_lint as lint;
 pub use blasys_par::{Parallelism, Pool};
 pub use certify::CertifiedPoint;
-pub use explore::{AnnealSchedule, Explorer, StopCriterion, TrajectoryPoint};
+pub use explore::{Explorer, StopCriterion, TrajectoryPoint};
 pub use flow::{run, BlasysResult, FlowError};
 pub use montecarlo::{Evaluator, McConfig, ProbeState, Signal, TableNetwork};
 pub use obs::{Observers, QorCounters, TraceObserver};

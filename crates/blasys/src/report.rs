@@ -12,7 +12,7 @@ use std::fmt;
 use blasys_synth::estimate::estimate;
 use blasys_synth::DesignMetrics;
 
-use crate::explore::{AnnealSchedule, Explorer};
+use crate::explore::Explorer;
 use crate::flow::BlasysResult;
 use crate::qor::{QorMetric, QorReport};
 use crate::session::StopReason;
@@ -428,22 +428,20 @@ pub fn explorer_name(explorer: &Explorer) -> String {
     match explorer {
         Explorer::Greedy => "greedy".to_string(),
         Explorer::Beam { width } => format!("beam:{width}"),
-        Explorer::Anneal(_) => "anneal".to_string(),
+        Explorer::Anneal => "anneal".to_string(),
         Explorer::Pareto3 => "pareto3".to_string(),
     }
 }
 
 /// Parse an explorer name as printed by [`explorer_name`]. Matching is
 /// case-insensitive and whitespace-tolerant; `beam` alone means
-/// `beam:4`, and `beam:0` (a meaningless width) is rejected. An
-/// `anneal` explorer comes back with the default
-/// [`AnnealSchedule`] (the session fills in the seed).
+/// `beam:4`, and `beam:0` (a meaningless width) is rejected.
 pub fn parse_explorer(name: &str) -> Option<Explorer> {
     let name = name.trim().to_ascii_lowercase();
     match name.as_str() {
         "greedy" => Some(Explorer::Greedy),
         "beam" => Some(Explorer::Beam { width: 4 }),
-        "anneal" => Some(Explorer::Anneal(AnnealSchedule::default())),
+        "anneal" => Some(Explorer::Anneal),
         "pareto3" => Some(Explorer::Pareto3),
         _ => {
             let width: usize = name.strip_prefix("beam:")?.trim().parse().ok()?;
@@ -606,15 +604,11 @@ mod tests {
             Explorer::Greedy,
             Explorer::Beam { width: 1 },
             Explorer::Beam { width: 7 },
+            Explorer::Anneal,
             Explorer::Pareto3,
         ] {
             assert_eq!(parse_explorer(&explorer_name(&e)), Some(e), "{e:?}");
         }
-        // `anneal` round-trips to the default schedule by design.
-        assert_eq!(
-            parse_explorer("anneal"),
-            Some(Explorer::Anneal(AnnealSchedule::default()))
-        );
         assert_eq!(parse_explorer("beam"), Some(Explorer::Beam { width: 4 }));
         assert_eq!(
             parse_explorer(" BEAM:2 "),

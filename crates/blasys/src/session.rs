@@ -243,9 +243,9 @@ pub enum StopReason {
     ProbeBudget,
     /// The [`Budget::max_wall`] cap was reached.
     WallBudget,
-    /// An annealing run finished its full
-    /// [`AnnealSchedule`](crate::explore::AnnealSchedule) without
-    /// being interrupted (only [`Explorer::Anneal`] ends this way).
+    /// An annealing run finished its full schedule of proposed moves
+    /// without being interrupted (only [`Explorer::Anneal`] ends this
+    /// way).
     ScheduleComplete,
 }
 
@@ -265,8 +265,8 @@ pub struct ExploreSpec {
     /// Cooperative cancellation for this exploration.
     pub cancel: Option<CancelToken>,
     /// The search engine to run (greedy, beam, annealing, or pareto3;
-    /// see [`Explorer`]). An [`Explorer::Anneal`] schedule without an
-    /// explicit seed derives it from the session's Monte-Carlo seed.
+    /// see [`Explorer`]). [`Explorer::Anneal`] draws its moves from the
+    /// session's Monte-Carlo seed.
     pub explorer: Explorer,
 }
 
@@ -511,12 +511,6 @@ impl FlowConfig {
     pub fn limits(mut self, k: usize, m: usize) -> FlowConfig {
         self.decomp.max_inputs = k;
         self.decomp.max_outputs = m;
-        self
-    }
-
-    /// Set the full decomposition configuration.
-    pub fn decomposition(mut self, cfg: DecompConfig) -> FlowConfig {
-        self.decomp = cfg;
         self
     }
 
@@ -880,13 +874,6 @@ impl FlowSession<Profiled> {
         observer: Option<&dyn FlowObserver>,
     ) -> Exploration {
         let observer = observer.or(self.cfg.observer.as_deref());
-        // An annealing schedule with no explicit seed inherits the
-        // session's stimulus seed, so "same session config" implies
-        // "same trajectory" without extra plumbing.
-        let mut spec = spec.clone();
-        if let Explorer::Anneal(schedule) = &mut spec.explorer {
-            schedule.seed.get_or_insert(self.cfg.mc.seed);
-        }
         let ctx = FlowContext {
             observer,
             cancel: spec.cancel.as_ref(),
@@ -901,7 +888,10 @@ impl FlowSession<Profiled> {
         let exploration = explore_ctx(
             self.pristine().clone(),
             &self.stage.profiles,
-            &spec,
+            spec,
+            // Annealing draws from the stimulus seed, so "same session
+            // config" implies "same trajectory".
+            self.cfg.mc.seed,
             self.pool,
             &ctx,
         );
@@ -1169,7 +1159,7 @@ mod tests {
     fn hand_built_nan_threshold_panics_in_anneal() {
         let spec = ExploreSpec {
             stop: StopCriterion::ErrorThreshold(f64::NAN),
-            explorer: Explorer::Anneal(crate::explore::AnnealSchedule::default()),
+            explorer: Explorer::Anneal,
             ..ExploreSpec::new()
         };
         small_session().explore(&spec);

@@ -14,7 +14,7 @@ use blasys_core::{
     Explorer, FlowError, Observers, Parallelism, QorMetric, SubcircuitProfile, TraceObserver,
     TrajectoryPoint,
 };
-use blasys_lint::{run_error_lints, LintConfig, LintTarget};
+use blasys_lint::{run_error_lints, LintTarget};
 use blasys_logic::blif::parse_blif_doc;
 use blasys_logic::Netlist;
 use blasys_obs::{FlightRecorder, Registry, SpanGuard, Tracer};
@@ -482,7 +482,7 @@ pub fn parse_blif_file(path: &str) -> Result<Netlist, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
     let doc = parse_blif_doc(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    let diags = run_error_lints(&LintTarget::new().with_doc(&doc), &LintConfig::default());
+    let diags = run_error_lints(&LintTarget::new().with_doc(&doc));
     if !diags.is_empty() {
         return Err(CliError::flow(path, FlowError::InvalidNetlist(diags)));
     }

@@ -12,21 +12,13 @@ use std::collections::HashSet;
 
 use blasys_logic::{GateKind, LogicError, Netlist, NodeId};
 
-/// Limits and knobs of the decomposition.
+/// The `k × m` limits of the decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecompConfig {
     /// Maximum boundary inputs per cluster (`k` in the paper; 10).
     pub max_inputs: usize,
     /// Maximum boundary outputs per cluster (`m` in the paper; 10).
     pub max_outputs: usize,
-    /// Maximum gates absorbed into one cluster (bounds truth-table
-    /// simulation cost; not part of the paper's constraint).
-    pub max_gates: usize,
-    /// Candidate window: only this many lowest-index ready nodes are
-    /// scored per growth step (bounds clustering runtime).
-    pub candidate_window: usize,
-    /// KL-style refinement passes run after clustering.
-    pub refine_passes: usize,
 }
 
 impl Default for DecompConfig {
@@ -34,12 +26,18 @@ impl Default for DecompConfig {
         DecompConfig {
             max_inputs: 10,
             max_outputs: 10,
-            max_gates: 64,
-            candidate_window: 96,
-            refine_passes: 1,
         }
     }
 }
+
+/// Maximum gates grown into one cluster (bounds truth-table simulation
+/// cost; not part of the paper's constraint).
+const MAX_GATES: usize = 64;
+/// Only this many lowest-index ready nodes are scored per growth step
+/// (bounds clustering runtime).
+const CANDIDATE_WINDOW: usize = 96;
+/// KL-style refinement passes run after growth.
+const REFINE_PASSES: usize = 1;
 
 /// A subcircuit: a set of gate nodes plus its boundary interface.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -243,9 +241,20 @@ fn make_cluster(
 
 /// Decompose a netlist into k×m-cut clusters.
 ///
-/// Runs greedy growth followed by `cfg.refine_passes` rounds of
-/// KL-style boundary refinement.
+/// Runs greedy growth followed by one round of KL-style boundary
+/// refinement.
 pub fn decompose(nl: &Netlist, cfg: &DecompConfig) -> Partition {
+    let mut part = grow(nl, cfg);
+    for _ in 0..REFINE_PASSES {
+        if !crate::kl::refine(nl, &mut part) {
+            break;
+        }
+    }
+    part
+}
+
+/// The greedy growth step of [`decompose`], before refinement.
+pub(crate) fn grow(nl: &Netlist, cfg: &DecompConfig) -> Partition {
     let fanout = nl.fanout_counts();
     let is_po: Vec<bool> = {
         let mut v = vec![false; nl.len()];
@@ -333,7 +342,7 @@ pub fn decompose(nl: &Netlist, cfg: &DecompConfig) -> Partition {
         };
 
         loop {
-            if member_list.len() >= cfg.max_gates {
+            if member_list.len() >= MAX_GATES {
                 break;
             }
             // Recompute readiness over the candidate window (lazy; the
@@ -342,7 +351,7 @@ pub fn decompose(nl: &Netlist, cfg: &DecompConfig) -> Partition {
                 .iter()
                 .copied()
                 .filter(|g| !placed[g.index()] && nl.node(*g).fanins().all(|f| placed[f.index()]))
-                .take(cfg.candidate_window)
+                .take(CANDIDATE_WINDOW)
                 .collect();
             if cands.is_empty() {
                 break;
@@ -418,18 +427,12 @@ pub fn decompose(nl: &Netlist, cfg: &DecompConfig) -> Partition {
         .enumerate()
         .map(|(ci, nodes)| make_cluster(nl, nodes, ci, &cluster_of))
         .collect();
-    let mut part = Partition {
+    Partition {
         clusters: built,
         cluster_of,
         max_inputs: cfg.max_inputs,
         max_outputs: cfg.max_outputs,
-    };
-    for _ in 0..cfg.refine_passes {
-        if !crate::kl::refine(nl, &mut part) {
-            break;
-        }
     }
-    part
 }
 
 #[cfg(test)]
@@ -463,7 +466,6 @@ mod tests {
             let cfg = DecompConfig {
                 max_inputs: k,
                 max_outputs: m,
-                ..DecompConfig::default()
             };
             let part = decompose(&nl, &cfg);
             assert!(part.validate(&nl).is_ok());
@@ -530,16 +532,26 @@ mod tests {
 
     #[test]
     fn max_gates_bounds_cluster_size() {
-        let nl = adder(32);
-        let cfg = DecompConfig {
-            max_gates: 8,
-            ..DecompConfig::default()
-        };
-        let part = decompose(&nl, &cfg);
+        // A 200-gate chain over two inputs fits one 2-input, 1-output
+        // window: only the gate bound splits it.
+        let mut nl = Netlist::new("chain");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let mut x = nl.and(a, b);
+        for i in 1..200 {
+            x = if i % 2 == 0 {
+                nl.and(x, b)
+            } else {
+                nl.xor(x, a)
+            };
+        }
+        nl.mark_output("z", x);
+        assert_eq!(nl.gate_count(), 200);
+        let part = grow(&nl, &DecompConfig::default());
         assert!(part.validate(&nl).is_ok());
-        // Refinement may merge a node or two, allow slack.
+        assert_eq!(part.len(), 200usize.div_ceil(MAX_GATES));
         for c in part.clusters() {
-            assert!(c.len() <= 10, "cluster of {} gates", c.len());
+            assert!(c.len() <= MAX_GATES, "cluster of {} gates", c.len());
         }
     }
 }

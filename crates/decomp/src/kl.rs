@@ -6,8 +6,6 @@
 //! topological order of the cluster sequence. This mirrors the role of
 //! the KL pass in the KL-cut algorithm the paper cites.
 
-use std::collections::HashSet;
-
 use blasys_logic::{Netlist, NodeId};
 
 use crate::cluster::Partition;
@@ -175,23 +173,10 @@ fn set_cluster_nodes(clusters: &mut [crate::cluster::Cluster], idx: usize, mut n
     clusters[idx] = crate::cluster::Cluster::bare(nodes);
 }
 
-/// Sanity helper used in tests: node sets across clusters are disjoint.
-pub fn clusters_disjoint(part: &Partition) -> bool {
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    for c in part.clusters() {
-        for &n in c.nodes() {
-            if !seen.insert(n) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{decompose, DecompConfig};
+    use crate::cluster::{grow, DecompConfig};
     use blasys_logic::builder::{add, input_bus, mark_output_bus, mul};
     use blasys_logic::Netlist;
 
@@ -207,19 +192,15 @@ mod tests {
     #[test]
     fn refinement_preserves_validity() {
         let nl = mult(5);
-        let cfg = DecompConfig {
-            refine_passes: 0,
-            ..DecompConfig::default()
-        };
-        let mut part = decompose(&nl, &cfg);
+        let mut part = grow(&nl, &DecompConfig::default());
         let before = interface_cost(&part);
         for _ in 0..3 {
             if !refine(&nl, &mut part) {
                 break;
             }
         }
+        // `validate` also checks every gate sits in exactly one cluster.
         assert!(part.validate(&nl).is_ok());
-        assert!(clusters_disjoint(&part));
         assert!(interface_cost(&part) <= before);
     }
 
@@ -233,10 +214,8 @@ mod tests {
         let cfg = DecompConfig {
             max_inputs: 6,
             max_outputs: 6,
-            refine_passes: 0,
-            ..DecompConfig::default()
         };
-        let mut part = decompose(&nl, &cfg);
+        let mut part = grow(&nl, &cfg);
         let before = interface_cost(&part);
         refine(&nl, &mut part);
         assert!(interface_cost(&part) <= before);

@@ -1,7 +1,6 @@
 //! Static analysis for BLASYS circuits: a lint pass framework over
-//! parsed BLIF documents, built netlists, and decomposition
-//! partitions, plus an IR invariant verifier for flow stage
-//! boundaries.
+//! parsed BLIF documents and built netlists, plus an IR invariant
+//! verifier for flow stage boundaries.
 //!
 //! # Two surfaces
 //!
@@ -12,9 +11,8 @@
 //! BLIF model ([`BlifDoc`], produced by
 //! [`parse_blif_doc`](blasys_logic::blif::parse_blif_doc)) before any
 //! netlist is built, where the defects are still visible and carry
-//! source lines. Redundancy lints (functionally duplicate cones) and
-//! decomposition lints (degenerate / oversized clusters) run on the
-//! built [`Netlist`] and its [`Partition`].
+//! source lines. The redundancy lint (functionally duplicate cones)
+//! runs on the built [`Netlist`].
 //!
 //! # Example
 //!
@@ -36,13 +34,10 @@
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use blasys_decomp::Partition;
 use blasys_logic::blif::BlifDoc;
 use blasys_logic::Netlist;
-use blasys_synth::CellLibrary;
 
 pub mod passes;
 pub mod verify;
@@ -82,7 +77,7 @@ impl fmt::Display for Severity {
 pub struct Diagnostic {
     /// Stable lint id, e.g. `"L0001-combinational-cycle"`.
     pub lint: &'static str,
-    /// Effective severity (after [`LintConfig`] overrides).
+    /// Severity of the finding (the lint's default severity).
     pub severity: Severity,
     /// Human-readable description of the finding.
     pub message: String,
@@ -136,52 +131,17 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Per-lint level override: the default severity of a lint can be
-/// raised, lowered, or silenced entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LintLevel {
-    /// Do not run the lint at all.
-    Allow,
-    /// Report at [`Severity::Info`].
-    Info,
-    /// Report at [`Severity::Warn`].
-    Warn,
-    /// Report at [`Severity::Error`].
-    Error,
-}
-
-impl LintLevel {
-    /// The severity this level reports at (`None` for [`LintLevel::Allow`]).
-    pub fn severity(self) -> Option<Severity> {
-        match self {
-            LintLevel::Allow => None,
-            LintLevel::Info => Some(Severity::Info),
-            LintLevel::Warn => Some(Severity::Warn),
-            LintLevel::Error => Some(Severity::Error),
-        }
-    }
-}
-
-/// Configuration of a lint run: per-lint level overrides and the
-/// warnings-as-errors switch.
-#[derive(Debug, Clone, Default)]
+/// Configuration of a lint run: the warnings-as-errors switch.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LintConfig {
-    levels: BTreeMap<String, LintLevel>,
     /// Treat any warning as run-failing ([`LintReport::denied`]).
     pub deny_warnings: bool,
 }
 
 impl LintConfig {
-    /// The default configuration: every lint at its default severity.
+    /// The default configuration: warnings do not fail the run.
     pub fn new() -> LintConfig {
         LintConfig::default()
-    }
-
-    /// Override one lint's level (by full id, e.g.
-    /// `"L0005-dead-logic"`).
-    pub fn level(mut self, lint: impl Into<String>, level: LintLevel) -> LintConfig {
-        self.levels.insert(lint.into(), level);
-        self
     }
 
     /// Set the warnings-as-errors switch.
@@ -189,32 +149,17 @@ impl LintConfig {
         self.deny_warnings = deny;
         self
     }
-
-    /// The severity `lint` reports at under this configuration
-    /// (`None` = the lint is allowed/disabled).
-    pub fn effective(&self, lint: &dyn Lint) -> Option<Severity> {
-        match self.levels.get(lint.id()) {
-            Some(level) => level.severity(),
-            None => Some(lint.default_severity()),
-        }
-    }
 }
 
 /// What a lint run analyzes. Each surface is optional; a lint that
 /// needs an absent surface is a silent no-op, so one `run_lints` call
-/// covers everything from a bare parsed document to a fully
-/// decomposed circuit.
+/// covers a bare parsed document, a built netlist, or both.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LintTarget<'a> {
     /// The structural BLIF document (cycle / driver / liveness lints).
     pub doc: Option<&'a BlifDoc>,
     /// The built netlist (redundancy lints; liveness when no doc).
     pub netlist: Option<&'a Netlist>,
-    /// The decomposition partition (cluster lints).
-    pub partition: Option<&'a Partition>,
-    /// Cell library for redundant-area estimation (defaults to the
-    /// typical 65 nm library when absent).
-    pub library: Option<&'a CellLibrary>,
 }
 
 impl<'a> LintTarget<'a> {
@@ -234,18 +179,6 @@ impl<'a> LintTarget<'a> {
         self.netlist = Some(nl);
         self
     }
-
-    /// Attach a decomposition partition (requires a netlist too).
-    pub fn with_partition(mut self, partition: &'a Partition) -> LintTarget<'a> {
-        self.partition = Some(partition);
-        self
-    }
-
-    /// Attach a cell library for area estimation.
-    pub fn with_library(mut self, library: &'a CellLibrary) -> LintTarget<'a> {
-        self.library = Some(library);
-        self
-    }
 }
 
 /// A lint pass: a stable id, a default severity, and the analysis
@@ -255,14 +188,13 @@ pub trait Lint {
     /// `"L0001-combinational-cycle"`). Never reused or renumbered.
     fn id(&self) -> &'static str;
 
-    /// Severity when no [`LintConfig`] override is present.
+    /// Severity every finding of this lint reports at.
     fn default_severity(&self) -> Severity;
 
     /// One-line description of what the lint detects.
     fn description(&self) -> &'static str;
 
-    /// Run the analysis, pushing findings at `severity` (the effective
-    /// level resolved by the caller).
+    /// Run the analysis, pushing findings at `severity`.
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>);
 }
 
@@ -327,9 +259,7 @@ impl LintReport {
 pub fn run_lints(target: &LintTarget<'_>, config: &LintConfig) -> LintReport {
     let mut diagnostics = Vec::new();
     for lint in registry() {
-        if let Some(severity) = config.effective(lint.as_ref()) {
-            lint.run(target, severity, &mut diagnostics);
-        }
+        lint.run(target, lint.default_severity(), &mut diagnostics);
     }
     LintReport {
         diagnostics,
@@ -337,13 +267,13 @@ pub fn run_lints(target: &LintTarget<'_>, config: &LintConfig) -> LintReport {
     }
 }
 
-/// Run only the lints whose *effective* severity is
-/// [`Severity::Error`] — the admission-control subset a flow front-end
-/// needs before spending cycles on BMF.
-pub fn run_error_lints(target: &LintTarget<'_>, config: &LintConfig) -> Vec<Diagnostic> {
+/// Run only the lints whose severity is [`Severity::Error`] — the
+/// admission-control subset a flow front-end needs before spending
+/// cycles on BMF.
+pub fn run_error_lints(target: &LintTarget<'_>) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
     for lint in registry() {
-        if config.effective(lint.as_ref()) == Some(Severity::Error) {
+        if lint.default_severity() == Severity::Error {
             lint.run(target, Severity::Error, &mut diagnostics);
         }
     }
@@ -373,30 +303,6 @@ mod tests {
     fn severity_orders_info_warn_error() {
         assert!(Severity::Info < Severity::Warn);
         assert!(Severity::Warn < Severity::Error);
-    }
-
-    #[test]
-    fn config_overrides_silence_and_rescale() {
-        let doc = blasys_logic::blif::parse_blif_doc(
-            ".model m\n.inputs a b\n.outputs f\n.names a f\n1 1\n.end\n",
-        )
-        .unwrap();
-        let target = LintTarget::new().with_doc(&doc);
-        // `b` is unused: default Warn.
-        let report = run_lints(&target, &LintConfig::default());
-        assert_eq!(report.counts().1, 1, "{:?}", report.diagnostics);
-        // Silenced.
-        let report = run_lints(
-            &target,
-            &LintConfig::new().level("L0006-unused-input", LintLevel::Allow),
-        );
-        assert_eq!(report.diagnostics.len(), 0);
-        // Promoted to error.
-        let report = run_lints(
-            &target,
-            &LintConfig::new().level("L0006-unused-input", LintLevel::Error),
-        );
-        assert!(report.has_errors());
     }
 
     #[test]

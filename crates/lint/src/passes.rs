@@ -1,12 +1,11 @@
-//! The lint passes, `L0001` … `L0010`.
+//! The lint passes, `L0001` … `L0008`.
 //!
 //! Document-level passes (`L0001`–`L0007`) analyze the structural
 //! [`BlifDoc`] form, where defects a built [`Netlist`] cannot
 //! represent (cycles, undriven or multiply-driven nets) are still
 //! visible and carry source lines. Liveness passes (`L0005`, `L0006`)
 //! fall back to the netlist surface when no document is attached.
-//! Redundancy (`L0008`) and cluster passes (`L0009`, `L0010`) run on
-//! the built netlist / partition.
+//! Redundancy (`L0008`) runs on the built netlist.
 
 use std::collections::{HashMap, HashSet};
 
@@ -28,8 +27,6 @@ pub fn all() -> Vec<Box<dyn Lint>> {
         Box::new(UnusedInput),
         Box::new(ConstantTable),
         Box::new(DuplicateCone),
-        Box::new(DegenerateCluster),
-        Box::new(OversizedCluster),
     ]
 }
 
@@ -608,14 +605,7 @@ impl Lint for DuplicateCone {
                     .push(id);
             }
         }
-        let default_lib;
-        let lib = match target.library {
-            Some(lib) => lib,
-            None => {
-                default_lib = CellLibrary::typical_65nm();
-                &default_lib
-            }
-        };
+        let lib = CellLibrary::typical_65nm();
         let mut keys: Vec<_> = groups.keys().cloned().collect();
         keys.sort_by_key(|k| groups[k][0]);
         for key in keys {
@@ -640,7 +630,7 @@ impl Lint for DuplicateCone {
                 if roots.len() < 2 {
                     continue;
                 }
-                let area = estimate(&cone, lib).area_um2;
+                let area = estimate(&cone, &lib).area_um2;
                 let redundant = area * (roots.len() - 1) as f64;
                 let names: Vec<String> = roots.iter().map(|r| r.to_string()).collect();
                 out.push(
@@ -695,93 +685,6 @@ fn extract_cone(nl: &Netlist, root: NodeId) -> Netlist {
     }
     out.mark_output("y", map[&root]);
     out
-}
-
-/// `L0009-degenerate-cluster` — single-gate clusters: the window is
-/// too small to amortize BMF profiling, so decomposition is not doing
-/// its job there.
-pub struct DegenerateCluster;
-
-impl Lint for DegenerateCluster {
-    fn id(&self) -> &'static str {
-        "L0009-degenerate-cluster"
-    }
-
-    fn default_severity(&self) -> Severity {
-        Severity::Info
-    }
-
-    fn description(&self) -> &'static str {
-        "a decomposition cluster holds a single gate"
-    }
-
-    fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
-        let Some(partition) = target.partition else {
-            return;
-        };
-        let degenerate: Vec<usize> = partition
-            .clusters()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.len() <= 1)
-            .map(|(i, _)| i)
-            .collect();
-        if !degenerate.is_empty() {
-            out.push(Diagnostic::new(
-                self.id(),
-                severity,
-                format!(
-                    "{} of {} clusters hold a single gate (first: cluster {})",
-                    degenerate.len(),
-                    partition.len(),
-                    degenerate[0]
-                ),
-            ));
-        }
-    }
-}
-
-/// `L0010-oversized-cluster` — a cluster whose boundary exceeds the
-/// `(k, m)` limits the partition was built under. The Monte-Carlo
-/// table network packs rows into `u16`s, so violations here would
-/// corrupt probing downstream.
-pub struct OversizedCluster;
-
-impl Lint for OversizedCluster {
-    fn id(&self) -> &'static str {
-        "L0010-oversized-cluster"
-    }
-
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn description(&self) -> &'static str {
-        "a cluster exceeds its k x m boundary limits"
-    }
-
-    fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
-        let Some(partition) = target.partition else {
-            return;
-        };
-        let (k, m) = partition.limits();
-        for (i, c) in partition.clusters().iter().enumerate() {
-            if c.inputs().len() > k || c.outputs().len() > m {
-                out.push(
-                    Diagnostic::new(
-                        self.id(),
-                        severity,
-                        format!(
-                            "cluster {i} has {} inputs / {} outputs, limits are {k}x{m}",
-                            c.inputs().len(),
-                            c.outputs().len()
-                        ),
-                    )
-                    .with_nodes(c.nodes().iter().map(|n| n.index()).collect()),
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -950,36 +853,6 @@ mod tests {
             &mut diags,
         );
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn cluster_lints_fire_on_partition() {
-        use blasys_decomp::{decompose, DecompConfig};
-        let mut nl = Netlist::new("tiny");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let g = nl.and(a, b);
-        nl.mark_output("z", g);
-        let partition = decompose(&nl, &DecompConfig::default());
-        let mut diags = Vec::new();
-        DegenerateCluster.run(
-            &LintTarget::new()
-                .with_netlist(&nl)
-                .with_partition(&partition),
-            Severity::Info,
-            &mut diags,
-        );
-        assert_eq!(ids(&diags), ["L0009-degenerate-cluster"]);
-        // A healthy partition has no oversized clusters.
-        let mut diags = Vec::new();
-        OversizedCluster.run(
-            &LintTarget::new()
-                .with_netlist(&nl)
-                .with_partition(&partition),
-            Severity::Error,
-            &mut diags,
-        );
-        assert!(diags.is_empty());
     }
 
     #[test]

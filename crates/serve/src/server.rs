@@ -28,7 +28,7 @@ use blasys_core::{
     CancelToken, ExploreSpec, FlowConfig, FlowError, FlowObserver, FlowSession, FlowStage, Json,
     SubcircuitProfile, TrajectoryPoint,
 };
-use blasys_lint::{run_error_lints, LintConfig, LintTarget};
+use blasys_lint::{run_error_lints, LintTarget};
 use blasys_logic::blif::parse_blif_doc;
 use blasys_obs::{Counter, Gauge, Histogram, Registry};
 
@@ -380,7 +380,7 @@ fn handle_ingest(shared: &Shared, req: &Request, conn: &mut TcpStream) {
         Ok(doc) => doc,
         Err(e) => return bad_request(conn, format!("BLIF parse error: {e}")),
     };
-    let diags = run_error_lints(&LintTarget::new().with_doc(&doc), &LintConfig::default());
+    let diags = run_error_lints(&LintTarget::new().with_doc(&doc));
     if !diags.is_empty() {
         return flow_error_response(conn, &FlowError::InvalidNetlist(diags));
     }

@@ -17,26 +17,14 @@
 //! Same discipline (and netlist generator family) as
 //! `tests/qor_differential.rs`, which pinned the packed QoR engine.
 
-use blasys_repro::blasys::explore::{AnnealSchedule, Explorer, StopCriterion, TrajectoryPoint};
+use blasys_repro::blasys::explore::{Explorer, StopCriterion, TrajectoryPoint};
 use blasys_repro::blasys::session::{Profiled, StopReason};
 use blasys_repro::blasys::{
     Evaluator, ExploreSpec, FlowConfig, FlowError, FlowSession, McConfig, QorMetric, QorReport,
 };
-use blasys_repro::decomp::DecompConfig;
 use blasys_repro::logic::Netlist;
 use blasys_repro::par::Parallelism;
 use proptest::prelude::*;
-
-/// Small decomposition windows so random netlists split into several
-/// clusters — single-cluster networks would leave frontier ranking and
-/// cross-branch pruning unexercised.
-fn small_windows() -> DecompConfig {
-    DecompConfig {
-        max_inputs: 4,
-        max_outputs: 4,
-        ..DecompConfig::default()
-    }
-}
 
 /// Random small netlist built from a script of gate operations (same
 /// generator family as `tests/qor_differential.rs`). Outputs tap every
@@ -86,8 +74,11 @@ const SAMPLES: usize = 512;
 /// when the netlist cleaned down to nothing decomposable).
 fn setup(nl: &Netlist, seed: u64) -> Option<[FlowSession<Profiled>; 2]> {
     let session = |parallelism| {
+        // Small 4×4 windows so random netlists split into several
+        // clusters — single-cluster networks would leave frontier
+        // ranking and cross-branch pruning unexercised.
         let cfg = FlowConfig::new()
-            .decomposition(small_windows())
+            .limits(4, 4)
             .samples(SAMPLES)
             .seed(seed)
             .parallelism(parallelism);
@@ -232,15 +223,15 @@ proptest! {
         }
     }
 
-    /// A seeded annealing run is a pure function of the seed: the
-    /// worker count and the prune flag change nothing.
+    /// An annealing run is a pure function of the session's
+    /// `FlowConfig::seed`: the worker count and the prune flag change
+    /// nothing.
     #[test]
     fn anneal_is_bit_identical_across_worker_counts(nl in arb_netlist(), seed in any::<u64>()) {
         let Some(sessions) = setup(&nl, seed) else { return; };
-        let schedule = AnnealSchedule { steps: 48, seed: Some(seed ^ 0xA11C), ..AnnealSchedule::default() };
         let spec = ExploreSpec::new()
             .threshold(0.08)
-            .explorer(Explorer::Anneal(schedule));
+            .explorer(Explorer::Anneal);
         let reference = run(&sessions[0], &spec);
         for (session, parallelism) in sessions.iter().zip(WORKERS) {
             for prune in [true, false] {

@@ -100,7 +100,8 @@ proptest! {
     /// identity substitution preserves the function.
     #[test]
     fn decomposition_roundtrip(nl in arb_netlist()) {
-        let cfg = DecompConfig { max_inputs: 5, max_outputs: 4, ..DecompConfig::default() };
+        let cfg = DecompConfig { max_inputs: 5, max_outputs: 4,
+};
         let part = decompose(&nl, &cfg);
         prop_assert!(part.validate(&nl).is_ok());
         let total: usize = part.clusters().iter().map(|c| c.len()).sum();
@@ -119,7 +120,8 @@ proptest! {
     /// Cluster window tables match scalar re-evaluation of the window.
     #[test]
     fn window_tables_consistent(nl in arb_netlist()) {
-        let cfg = DecompConfig { max_inputs: 5, max_outputs: 4, ..DecompConfig::default() };
+        let cfg = DecompConfig { max_inputs: 5, max_outputs: 4,
+};
         let part = decompose(&nl, &cfg);
         for cluster in part.clusters() {
             let tt = cluster_truth_table(&nl, cluster);

@@ -22,7 +22,6 @@ fn small_windows() -> DecompConfig {
     DecompConfig {
         max_inputs: 4,
         max_outputs: 4,
-        ..DecompConfig::default()
     }
 }
 
@@ -226,7 +225,7 @@ proptest! {
     fn pruned_explore_is_bit_identical_to_unpruned(nl in arb_netlist(), seed in any::<u64>()) {
         for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
             let cfg = FlowConfig::new()
-                .decomposition(small_windows())
+                .limits(4, 4)
                 .samples(1024)
                 .seed(seed)
                 .parallelism(parallelism);

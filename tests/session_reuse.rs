@@ -16,9 +16,7 @@ use std::sync::Arc;
 use blasys_repro::blasys::session::{
     CancelToken, ExploreSpec, FlowConfig, FlowObserver, FlowSession, FlowStage, StopReason,
 };
-use blasys_repro::blasys::{
-    run, AnnealSchedule, Explorer, QorMetric, SubcircuitProfile, TrajectoryPoint,
-};
+use blasys_repro::blasys::{run, Explorer, QorMetric, SubcircuitProfile, TrajectoryPoint};
 use blasys_repro::circuits::{adder, multiplier};
 use blasys_repro::logic::Netlist;
 use blasys_repro::par::Parallelism;
@@ -277,10 +275,7 @@ fn engine_specs() -> Vec<(&'static str, ExploreSpec, StopReason)> {
             "anneal",
             ExploreSpec::new()
                 .threshold(0.10)
-                .explorer(Explorer::Anneal(AnnealSchedule {
-                    steps: 64,
-                    ..AnnealSchedule::default()
-                })),
+                .explorer(Explorer::Anneal),
             StopReason::ScheduleComplete,
         ),
     ]
