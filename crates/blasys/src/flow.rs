@@ -568,7 +568,6 @@ mod extra_tests {
         assert_eq!(certified, point.certificate.worst_absolute);
         // The certificate dominates the sampled bound.
         assert!(certified >= last.qor.worst_absolute);
-        assert_eq!(last.qor.best_known_worst_absolute(), certified);
         // Exhaustive cross-check on the small multiplier.
         let approx = result.synthesize_step(result.trajectory().len() - 1);
         assert_eq!(

@@ -158,13 +158,6 @@ impl Observers {
         self
     }
 
-    /// Add an already-shared observer (keeps your handle usable for
-    /// reading its state after the flow).
-    pub fn with_shared(mut self, observer: Arc<dyn FlowObserver>) -> Observers {
-        self.inner.push(observer);
-        self
-    }
-
     /// Number of wrapped observers.
     pub fn len(&self) -> usize {
         self.inner.len()
@@ -280,9 +273,9 @@ mod tests {
         assert_eq!(events[0].name, "profile");
         assert_eq!(events[1].name, "window");
         // chrome_json closes the dangling window span for us.
-        let json = tracer.chrome_json();
-        assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
-        assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
+        let json = crate::report::chrome_json(&tracer).to_string();
+        assert_eq!(json.matches("\"ph\": \"B\"").count(), 2);
+        assert_eq!(json.matches("\"ph\": \"E\"").count(), 2);
     }
 
     #[test]

@@ -78,12 +78,6 @@ pub struct QorReport {
 }
 
 impl QorReport {
-    /// The tightest known worst-case absolute error: the SAT
-    /// certificate when available, the sampled lower bound otherwise.
-    pub fn best_known_worst_absolute(&self) -> u64 {
-        self.certified_worst_absolute.unwrap_or(self.worst_absolute)
-    }
-
     /// The scalar value of the chosen metric.
     pub fn value(&self, metric: QorMetric) -> f64 {
         match metric {
@@ -139,11 +133,6 @@ impl QorAccumulator {
     /// whole blocks of matching samples.
     pub fn push_correct(&mut self, k: usize) {
         self.n += k as u64;
-    }
-
-    /// Number of samples pushed so far.
-    pub fn samples_seen(&self) -> usize {
-        self.n as usize
     }
 
     /// The value [`QorReport::value`] would report for `metric` if all
@@ -291,7 +280,7 @@ mod tests {
                 acc.finish().value(metric).to_bits(),
                 "{metric:?}"
             );
-            assert_eq!(acc.samples_seen(), samples.len());
+            assert_eq!(acc.n, samples.len() as u64);
         }
     }
 

@@ -691,7 +691,7 @@ mod tests {
     fn weighted_error_accessor() {
         let m = sample();
         let fac = Factorizer::new().factorize(&m, 2);
-        let w = crate::metrics::uniform_weights(5);
+        let w = vec![1.0; 5];
         assert_eq!(fac.error(&m), fac.weighted_error(&m, &w));
     }
 

@@ -56,11 +56,6 @@ pub fn value_weights(cols: usize) -> Vec<f64> {
     (0..cols).map(|j| (2.0f64).powi(j as i32)).collect()
 }
 
-/// Uniform weight vector (standard L2 / Hamming behaviour).
-pub fn uniform_weights(cols: usize) -> Vec<f64> {
-    vec![1.0; cols]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +80,7 @@ mod tests {
     fn uniform_weights_match_hamming() {
         let a = BoolMatrix::from_rows(4, &[0b1010, 0b0101]);
         let b = BoolMatrix::from_rows(4, &[0b0110, 0b0000]);
-        let w = uniform_weights(4);
+        let w = vec![1.0; 4];
         assert_eq!(weighted_error(&a, &b, &w) as usize, hamming(&a, &b));
     }
 

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::Duration;
 
-use blasys_core::report::{parse_explorer, parse_metric};
+use blasys_core::report::{chrome_json, parse_explorer, parse_metric};
 use blasys_core::session::{
     ExploreSpec, FlowConfig, FlowObserver, FlowSession, FlowStage, Profiled,
 };
@@ -245,7 +245,7 @@ impl FlowOpts {
             return Ok(());
         };
         if let Some(path) = &self.trace_out {
-            std::fs::write(path, obs.tracer.chrome_json())
+            std::fs::write(path, chrome_json(&obs.tracer).to_string())
                 .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))?;
             eprintln!("wrote chrome trace to {path} (open in Perfetto or chrome://tracing)");
         }

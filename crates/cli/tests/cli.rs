@@ -284,17 +284,17 @@ fn sweep_trace_out_writes_chrome_trace_and_metrics_snapshot() {
     let t = std::fs::read_to_string(&trace).expect("read trace");
     assert_valid_json(&t);
     assert!(
-        t.starts_with("{\"traceEvents\":["),
+        t.starts_with("{\"traceEvents\": ["),
         "not a chrome trace: {t}"
     );
     assert_eq!(
-        t.matches("\"ph\":\"B\"").count(),
-        t.matches("\"ph\":\"E\"").count(),
+        t.matches("\"ph\": \"B\"").count(),
+        t.matches("\"ph\": \"E\"").count(),
         "unbalanced spans in trace: {t}"
     );
     for span in ["sweep", "decompose", "profile", "explore", "window"] {
         assert!(
-            t.contains(&format!("\"name\":\"{span}\"")),
+            t.contains(&format!("\"name\": \"{span}\"")),
             "missing `{span}` span in trace: {t}"
         );
     }

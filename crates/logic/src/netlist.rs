@@ -139,11 +139,6 @@ impl Netlist {
         self.nodes.iter().filter(|n| n.kind.is_gate()).count()
     }
 
-    /// Number of 2-input gates (the usual "area" proxy unit).
-    pub fn two_input_gate_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.kind.arity() == 2).count()
-    }
-
     /// Histogram of node kinds, indexed in [`ALL_KINDS`] order.
     pub fn kind_histogram(&self) -> [(GateKind, usize); 11] {
         let mut out = ALL_KINDS.map(|k| (k, 0usize));

@@ -4,9 +4,9 @@
 //! mutexes (the build environment has no access to crates.io):
 //!
 //! * [`Tracer`] — nestable timed spans with per-thread attribution,
-//!   recorded into sharded buffers and exported as chrome://tracing
-//!   "trace event" JSON, so a whole `run`/`sweep`/`batch` opens in
-//!   Perfetto or `chrome://tracing`;
+//!   recorded into sharded buffers (`blasys_core::report::chrome_json`
+//!   exports them as chrome://tracing "trace event" JSON, so a whole
+//!   `run`/`sweep`/`batch` opens in Perfetto or `chrome://tracing`);
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s behind cheap atomic handles, snapshotted to a
 //!   stable sorted [`Snapshot`] for JSON embedding;
@@ -72,23 +72,6 @@ pub fn thread_id() -> u64 {
     })
 }
 
-/// Minimal JSON string escaping for event names and labels.
-pub(crate) fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,12 +89,5 @@ mod tests {
         let a = elapsed_micros();
         let b = elapsed_micros();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn escaping_covers_quotes_and_control_chars() {
-        let mut out = String::new();
-        escape_json("a\"b\\c\nd\u{1}", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -56,11 +56,6 @@ impl Gauge {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Raise the level to at least `v`.
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current level.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -298,7 +293,6 @@ mod tests {
         let g = r.gauge("pool.queue_depth");
         g.set(7);
         g.add(-2);
-        g.set_max(3); // below current 5: no effect
         assert_eq!(r.counter("flow.probes").get(), 5, "same handle by name");
         let snap = r.snapshot();
         assert_eq!(snap.counter("flow.probes"), Some(5));

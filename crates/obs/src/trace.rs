@@ -1,4 +1,5 @@
-//! Span tracer with chrome://tracing "trace event" JSON export.
+//! Span tracer: the events behind a chrome://tracing "trace event"
+//! export.
 //!
 //! Spans are recorded as paired `Begin`/`End` events carrying the
 //! recording thread's id and a microsecond timestamp from the shared
@@ -7,11 +8,10 @@
 //! contend on the same lock ("lock-free-ish": one uncontended mutex
 //! acquisition per event, no allocation beyond the event itself).
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::{elapsed_micros, escape_json, thread_id};
+use crate::{elapsed_micros, thread_id};
 
 /// Number of event-buffer shards; a power of two so the thread-id
 /// residue is a cheap mask. Threads map to shards by id, so a worker
@@ -33,7 +33,7 @@ pub enum TracePhase {
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Span or marker name.
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// Recording thread (see [`crate::thread_id`]).
     pub tid: u64,
     /// Microseconds since the process epoch.
@@ -45,12 +45,12 @@ pub struct TraceEvent {
     seq: u64,
 }
 
-/// Collects spans and instant markers from any number of threads and
-/// exports them as chrome-trace JSON.
+/// Collects spans and instant markers from any number of threads.
 ///
 /// Create one per run (the CLI creates one per `--trace-out`
-/// invocation), share it by reference or `Arc`, and call
-/// [`Tracer::chrome_json`] at the end. Nesting is expressed purely by
+/// invocation), share it by reference or `Arc`, and read
+/// [`Tracer::events`] at the end (`blasys_core::report::chrome_json`
+/// renders them as chrome-trace JSON). Nesting is expressed purely by
 /// `Begin`/`End` order per thread, exactly as the chrome trace format
 /// expects.
 pub struct Tracer {
@@ -79,7 +79,7 @@ impl Tracer {
         }
     }
 
-    fn record(&self, name: Cow<'static, str>, phase: TracePhase) {
+    fn record(&self, name: &'static str, phase: TracePhase) {
         let tid = thread_id();
         let ev = TraceEvent {
             name,
@@ -95,37 +95,26 @@ impl Tracer {
     /// close share a scope; use explicit begin/end when they live in
     /// separate callbacks (they must still run on the same thread).
     pub fn begin(&self, name: &'static str) {
-        self.record(Cow::Borrowed(name), TracePhase::Begin);
+        self.record(name, TracePhase::Begin);
     }
 
     /// Record a span end, closing the most recent open span with the
     /// same thread.
     pub fn end(&self, name: &'static str) {
-        self.record(Cow::Borrowed(name), TracePhase::End);
+        self.record(name, TracePhase::End);
     }
 
     /// Record a zero-duration, thread-scoped marker.
     pub fn instant(&self, name: &'static str) {
-        self.record(Cow::Borrowed(name), TracePhase::Instant);
+        self.record(name, TracePhase::Instant);
     }
 
     /// Open a span closed automatically when the guard drops.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        self.record(Cow::Borrowed(name), TracePhase::Begin);
+        self.record(name, TracePhase::Begin);
         SpanGuard {
             tracer: self,
-            name: Cow::Borrowed(name),
-            _not_send: std::marker::PhantomData,
-        }
-    }
-
-    /// Like [`Tracer::span`] with a runtime-built name. The name
-    /// allocates, so only call this when tracing is actually on.
-    pub fn span_owned(&self, name: String) -> SpanGuard<'_> {
-        self.record(Cow::Owned(name.clone()), TracePhase::Begin);
-        SpanGuard {
-            tracer: self,
-            name: Cow::Owned(name),
+            name,
             _not_send: std::marker::PhantomData,
         }
     }
@@ -140,85 +129,19 @@ impl Tracer {
         all.sort_by_key(|e| e.seq);
         all
     }
-
-    /// Export everything as a chrome://tracing "trace event" JSON
-    /// document (openable in Perfetto).
-    ///
-    /// The export is always well-formed: any span still open at export
-    /// time (e.g. a flow aborted mid-stage) gets a synthetic closing
-    /// event, so `B`/`E` counts balance per thread.
-    pub fn chrome_json(&self) -> String {
-        let events = self.events();
-        let mut out = String::with_capacity(64 + events.len() * 64);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, name: &str, tid: u64, ts_us: u64, ph: &str| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"name\":\"");
-            escape_json(name, out);
-            out.push_str(&format!(
-                "\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us}"
-            ));
-            if ph == "i" {
-                out.push_str(",\"s\":\"t\"");
-            }
-            out.push('}');
-        };
-        // Per-thread open-span stacks so dangling opens can be closed
-        // synthetically at the end.
-        let mut open: Vec<(u64, Vec<Cow<'static, str>>)> = Vec::new();
-        let mut last_ts = 0u64;
-        for e in &events {
-            last_ts = last_ts.max(e.ts_us);
-            let idx = match open.iter().position(|(tid, _)| *tid == e.tid) {
-                Some(i) => i,
-                None => {
-                    open.push((e.tid, Vec::new()));
-                    open.len() - 1
-                }
-            };
-            let stack = &mut open[idx].1;
-            match e.phase {
-                TracePhase::Begin => {
-                    stack.push(e.name.clone());
-                    push(&mut out, &e.name, e.tid, e.ts_us, "B");
-                }
-                TracePhase::End => {
-                    // An end without a matching open (recorder attached
-                    // mid-span) is dropped rather than unbalancing the
-                    // document.
-                    if stack.pop().is_some() {
-                        push(&mut out, &e.name, e.tid, e.ts_us, "E");
-                    }
-                }
-                TracePhase::Instant => push(&mut out, &e.name, e.tid, e.ts_us, "i"),
-            }
-        }
-        for (tid, stack) in open {
-            for name in stack.into_iter().rev() {
-                push(&mut out, &name, tid, last_ts, "E");
-            }
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
-    }
 }
 
 /// Closes its span when dropped. Not `Send`: a span must end on the
 /// thread that opened it (chrome-trace pairs `B`/`E` per thread).
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
-    name: Cow<'static, str>,
+    name: &'static str,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.tracer
-            .record(std::mem::take(&mut self.name), TracePhase::End);
+        self.tracer.record(self.name, TracePhase::End);
     }
 }
 
@@ -229,7 +152,7 @@ mod tests {
     fn phases(t: &Tracer) -> Vec<(String, TracePhase)> {
         t.events()
             .into_iter()
-            .map(|e| (e.name.into_owned(), e.phase))
+            .map(|e| (e.name.to_string(), e.phase))
             .collect()
     }
 
@@ -297,34 +220,5 @@ mod tests {
         for w in events.windows(2) {
             assert!(w[1].ts_us >= w[0].ts_us);
         }
-    }
-
-    #[test]
-    fn export_closes_dangling_spans() {
-        let t = Tracer::new();
-        t.begin("left-open");
-        t.instant("mark");
-        let json = t.chrome_json();
-        assert_eq!(json.matches("\"ph\":\"B\"").count(), 1);
-        assert_eq!(json.matches("\"ph\":\"E\"").count(), 1);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("}"));
-    }
-
-    #[test]
-    fn export_drops_unmatched_ends() {
-        let t = Tracer::new();
-        t.end("never-opened");
-        let json = t.chrome_json();
-        assert_eq!(json.matches("\"ph\":\"E\"").count(), 0);
-    }
-
-    #[test]
-    fn owned_names_are_escaped() {
-        let t = Tracer::new();
-        let _g = t.span_owned("with \"quotes\"".to_string());
-        drop(_g);
-        let json = t.chrome_json();
-        assert!(json.contains("with \\\"quotes\\\""));
     }
 }

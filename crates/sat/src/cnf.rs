@@ -118,11 +118,6 @@ impl Cnf {
         self.num_vars
     }
 
-    /// Number of clauses.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Append a clause (a disjunction of literals).
     pub fn add_clause(&mut self, lits: impl Into<Vec<Lit>>) {
         self.clauses.push(lits.into());

@@ -5,7 +5,7 @@
 //! so the CNF size is linear in the netlist and every model of the CNF
 //! restricted to the input variables is a consistent simulation trace.
 
-use blasys_logic::{GateKind, Netlist, NodeId};
+use blasys_logic::{GateKind, Netlist};
 
 use crate::cnf::{Cnf, Lit};
 
@@ -132,16 +132,6 @@ impl Encoder {
     pub fn cnf(&self) -> &Cnf {
         &self.cnf
     }
-
-    /// Consume the encoder, yielding the formula.
-    pub fn into_cnf(self) -> Cnf {
-        self.cnf
-    }
-}
-
-/// Literal of node `id` inside an [`Encoded`] netlist.
-pub fn node_lit(enc: &Encoded, id: NodeId) -> Lit {
-    enc.node_lits[id.index()]
 }
 
 #[cfg(test)]

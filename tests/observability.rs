@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use blasys_repro::blasys::report::FlowReport;
+use blasys_repro::blasys::report::{chrome_json, FlowReport};
 use blasys_repro::blasys::session::{ExploreSpec, FlowConfig, FlowSession};
 use blasys_repro::blasys::{run, snapshot_json, Parallelism, TraceObserver};
 use blasys_repro::circuits::multiplier;
@@ -142,15 +142,15 @@ fn traced_flow_exports_balanced_chrome_trace() {
         assert!(names.iter().any(|n| n == stage), "missing span: {stage}");
     }
 
-    let chrome = tracer.chrome_json();
+    let chrome = chrome_json(&tracer).to_string();
     assert_valid_json(&chrome);
     assert!(
-        chrome.starts_with("{\"traceEvents\":["),
+        chrome.starts_with("{\"traceEvents\": ["),
         "chrome trace shape"
     );
     assert_eq!(
-        chrome.matches("\"ph\":\"B\"").count(),
-        chrome.matches("\"ph\":\"E\"").count(),
+        chrome.matches("\"ph\": \"B\"").count(),
+        chrome.matches("\"ph\": \"E\"").count(),
         "B/E phases must balance in the export"
     );
 }
