@@ -73,22 +73,14 @@ impl TraceObserver {
     }
 }
 
-fn stage_name(stage: FlowStage) -> &'static str {
-    match stage {
-        FlowStage::Decompose => "decompose",
-        FlowStage::Profile => "profile",
-        FlowStage::Explore => "explore",
-    }
-}
-
 impl FlowObserver for TraceObserver {
     fn on_stage_start(&self, stage: FlowStage) {
-        self.tracer.begin(stage_name(stage));
+        self.tracer.begin(stage.name());
         self.note(|| format!("{stage}: start"));
     }
 
     fn on_stage_end(&self, stage: FlowStage) {
-        self.tracer.end(stage_name(stage));
+        self.tracer.end(stage.name());
         self.note(|| format!("{stage}: end"));
     }
 

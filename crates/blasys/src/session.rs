@@ -96,13 +96,21 @@ pub enum FlowStage {
     Explore,
 }
 
-impl std::fmt::Display for FlowStage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl FlowStage {
+    /// The stage's lowercase name (`decompose`, `profile`, `explore`),
+    /// as trace spans, progress lines and stream events print it.
+    pub fn name(self) -> &'static str {
+        match self {
             FlowStage::Decompose => "decompose",
             FlowStage::Profile => "profile",
             FlowStage::Explore => "explore",
-        })
+        }
+    }
+}
+
+impl std::fmt::Display for FlowStage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 

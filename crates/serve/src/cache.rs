@@ -37,10 +37,6 @@ pub struct CacheEntry {
     pub meta: CircuitMeta,
     /// The profiled session every explore replays against.
     pub session: FlowSession<Profiled>,
-    /// Serializes explorations on this session: concurrent requests
-    /// for the *same* circuit queue here (distinct circuits explore in
-    /// parallel freely).
-    pub explore_lock: Mutex<()>,
     /// How many explorations this entry has served.
     pub explores: AtomicU64,
 }
@@ -145,7 +141,6 @@ mod tests {
                 profile_wall_ns: 0,
             },
             session,
-            explore_lock: Mutex::new(()),
             explores: AtomicU64::new(0),
         })
     }

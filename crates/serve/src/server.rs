@@ -7,8 +7,9 @@
 //! Admission is exact — the accept thread counts in-flight requests
 //! on the `serve.inflight` gauge and answers 429 inline once the
 //! bound is reached, so a worker is always available for an admitted
-//! connection. A streaming response adds one writer thread of its own
-//! (see `StreamBridge`). Graceful shutdown (`POST /admin/shutdown`) sets a flag
+//! connection. A request gives its slot back (see `Slot`) just before
+//! the last write of its reply. A streaming response adds one writer
+//! thread of its own (see `StreamBridge`). Graceful shutdown (`POST /admin/shutdown`) sets a flag
 //! and wakes the accept loop with a loopback connection; queued and
 //! in-flight requests drain before [`Server::run`] returns.
 
@@ -186,6 +187,62 @@ impl Server {
     }
 }
 
+/// An admitted request's hold on one `serve.inflight` slot.
+struct Slot {
+    inflight: Arc<Gauge>,
+    held: AtomicBool,
+}
+
+impl Slot {
+    fn new(inflight: Arc<Gauge>) -> Slot {
+        Slot {
+            inflight,
+            held: AtomicBool::new(true),
+        }
+    }
+
+    /// Give the slot back (once): just before the last write of the
+    /// reply, since a client that reads by `Content-Length` sends its
+    /// next request as soon as it has the last byte, and that request
+    /// must not find this one still counted.
+    fn release(&self) {
+        if self.held.swap(false, Ordering::SeqCst) {
+            self.inflight.add(-1);
+        }
+    }
+}
+
+/// A complete `Content-Length` reply; the worker writes it after
+/// giving back the request's slot.
+struct Reply {
+    status: u16,
+    reason: &'static str,
+    body: String,
+}
+
+impl Reply {
+    /// A compact JSON reply.
+    fn json(status: u16, reason: &'static str, body: &Json) -> Option<Reply> {
+        Some(Reply {
+            status,
+            reason,
+            body: body.to_string(),
+        })
+    }
+
+    /// `{"error": error}` plus `fields`.
+    fn error(
+        status: u16,
+        reason: &'static str,
+        error: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, Json)>,
+    ) -> Option<Reply> {
+        let mut body = vec![("error", Json::str(error))];
+        body.extend(fields);
+        Reply::json(status, reason, &Json::obj(body))
+    }
+}
+
 fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
     loop {
         // Take the lock only to receive: handling happens unlocked so
@@ -196,27 +253,33 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
         };
         match conn {
             Ok(mut conn) => {
-                handle_connection(shared, &mut conn);
-                // Free the admission slot before closing: a closed-loop
-                // client reconnects the moment it sees the close and
-                // must not find its finished request still counted.
-                shared.metrics.inflight.add(-1);
-                drop(conn);
+                let t0 = Instant::now();
+                let slot = Arc::new(Slot::new(shared.metrics.inflight.clone()));
+                let reply = handle_connection(shared, &mut conn, &slot);
+                slot.release();
+                if let Some(reply) = reply {
+                    let _ = write_json(&mut conn, reply.status, reply.reason, &reply.body);
+                }
+                shared
+                    .metrics
+                    .request_wall
+                    .observe(t0.elapsed().as_nanos() as u64);
             }
             Err(_) => break, // accept loop gone and queue drained
         }
     }
 }
 
-fn handle_connection(shared: &Shared, conn: &mut TcpStream) {
-    let t0 = Instant::now();
+/// Read and route one request. `None` when there is nothing left to
+/// write: the client hung up, or a streamed reply already went out.
+fn handle_connection(shared: &Shared, conn: &mut TcpStream, slot: &Arc<Slot>) -> Option<Reply> {
     let _ = conn.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = conn.set_write_timeout(Some(Duration::from_secs(30)));
     let _ = conn.set_nodelay(true);
     shared.metrics.requests.add(1);
     match read_request(conn, shared.cfg.max_body_bytes) {
-        Ok(req) => route(shared, &req, conn),
-        Err(HttpError::Disconnected) => {}
+        Ok(req) => route(shared, &req, conn, slot),
+        Err(HttpError::Disconnected) => None,
         Err(e) => {
             let (status, reason) = e.status();
             let message = match e {
@@ -225,8 +288,7 @@ fn handle_connection(shared: &Shared, conn: &mut TcpStream) {
                 HttpError::Malformed(m) => m,
                 HttpError::Disconnected => unreachable!("handled above"),
             };
-            let _ = write_json(
-                conn,
+            Reply::json(
                 status,
                 reason,
                 &Json::obj([
@@ -235,60 +297,40 @@ fn handle_connection(shared: &Shared, conn: &mut TcpStream) {
                         Json::str(reason.to_ascii_lowercase().replace(' ', "-")),
                     ),
                     ("message", Json::str(message)),
-                ])
-                .to_string(),
-            );
+                ]),
+            )
         }
     }
-    shared
-        .metrics
-        .request_wall
-        .observe(t0.elapsed().as_nanos() as u64);
 }
 
-fn route(shared: &Shared, req: &Request, conn: &mut TcpStream) {
+fn route(shared: &Shared, req: &Request, conn: &mut TcpStream, slot: &Arc<Slot>) -> Option<Reply> {
     let segments = req.segments();
     match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => {
-            let body = Json::obj([
+        ("GET", ["healthz"]) => Reply::json(
+            200,
+            "OK",
+            &Json::obj([
                 ("status", Json::str("ok")),
                 ("cached_circuits", Json::UInt(shared.cache.len() as u64)),
-            ]);
-            let _ = write_json(conn, 200, "OK", &body.to_string());
-        }
-        ("GET", ["metrics"]) => {
-            let body = snapshot_json(&shared.registry.snapshot());
-            let _ = write_json(conn, 200, "OK", &body.pretty());
-        }
+            ]),
+        ),
+        ("GET", ["metrics"]) => Some(Reply {
+            status: 200,
+            reason: "OK",
+            body: snapshot_json(&shared.registry.snapshot()).pretty(),
+        }),
         ("POST", ["admin", "shutdown"]) => {
             shared.shutdown.store(true, Ordering::SeqCst);
             wake_accept_loop(shared.addr);
-            let _ = write_json(
-                conn,
-                200,
-                "OK",
-                &Json::obj([("status", Json::str("draining"))]).to_string(),
-            );
+            Reply::json(200, "OK", &Json::obj([("status", Json::str("draining"))]))
         }
-        ("POST", ["circuits"]) => handle_ingest(shared, req, conn),
-        ("GET", ["circuits", hash]) => handle_status(shared, hash, conn),
-        ("POST", ["circuits", hash, "explore"]) => handle_explore(shared, req, hash, conn),
+        ("POST", ["circuits"]) => handle_ingest(shared, req, conn, slot),
+        ("GET", ["circuits", hash]) => handle_status(shared, hash),
+        ("POST", ["circuits", hash, "explore"]) => handle_explore(shared, req, hash, conn, slot),
         ("GET" | "POST", ["healthz" | "metrics" | "circuits" | "admin", ..]) => {
-            let _ = write_json(
-                conn,
-                405,
-                "Method Not Allowed",
-                &Json::obj([("error", Json::str("method-not-allowed"))]).to_string(),
-            );
+            Reply::error(405, "Method Not Allowed", "method-not-allowed", [])
         }
-        _ => {
-            let _ = write_json(
-                conn,
-                404,
-                "Not Found",
-                &Json::obj([("error", Json::str("not-found"))]).to_string(),
-            );
-        }
+        _ => Reply::error(404, "Not Found", "not-found", []),
     }
 }
 
@@ -317,49 +359,42 @@ fn circuit_json(meta: &CircuitMeta, cached: bool, explores: u64) -> Json {
     ])
 }
 
-fn bad_request(conn: &mut TcpStream, message: impl Into<String>) {
-    let _ = write_json(
-        conn,
+fn bad_request(message: impl Into<String>) -> Option<Reply> {
+    Reply::error(
         400,
         "Bad Request",
-        &Json::obj([
-            ("error", Json::str("bad-request")),
-            ("message", Json::str(message.into())),
-        ])
-        .to_string(),
-    );
+        "bad-request",
+        [("message", Json::str(message.into()))],
+    )
 }
 
-fn flow_error_response(conn: &mut TcpStream, err: &FlowError) {
+fn unknown_circuit(hash: &str) -> Option<Reply> {
+    Reply::error(
+        404,
+        "Not Found",
+        "unknown-circuit",
+        [("hash", Json::str(hash.to_string()))],
+    )
+}
+
+fn flow_error_response(err: &FlowError) -> Option<Reply> {
     match err {
-        FlowError::InvalidNetlist(diags) => {
-            let _ = write_json(
-                conn,
-                400,
-                "Bad Request",
-                &Json::obj([
-                    ("error", Json::str("invalid-netlist")),
-                    ("diagnostics", diagnostics_json(diags)),
-                ])
-                .to_string(),
-            );
-        }
-        FlowError::BudgetExhausted => {
-            let _ = write_json(
-                conn,
-                503,
-                "Service Unavailable",
-                &Json::obj([
-                    ("error", Json::str("profile-budget-exhausted")),
-                    (
-                        "message",
-                        Json::str("profiling exceeded the server's wall budget"),
-                    ),
-                ])
-                .to_string(),
-            );
-        }
-        other => bad_request(conn, format!("{other}")),
+        FlowError::InvalidNetlist(diags) => Reply::error(
+            400,
+            "Bad Request",
+            "invalid-netlist",
+            [("diagnostics", diagnostics_json(diags))],
+        ),
+        FlowError::BudgetExhausted => Reply::error(
+            503,
+            "Service Unavailable",
+            "profile-budget-exhausted",
+            [(
+                "message",
+                Json::str("profiling exceeded the server's wall budget"),
+            )],
+        ),
+        other => bad_request(format!("{other}")),
     }
 }
 
@@ -367,34 +402,38 @@ fn flow_error_response(conn: &mut TcpStream, err: &FlowError) {
 /// into the cache (or answer from it). `?stream=1` upgrades to a
 /// chunked ndjson response with decompose/profile progress events
 /// before the final summary.
-fn handle_ingest(shared: &Shared, req: &Request, conn: &mut TcpStream) {
+fn handle_ingest(
+    shared: &Shared,
+    req: &Request,
+    conn: &mut TcpStream,
+    slot: &Arc<Slot>,
+) -> Option<Reply> {
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) if !t.trim().is_empty() => t,
-        Ok(_) => return bad_request(conn, "empty body; POST the BLIF source"),
-        Err(_) => return bad_request(conn, "body is not UTF-8 BLIF text"),
+        Ok(_) => return bad_request("empty body; POST the BLIF source"),
+        Err(_) => return bad_request("body is not UTF-8 BLIF text"),
     };
     // The same pre-flight the CLI runs: syntax, then error-level
     // lints over the *document* (carrying source locations), then
     // netlist construction.
     let doc = match parse_blif_doc(text) {
         Ok(doc) => doc,
-        Err(e) => return bad_request(conn, format!("BLIF parse error: {e}")),
+        Err(e) => return bad_request(format!("BLIF parse error: {e}")),
     };
     let diags = run_error_lints(&LintTarget::new().with_doc(&doc));
     if !diags.is_empty() {
-        return flow_error_response(conn, &FlowError::InvalidNetlist(diags));
+        return flow_error_response(&FlowError::InvalidNetlist(diags));
     }
     let nl = match doc.build() {
         Ok(nl) => nl,
-        Err(e) => return bad_request(conn, format!("BLIF build error: {e}")),
+        Err(e) => return bad_request(format!("BLIF build error: {e}")),
     };
     let hash = nl.content_hash_hex();
 
     if let Some(entry) = shared.cache.get(&hash) {
         shared.metrics.cache_hits.add(1);
         let body = circuit_json(&entry.meta, true, entry.explores.load(Ordering::Relaxed));
-        let _ = write_json(conn, 200, "OK", &body.to_string());
-        return;
+        return Reply::json(200, "OK", &body);
     }
     shared.metrics.cache_misses.add(1);
 
@@ -417,14 +456,14 @@ fn handle_ingest(shared: &Shared, req: &Request, conn: &mut TcpStream) {
         match conn
             .try_clone()
             .and_then(|c| ChunkedWriter::start(c, 201, "Created", "application/x-ndjson"))
-            .and_then(|writer| StreamBridge::start(writer, None))
+            .and_then(|writer| StreamBridge::start(writer, slot.clone(), None))
         {
             Ok(bridge) => {
                 let bridge = Arc::new(bridge);
                 flow_cfg = flow_cfg.observer_shared(bridge.clone());
                 Some(bridge)
             }
-            Err(_) => return,
+            Err(_) => return None,
         }
     } else {
         None
@@ -437,9 +476,9 @@ fn handle_ingest(shared: &Shared, req: &Request, conn: &mut TcpStream) {
         Err(e) => {
             if let Some(bridge) = &bridge {
                 bridge.error(&format!("{e}"));
-                return;
+                return None;
             }
-            return flow_error_response(conn, &e);
+            return flow_error_response(&e);
         }
     };
     let profile_wall_ns = t0.elapsed().as_nanos() as u64;
@@ -455,7 +494,6 @@ fn handle_ingest(shared: &Shared, req: &Request, conn: &mut TcpStream) {
             profile_wall_ns,
         },
         session,
-        explore_lock: Mutex::new(()),
         explores: std::sync::atomic::AtomicU64::new(0),
     });
     if shared.cache.insert(entry.clone()).is_some() {
@@ -464,32 +502,22 @@ fn handle_ingest(shared: &Shared, req: &Request, conn: &mut TcpStream) {
 
     let body = circuit_json(&entry.meta, false, 0);
     match bridge {
-        Some(bridge) => bridge.done(body),
-        None => {
-            let _ = write_json(conn, 201, "Created", &body.to_string());
+        Some(bridge) => {
+            bridge.done(body);
+            None
         }
+        None => Reply::json(201, "Created", &body),
     }
 }
 
 /// `GET /circuits/{hash}` — cache status for one hash.
-fn handle_status(shared: &Shared, hash: &str, conn: &mut TcpStream) {
+fn handle_status(shared: &Shared, hash: &str) -> Option<Reply> {
     match shared.cache.get(hash) {
         Some(entry) => {
             let body = circuit_json(&entry.meta, true, entry.explores.load(Ordering::Relaxed));
-            let _ = write_json(conn, 200, "OK", &body.to_string());
+            Reply::json(200, "OK", &body)
         }
-        None => {
-            let _ = write_json(
-                conn,
-                404,
-                "Not Found",
-                &Json::obj([
-                    ("error", Json::str("unknown-circuit")),
-                    ("hash", Json::str(hash.to_string())),
-                ])
-                .to_string(),
-            );
-        }
+        None => unknown_circuit(hash),
     }
 }
 
@@ -587,26 +615,19 @@ fn parse_explore_request(shared: &Shared, body: &[u8]) -> Result<ExploreRequest,
 /// `POST /circuits/{hash}/explore` — replay one exploration against
 /// the cached profile. Budget- or cancel-truncated runs are 200s with
 /// the truncation named in `stop_reason`, never errors.
-fn handle_explore(shared: &Shared, req: &Request, hash: &str, conn: &mut TcpStream) {
-    let entry = match shared.cache.get(hash) {
-        Some(entry) => entry,
-        None => {
-            let _ = write_json(
-                conn,
-                404,
-                "Not Found",
-                &Json::obj([
-                    ("error", Json::str("unknown-circuit")),
-                    ("hash", Json::str(hash.to_string())),
-                ])
-                .to_string(),
-            );
-            return;
-        }
+fn handle_explore(
+    shared: &Shared,
+    req: &Request,
+    hash: &str,
+    conn: &mut TcpStream,
+    slot: &Arc<Slot>,
+) -> Option<Reply> {
+    let Some(entry) = shared.cache.get(hash) else {
+        return unknown_circuit(hash);
     };
     let parsed = match parse_explore_request(shared, &req.body) {
         Ok(p) => p,
-        Err(message) => return bad_request(conn, message),
+        Err(message) => return bad_request(message),
     };
     let stream = parsed.stream || req.query_flag("stream");
 
@@ -618,22 +639,17 @@ fn handle_explore(shared: &Shared, req: &Request, hash: &str, conn: &mut TcpStre
         match conn
             .try_clone()
             .and_then(|c| ChunkedWriter::start(c, 200, "OK", "application/x-ndjson"))
-            .and_then(|writer| StreamBridge::start(writer, Some(cancel)))
+            .and_then(|writer| StreamBridge::start(writer, slot.clone(), Some(cancel)))
         {
             Ok(bridge) => Some(Arc::new(bridge)),
-            Err(_) => return,
+            Err(_) => return None,
         }
     } else {
         None
     };
 
-    let exploration = {
-        // One exploration at a time per cached session: its worker
-        // pool and pristine-evaluator cache are session-level.
-        let _guard = entry.explore_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let observer = bridge.as_ref().map(|b| b.as_ref() as &dyn FlowObserver);
-        entry.session.explore_with(&spec, observer)
-    };
+    let observer = bridge.as_ref().map(|b| b.as_ref() as &dyn FlowObserver);
+    let exploration = entry.session.explore_with(&spec, observer);
     entry.record_explore();
 
     let result = entry.session.result(&exploration);
@@ -664,10 +680,11 @@ fn handle_explore(shared: &Shared, req: &Request, hash: &str, conn: &mut TcpStre
         ("report", report.to_json()),
     ]);
     match bridge {
-        Some(bridge) => bridge.done(envelope),
-        None => {
-            let _ = write_json(conn, 200, "OK", &envelope.to_string());
+        Some(bridge) => {
+            bridge.done(envelope);
+            None
         }
+        None => Reply::json(200, "OK", &envelope),
     }
 }
 
@@ -691,6 +708,8 @@ struct StreamBridge {
     /// or the writer gave up.
     queue: Mutex<Option<mpsc::Sender<String>>>,
     writer: Mutex<Option<JoinHandle<()>>>,
+    /// The request's admission slot, given back before the last chunk.
+    slot: Arc<Slot>,
 }
 
 impl StreamBridge {
@@ -698,6 +717,7 @@ impl StreamBridge {
     /// spawned.
     fn start<W: Write + Send + 'static>(
         mut sink: ChunkedWriter<W>,
+        slot: Arc<Slot>,
         cancel: Option<CancelToken>,
     ) -> io::Result<StreamBridge> {
         let (queue, lines) = mpsc::channel::<String>();
@@ -717,6 +737,7 @@ impl StreamBridge {
         Ok(StreamBridge {
             queue: Mutex::new(Some(queue)),
             writer: Mutex::new(Some(writer)),
+            slot,
         })
     }
 
@@ -731,9 +752,11 @@ impl StreamBridge {
         }
     }
 
-    /// Close the stream: the writer thread sends every queued line,
-    /// then the final chunk; wait for it.
+    /// Close the stream: give back the admission slot, then let the
+    /// writer thread send every queued line and the final chunk; wait
+    /// for it.
     fn close(&self) {
+        self.slot.release();
         self.queue.lock().unwrap_or_else(|e| e.into_inner()).take();
         let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(writer) = writer {
@@ -761,19 +784,11 @@ impl StreamBridge {
     }
 }
 
-fn stage_name(stage: FlowStage) -> &'static str {
-    match stage {
-        FlowStage::Decompose => "decompose",
-        FlowStage::Profile => "profile",
-        FlowStage::Explore => "explore",
-    }
-}
-
 impl FlowObserver for StreamBridge {
     fn on_stage_start(&self, stage: FlowStage) {
         self.emit(Json::obj([
             ("event", Json::str("stage")),
-            ("stage", Json::str(stage_name(stage))),
+            ("stage", Json::str(stage.name())),
             ("phase", Json::str("start")),
         ]));
     }
@@ -781,7 +796,7 @@ impl FlowObserver for StreamBridge {
     fn on_stage_end(&self, stage: FlowStage) {
         self.emit(Json::obj([
             ("event", Json::str("stage")),
-            ("stage", Json::str(stage_name(stage))),
+            ("stage", Json::str(stage.name())),
             ("phase", Json::str("end")),
         ]));
     }
@@ -871,7 +886,8 @@ mod tests {
             timed_out: timed_out.clone(),
         };
         let sink = ChunkedWriter::start(client, 201, "Created", "application/x-ndjson").unwrap();
-        let bridge = Arc::new(StreamBridge::start(sink, None).unwrap());
+        let slot = Arc::new(Slot::new(Registry::new().gauge("serve.inflight")));
+        let bridge = Arc::new(StreamBridge::start(sink, slot, None).unwrap());
         std::thread::scope(|scope| {
             let ingest = scope.spawn(|| {
                 let cfg = cfg().observer_shared(bridge.clone());

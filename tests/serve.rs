@@ -523,3 +523,101 @@ fn default_and_serial_servers_return_identical_explore_bodies() {
 fn shutdown_noop(addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
 }
+
+/// Send one request on a fresh connection and read the reply by its
+/// `Content-Length`, the way a keep-alive style client does: without
+/// waiting for the server to close. Returns the status and body.
+fn request_by_content_length(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    // A refused request is answered without being read, so the send
+    // may fail; the reply still says why.
+    let _ = write!(
+        conn,
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n"
+    );
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    let head_end = loop {
+        if let Some(p) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+            break p + 4;
+        }
+        let n = conn.read(&mut buf).expect("read head");
+        assert!(n > 0, "connection closed before the head");
+        raw.extend_from_slice(&buf[..n]);
+    };
+    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
+    let status: u16 = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let length: usize = head
+        .lines()
+        .find_map(|l| {
+            l.to_ascii_lowercase()
+                .strip_prefix("content-length:")
+                .map(|v| v.trim().parse().unwrap())
+        })
+        .expect("content-length header");
+    while raw.len() < head_end + length {
+        let n = conn.read(&mut buf).expect("read body");
+        assert!(n > 0, "connection closed before the body");
+        raw.extend_from_slice(&buf[..n]);
+    }
+    (
+        status,
+        String::from_utf8_lossy(&raw[head_end..]).into_owned(),
+    )
+}
+
+/// `max_inflight` closed-loop clients that read each reply by its
+/// `Content-Length` and reconnect at once are never refused: the
+/// server frees a request's admission slot before the reply's last
+/// byte goes out.
+#[test]
+fn closed_loop_clients_within_max_inflight_are_never_refused() {
+    const CLIENTS: usize = 4;
+    let (addr, registry, handle) = start(test_config().max_inflight(CLIENTS));
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            s.spawn(move || {
+                for i in 0..100 {
+                    let (status, body) = request_by_content_length(addr, "GET", "/healthz");
+                    assert_eq!(status, 200, "client {c} request {i}: {body}");
+                }
+            });
+        }
+    });
+    assert_eq!(registry.snapshot().counter("serve.rejected"), Some(0));
+    shutdown(addr, handle);
+}
+
+/// Two explores of one cached circuit run at the same time (nothing
+/// serializes them per circuit) and both answer byte for byte like the
+/// same explore run alone.
+#[test]
+fn concurrent_explores_of_one_circuit_match_a_serial_reply() {
+    let (addr, _registry, handle) = start(test_config());
+    let ingest = request(addr, "POST", "/circuits", &to_blif(&multiplier(4)));
+    assert_eq!(ingest.status, 201, "{}", ingest.body);
+    let hash = ingest
+        .json()
+        .get("hash")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    let path = format!("/circuits/{hash}/explore");
+    let spec = r#"{"exhaust": true, "explorer": "beam:4"}"#;
+    let serial = request(addr, "POST", &path, spec);
+    assert_eq!(serial.status, 200, "{}", serial.body);
+    let concurrent: Vec<Response> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| request(addr, "POST", &path, spec)))
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for reply in concurrent {
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply.body, serial.body);
+    }
+    shutdown(addr, handle);
+}
