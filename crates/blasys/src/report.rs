@@ -580,11 +580,14 @@ mod tests {
     #[test]
     fn export_closes_dangling_spans() {
         let t = blasys_obs::Tracer::new();
-        t.begin("left-open");
+        t.begin("left \"open\"");
         t.instant("mark");
         let json = chrome_json(&t);
         assert_eq!(phases(&json), ["B", "i", "E"]);
-        assert!(json.to_string().starts_with("{\"traceEvents\": ["));
+        let text = json.to_string();
+        assert!(text.starts_with("{\"traceEvents\": ["), "{text}");
+        // Span names are escaped like every JSON string.
+        assert!(text.contains(r#""name": "left \"open\"""#), "{text}");
     }
 
     #[test]
@@ -597,7 +600,7 @@ mod tests {
     #[test]
     fn escapes_and_renders_compactly() {
         let j = Json::obj([
-            ("s", Json::str("a\"b\\c\nd")),
+            ("s", Json::str("a\"b\\c\nd\u{1}")),
             ("n", Json::Num(1.5)),
             ("u", Json::UInt(u64::MAX)),
             ("inf", Json::Num(f64::INFINITY)),
@@ -605,7 +608,7 @@ mod tests {
         ]);
         assert_eq!(
             j.to_string(),
-            r#"{"s": "a\"b\\c\nd","n": 1.5,"u": 18446744073709551615,"inf": null,"arr": [true,null]}"#
+            r#"{"s": "a\"b\\c\nd\u0001","n": 1.5,"u": 18446744073709551615,"inf": null,"arr": [true,null]}"#
         );
     }
 

@@ -191,9 +191,6 @@ pub trait Lint {
     /// Severity every finding of this lint reports at.
     fn default_severity(&self) -> Severity;
 
-    /// One-line description of what the lint detects.
-    fn description(&self) -> &'static str;
-
     /// Run the analysis, pushing findings at `severity`.
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>);
 }

@@ -52,10 +52,6 @@ impl Lint for CombinationalCycle {
         Severity::Error
     }
 
-    fn description(&self) -> &'static str {
-        ".names blocks form a combinational dependency cycle"
-    }
-
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
         let Some(doc) = target.doc else { return };
         // First definer wins for the dependency graph; extra drivers
@@ -158,10 +154,6 @@ impl Lint for UndrivenSignal {
         Severity::Error
     }
 
-    fn description(&self) -> &'static str {
-        "a signal is referenced as a fanin but never driven"
-    }
-
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
         let Some(doc) = target.doc else { return };
         let defined = defined_signals(doc);
@@ -196,10 +188,6 @@ impl Lint for MultiplyDriven {
 
     fn default_severity(&self) -> Severity {
         Severity::Error
-    }
-
-    fn description(&self) -> &'static str {
-        "a signal has more than one driver"
     }
 
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
@@ -248,10 +236,6 @@ impl Lint for UndefinedOutput {
         Severity::Error
     }
 
-    fn description(&self) -> &'static str {
-        "a declared primary output is never defined"
-    }
-
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
         let Some(doc) = target.doc else { return };
         let defined = defined_signals(doc);
@@ -281,10 +265,6 @@ impl Lint for DeadLogic {
 
     fn default_severity(&self) -> Severity {
         Severity::Warn
-    }
-
-    fn description(&self) -> &'static str {
-        "logic is unreachable from every primary output"
     }
 
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
@@ -363,10 +343,6 @@ impl Lint for UnusedInput {
 
     fn default_severity(&self) -> Severity {
         Severity::Warn
-    }
-
-    fn description(&self) -> &'static str {
-        "a primary input feeds no logic and no output"
     }
 
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
@@ -457,10 +433,6 @@ impl Lint for ConstantTable {
 
     fn default_severity(&self) -> Severity {
         Severity::Warn
-    }
-
-    fn description(&self) -> &'static str {
-        "a truth table with fanins computes a constant"
     }
 
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
@@ -562,10 +534,6 @@ impl Lint for DuplicateCone {
 
     fn default_severity(&self) -> Severity {
         Severity::Info
-    }
-
-    fn description(&self) -> &'static str {
-        "functionally identical cones are computed more than once"
     }
 
     fn run(&self, target: &LintTarget<'_>, severity: Severity, out: &mut Vec<Diagnostic>) {
