@@ -120,9 +120,12 @@ impl FlowObserver for TraceObserver {
 /// use blasys_obs::Tracer;
 ///
 /// let tracer = Arc::new(Tracer::default());
+/// // An `Arc` of an observer is an observer too, so a handle kept
+/// // elsewhere can join the fan-out.
+/// let shared = Arc::new(TraceObserver::new(tracer.clone()));
 /// let both = Observers::new()
-///     .with(TraceObserver::new(tracer.clone()))
-///     .with_shared(Arc::new(TraceObserver::new(tracer)));
+///     .with(TraceObserver::new(tracer))
+///     .with(shared.clone());
 /// # let _ = both;
 /// ```
 #[derive(Default)]
