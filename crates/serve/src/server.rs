@@ -9,9 +9,10 @@
 //! bound is reached, so a worker is always available for an admitted
 //! connection. A request gives its slot back (see `Slot`) just before
 //! the last write of its reply. A streaming response adds one writer
-//! thread of its own (see `StreamBridge`). Graceful shutdown (`POST /admin/shutdown`) sets a flag
-//! and wakes the accept loop with a loopback connection; queued and
-//! in-flight requests drain before [`Server::run`] returns.
+//! thread of its own (see `StreamBridge`). Graceful shutdown (`POST
+//! /admin/shutdown`) sets a flag and wakes the accept loop with a
+//! loopback connection; queued and in-flight requests drain before
+//! [`Server::run`] returns.
 
 use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};

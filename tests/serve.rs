@@ -582,9 +582,16 @@ fn concurrent_explores_of_one_circuit_match_a_serial_reply() {
     let spec = r#"{"exhaust": true, "explorer": "beam:4"}"#;
     let serial = request(addr, "POST", &path, spec);
     assert_eq!(serial.status, 200, "{}", serial.body);
+    // Both clients send the moment the other is ready too.
+    let start = std::sync::Barrier::new(2);
     let concurrent: Vec<Response> = std::thread::scope(|s| {
         let runs: Vec<_> = (0..2)
-            .map(|_| s.spawn(|| request(addr, "POST", &path, spec)))
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    request(addr, "POST", &path, spec)
+                })
+            })
             .collect();
         runs.into_iter().map(|r| r.join().unwrap()).collect()
     });
