@@ -5,7 +5,8 @@
 //! represent (cycles, undriven or multiply-driven nets) are still
 //! visible and carry source lines. Liveness passes (`L0005`, `L0006`)
 //! fall back to the netlist surface when no document is attached.
-//! Redundancy (`L0008`) runs on the built netlist.
+//! Redundancy (`L0008`) runs on the built netlist. `L0009` and `L0010`
+//! (cluster passes nothing ran) are retired and never reused.
 
 use std::collections::{HashMap, HashSet};
 
