@@ -36,8 +36,6 @@ const MAX_GATES: usize = 64;
 /// Only this many lowest-index ready nodes are scored per growth step
 /// (bounds clustering runtime).
 const CANDIDATE_WINDOW: usize = 96;
-/// KL-style refinement passes run after growth.
-const REFINE_PASSES: usize = 1;
 
 /// A subcircuit: a set of gate nodes plus its boundary interface.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -245,11 +243,7 @@ fn make_cluster(
 /// refinement.
 pub fn decompose(nl: &Netlist, cfg: &DecompConfig) -> Partition {
     let mut part = grow(nl, cfg);
-    for _ in 0..REFINE_PASSES {
-        if !crate::kl::refine(nl, &mut part) {
-            break;
-        }
-    }
+    crate::kl::refine(nl, &mut part);
     part
 }
 

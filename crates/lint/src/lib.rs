@@ -77,7 +77,7 @@ impl fmt::Display for Severity {
 pub struct Diagnostic {
     /// Stable lint id, e.g. `"L0001-combinational-cycle"`.
     pub lint: &'static str,
-    /// Severity of the finding (the lint's default severity).
+    /// Severity of the finding.
     pub severity: Severity,
     /// Human-readable description of the finding.
     pub message: String,
