@@ -14,7 +14,10 @@
 //! * a beam explore with an absurd width is answered, and the server
 //!   keeps serving afterwards;
 //! * a default-config server (every core) and a serial server return
-//!   byte-identical explore bodies.
+//!   byte-identical explore bodies, and so do two explores of one
+//!   cached circuit run at the same time;
+//! * `max_inflight` closed-loop clients that read each reply by its
+//!   `Content-Length` are never refused.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
