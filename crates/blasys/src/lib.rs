@@ -140,3 +140,14 @@ pub use session::{
     Budget, CancelToken, Exploration, ExploreSpec, FlowConfig, FlowObserver, FlowSession,
     FlowStage, StopReason,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::Json;
+
+    #[test]
+    fn escaping_covers_quotes_and_control_chars() {
+        let s = Json::str("a\"b\\c\nd\r\te\u{1}").to_string();
+        assert_eq!(s, r#""a\"b\\c\nd\r\te\u0001""#);
+    }
+}

@@ -263,11 +263,12 @@ mod tests {
         obs.on_window_start(3);
         obs.on_stage_end(FlowStage::Profile);
         let events = tracer.events();
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), 4);
         assert_eq!(events[0].phase, TracePhase::Begin);
         assert_eq!(events[0].name, "profile");
         assert_eq!(events[1].name, "window");
-        // chrome_json closes the dangling window span for us.
+        // The tracer closes the dangling window span for us.
+        assert_eq!(events[3].phase, TracePhase::End);
         let json = crate::report::chrome_json(&tracer).to_string();
         assert_eq!(json.matches("\"ph\": \"B\"").count(), 2);
         assert_eq!(json.matches("\"ph\": \"E\"").count(), 2);

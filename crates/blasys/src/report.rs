@@ -235,57 +235,33 @@ pub fn snapshot_json(snapshot: &blasys_obs::Snapshot) -> Json {
 /// Everything `tracer` recorded as a chrome://tracing "trace event"
 /// document (openable in Perfetto).
 ///
-/// The export is always well-formed: a span still open at export time
-/// (e.g. a flow aborted mid-stage) gets a synthetic closing event at
-/// the last timestamp, and an end without a matching open (a recorder
-/// attached mid-span) is dropped, so `B`/`E` counts balance per thread.
+/// The export is always well-formed: [`blasys_obs::Tracer::events`]
+/// closes spans still open and drops unmatched ends, so `B`/`E` counts
+/// balance per thread.
 pub fn chrome_json(tracer: &blasys_obs::Tracer) -> Json {
     use blasys_obs::TracePhase;
-    let event = |name: &str, tid: u64, ts_us: u64, ph: &'static str| {
-        let mut fields = vec![
-            ("name", Json::str(name)),
-            ("ph", Json::str(ph)),
-            ("pid", Json::UInt(1)),
-            ("tid", Json::UInt(tid)),
-            ("ts", Json::UInt(ts_us)),
-        ];
-        if ph == "i" {
-            fields.push(("s", Json::str("t")));
-        }
-        Json::obj(fields)
-    };
-    let mut out = Vec::new();
-    // Per-thread open-span stacks, in first-seen thread order.
-    let mut open: Vec<(u64, Vec<&'static str>)> = Vec::new();
-    let mut last_ts = 0u64;
-    for e in tracer.events() {
-        last_ts = last_ts.max(e.ts_us);
-        let idx = match open.iter().position(|(tid, _)| *tid == e.tid) {
-            Some(i) => i,
-            None => {
-                open.push((e.tid, Vec::new()));
-                open.len() - 1
+    let out = tracer
+        .events()
+        .into_iter()
+        .map(|e| {
+            let ph = match e.phase {
+                TracePhase::Begin => "B",
+                TracePhase::End => "E",
+                TracePhase::Instant => "i",
+            };
+            let mut fields = vec![
+                ("name", Json::str(e.name)),
+                ("ph", Json::str(ph)),
+                ("pid", Json::UInt(1)),
+                ("tid", Json::UInt(e.tid)),
+                ("ts", Json::UInt(e.ts_us)),
+            ];
+            if e.phase == TracePhase::Instant {
+                fields.push(("s", Json::str("t")));
             }
-        };
-        let stack = &mut open[idx].1;
-        match e.phase {
-            TracePhase::Begin => {
-                stack.push(e.name);
-                out.push(event(e.name, e.tid, e.ts_us, "B"));
-            }
-            TracePhase::End => {
-                if stack.pop().is_some() {
-                    out.push(event(e.name, e.tid, e.ts_us, "E"));
-                }
-            }
-            TracePhase::Instant => out.push(event(e.name, e.tid, e.ts_us, "i")),
-        }
-    }
-    for (tid, stack) in open {
-        for name in stack.into_iter().rev() {
-            out.push(event(name, tid, last_ts, "E"));
-        }
-    }
+            Json::obj(fields)
+        })
+        .collect();
     Json::obj([
         ("traceEvents", Json::Arr(out)),
         ("displayTimeUnit", Json::str("ms")),

@@ -119,7 +119,11 @@ impl Tracer {
         }
     }
 
-    /// All events recorded so far, in global record order.
+    /// All events recorded so far, in global record order, balanced
+    /// per thread: an end with no open span on its thread (a recorder
+    /// attached mid-span) is dropped, and a span still open (e.g. a
+    /// flow aborted mid-stage) gets a closing event at the last
+    /// timestamp, so every `Begin` has its `End`.
     pub fn events(&self) -> Vec<TraceEvent> {
         let mut all: Vec<TraceEvent> = self
             .shards
@@ -127,6 +131,41 @@ impl Tracer {
             .flat_map(|s| s.lock().unwrap().iter().cloned().collect::<Vec<_>>())
             .collect();
         all.sort_by_key(|e| e.seq);
+        // Per-thread open-span stacks, in first-seen thread order.
+        let mut open: Vec<(u64, Vec<&'static str>)> = Vec::new();
+        let mut last_ts = 0u64;
+        all.retain(|e| {
+            last_ts = last_ts.max(e.ts_us);
+            let idx = match open.iter().position(|(tid, _)| *tid == e.tid) {
+                Some(i) => i,
+                None => {
+                    open.push((e.tid, Vec::new()));
+                    open.len() - 1
+                }
+            };
+            let stack = &mut open[idx].1;
+            match e.phase {
+                TracePhase::Begin => {
+                    stack.push(e.name);
+                    true
+                }
+                TracePhase::End => stack.pop().is_some(),
+                TracePhase::Instant => true,
+            }
+        });
+        let mut seq = all.last().map_or(0, |e| e.seq + 1);
+        for (tid, stack) in open {
+            for name in stack.into_iter().rev() {
+                all.push(TraceEvent {
+                    name,
+                    tid,
+                    ts_us: last_ts,
+                    phase: TracePhase::End,
+                    seq,
+                });
+                seq += 1;
+            }
+        }
         all
     }
 }
@@ -208,6 +247,42 @@ mod tests {
                     });
             assert_eq!(b, e, "tid {tid}");
         }
+    }
+
+    #[test]
+    fn export_closes_dangling_spans() {
+        let t = Tracer::new();
+        t.begin("outer");
+        t.begin("inner");
+        t.instant("mark");
+        use TracePhase::*;
+        assert_eq!(
+            phases(&t),
+            vec![
+                ("outer".into(), Begin),
+                ("inner".into(), Begin),
+                ("mark".into(), Instant),
+                ("inner".into(), End),
+                ("outer".into(), End),
+            ]
+        );
+        let events = t.events();
+        let mark_ts = events[2].ts_us;
+        assert!(events[3..].iter().all(|e| e.ts_us >= mark_ts));
+    }
+
+    #[test]
+    fn export_drops_unmatched_ends() {
+        let t = Tracer::new();
+        t.end("never-opened");
+        {
+            let _g = t.span("kept");
+        }
+        use TracePhase::*;
+        assert_eq!(
+            phases(&t),
+            vec![("kept".into(), Begin), ("kept".into(), End)]
+        );
     }
 
     #[test]
